@@ -17,25 +17,16 @@ report carries a confidence flag.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .elliptic import CurveInvariants, quasi_periods
+from .elliptic import CurveInvariants
 from .errors import InconsistentOverride, InternalInconsistency, NotApplicable
 from .lattice import Lattice, real_coordinates
 from .periods import EllipticPoint, check_on_curve, elliptic_log
-from .relations import (
-    DEFAULT_MAX_HEIGHT,
-    DEFAULT_TOL,
-    RelationCertificate,
-    detect_integer_relation,
-)
-from .semiabelian import (
-    ExtensionParam,
-    SemiAbelianPoint,
-    log_G,
-    quasi_quasi_periods,
-)
+from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, detect_integer_relation
+from .semiabelian import _fiber_log, quasi_quasi_periods
 
 TWO_PI_I = 2j * math.pi
 
@@ -135,10 +126,6 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction))
 
 
-def _exact_neg(P):
-    return EllipticPoint(P.x, -P.y)
-
-
 def _exact_add(P1, P2, g2, g3):
     """Chord-tangent addition on y^2 = 4x^3 - g2 x - g3 over Q."""
     if P1.is_identity:
@@ -203,22 +190,12 @@ def _log_torsion_order(z, L, n_max, tol=1e-8):
     return None
 
 
-def _log_is_rational_period(z, L, max_height, tol):
-    """True when z lies in Q*omega1 + Q*omega2 (torsion logarithm),
-    decided by relation detection with heights up to max_height."""
-    if abs(z) < tol:
-        return True, None
-    cert = detect_integer_relation([z, L.omega1, L.omega2], max_height, tol)
-    if cert is not None and cert.coefficients[0] != 0:
-        return True, cert
-    return False, None
-
-
-def _semiabelian_torsion_order(z, t, q, L, n_max, tol=1e-8):
+def _semiabelian_torsion_order(z, t, g, L, n_max, tol=1e-8):
     """Smallest N <= n_max with N*(z, t) in the rank-3 kernel lattice
-    of exp_G, i.e. N*R = identity of G; None when no such N."""
+    of exp_G, i.e. N*R = identity of G; None when no such N.  g holds
+    the quasi-quasi-periods (g1, g2) of the extension parameter."""
     a1, a2 = real_coordinates(z, L)
-    g1, g2 = quasi_quasi_periods(q, L)
+    g1, g2 = g
     for N in range(1, n_max + 1):
         if abs(N * a1 - round(N * a1)) > tol or abs(N * a2 - round(N * a2)) > tol:
             continue
@@ -234,6 +211,29 @@ def _semiabelian_torsion_order(z, t, q, L, n_max, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
+def _cm_field(L, max_height, tol, cm_override):
+    """(disc, delta) from one search for a relation a*tau^2 + b*tau + c
+    = 0 on the reduced period ratio tau: disc = b^2 - 4ac when negative,
+    and delta = 2a*tau + b the purely imaginary quadratic integer acting
+    on the lattice (delta^2 = disc); (None, None) for non-CM.  A declared
+    override must agree with the detection."""
+    w1, w2, _ = L.reduced_basis()
+    tau = w2 / w1
+    cert = detect_integer_relation([1.0, tau, tau * tau], max_height, tol)
+    disc = delta = None
+    if cert is not None:
+        c, b, a = cert.coefficients
+        if a < 0:
+            a, b, c = -a, -b, -c
+        if a != 0 and b * b - 4 * a * c < 0:
+            disc, delta = b * b - 4 * a * c, 2 * a * tau + b
+    if cm_override is not None and disc != cm_override:
+        raise InconsistentOverride(
+            f"declared CM discriminant {cm_override}, detected {disc}"
+        )
+    return disc, delta
+
+
 def detect_cm(L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, cm_override=None):
     """CM discriminant of the lattice, or None.
 
@@ -241,45 +241,11 @@ def detect_cm(L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, cm_override=Non
     period ratio tau and returns b^2 - 4ac when negative.  A declared
     override must agree with the detection.
     """
-    w1, w2, _ = L.reduced_basis()
-    tau = w2 / w1
-    cert = detect_integer_relation([1.0, tau, tau * tau], max_height, tol)
-    disc = None
-    if cert is not None:
-        c, b, a = cert.coefficients
-        if a != 0:
-            if a < 0:
-                a, b, c = -a, -b, -c
-            d = b * b - 4 * a * c
-            if d < 0:
-                disc = d
-    if cm_override is not None:
-        if disc != cm_override:
-            raise InconsistentOverride(
-                f"declared CM discriminant {cm_override}, detected {disc}"
-            )
-        return cm_override
-    return disc
-
-
-def _cm_multiplier(L, disc, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
-    """The purely imaginary quadratic integer delta = 2a*tau + b acting
-    on the lattice (delta^2 = disc < 0); None for non-CM."""
-    if disc is None:
-        return None
-    w1, w2, _ = L.reduced_basis()
-    tau = w2 / w1
-    cert = detect_integer_relation([1.0, tau, tau * tau], max_height, tol)
-    if cert is None:
-        raise InternalInconsistency("CM discriminant with no tau relation")
-    c, b, a = cert.coefficients
-    if a < 0:
-        a, b, c = -a, -b, -c
-    return 2 * a * tau + b
+    return _cm_field(L, max_height, tol, cm_override)[0]
 
 
 # ---------------------------------------------------------------------------
-# span arithmetic over F = End (x) Q
+# the analysis of one motive
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +259,173 @@ def _in_rational_span(v, basis, max_height, tol):
     return False, None
 
 
+class _MotiveAnalysis:
+    """Every logarithm, torsion flag, CM test and span decision of one
+    motive, each made at most once and only when first needed.
+
+    The public functions below are views of one analysis.  Each
+    attribute is computed on first read, so a view computes only what it
+    needs, and a malformed motive fails at the first quantity it reads.
+    """
+
+    def __init__(self, motive, max_height, tol, n_max=DEFAULT_N_MAX):
+        self.motive = motive
+        self.L = motive.lattice
+        self.max_height = max_height
+        self.tol = tol
+        self.n_max = n_max
+        self._spans = {}
+
+    def in_span(self, v, basis):
+        """(v in Q-span(basis), certificate); each question is searched once."""
+        key = (v, tuple(basis))
+        if key not in self._spans:
+            self._spans[key] = _in_rational_span(v, basis, self.max_height, self.tol)
+        return self._spans[key]
+
+    def is_torsion_log(self, z):
+        """Whether z lies in Q*omega1 + Q*omega2 (a torsion logarithm)."""
+        return self.in_span(z, (self.L.omega1, self.L.omega2))[0]
+
+    @cached_property
+    def cm(self):
+        """(CM discriminant, delta), or (None, None)."""
+        return _cm_field(self.L, self.max_height, self.tol, self.motive.cm_override)
+
+    @cached_property
+    def param_logs(self):
+        return [q.primal(self.L) for q in self.motive.extension_params]
+
+    @cached_property
+    def point_logs(self):
+        return [
+            elliptic_log(R.base, self.L, self.motive.curve).value
+            for R in self.motive.points
+        ]
+
+    @cached_property
+    def dim_B(self):
+        """(dim_B, dim_B_vstar, dim_B_Q, certificates): greedy F-span of
+        the parameter logarithms, then the point logarithms, modulo the
+        periods; in the CM case each independent value v adds the pair
+        {v, delta*v}."""
+        delta = self.cm[1]
+        gens = [self.L.omega1, self.L.omega2]
+        certs = []
+        independent = []
+        for v in self.param_logs + self.point_logs:
+            inside, cert = self.in_span(v, gens)
+            if cert is not None:
+                certs.append(cert)
+            if not inside:
+                gens += [v] if delta is None else [v, delta * v]
+            independent.append(not inside)
+        d_total = sum(independent)
+        d_vstar = sum(independent[: self.motive.s])
+        return d_total, d_vstar, d_total - d_vstar, tuple(certs)
+
+    @cached_property
+    def deficient(self):
+        """None unless n = s = 1, dim B = 1 and P, Q are non-torsion;
+        then whether q = beta*p modulo periods with beta purely imaginary."""
+        m = self.motive
+        if m.n != 1 or m.s != 1 or self.dim_B[0] != 1:
+            return None
+        (mu,), (p,) = self.param_logs, self.point_logs
+        if self.is_torsion_log(p) or self.is_torsion_log(mu):
+            return None
+        disc, delta = self.cm
+        if disc is None:
+            return False
+        cert = detect_integer_relation(
+            [mu, p, delta * p, self.L.omega1, self.L.omega2], self.max_height, self.tol
+        )
+        if cert is None or cert.coefficients[0] == 0:
+            raise InternalInconsistency(
+                "dim B = 1 but no dependence relation q = beta*p was found"
+            )
+        # q = beta*p mod periods with beta = -(c1 + c2*delta)/c0; beta is
+        # purely imaginary exactly when the real component c1 vanishes
+        return cert.coefficients[1] == 0
+
+    @cached_property
+    def third_kind_periods(self):
+        """The quasi-quasi-periods (g1, g2) of each extension parameter."""
+        return [quasi_quasi_periods(q, self.L) for q in self.motive.extension_params]
+
+    @cached_property
+    def third_kind_values(self):
+        """The n*s integrals of the third kind: the fiber component t of
+        log_G(R) for each point R and each parameter q."""
+        return [
+            _fiber_log(R, z, q, self.L)
+            for R, z in zip(self.motive.points, self.point_logs)
+            for q in self.motive.extension_params
+        ]
+
+    def extend(self, basis, v):
+        """Append v to basis unless it lies in the Q-span; True if appended."""
+        inside, _ = self.in_span(v, basis)
+        if not inside:
+            basis.append(v)
+        return not inside
+
+    @cached_property
+    def dim_Z1(self):
+        m = self.motive
+        if m.s == 0:
+            return 0
+        # read before the bracket test: a pole or a zero fiber is reported
+        # ahead of a CM override that disagrees with the detection
+        periods, values = self.third_kind_periods, self.third_kind_values
+        # n = s = 1: the bracket torus Z'(1) is one-dimensional, forcing
+        # dim Z(1) = 1, unless dim B = 0, or B is one-sided (P or Q
+        # torsion), or the dependence coefficient is purely imaginary;
+        # `deficient` is False exactly for the remaining dim B = 1 case
+        if m.n == 1 and m.s == 1 and (self.dim_B[0] == 2 or self.deficient is False):
+            return 1
+        # greedy: the quasi-quasi-periods of a torsion q are rational
+        # multiples of 2*pi*i and must not enter the basis
+        basis = [TWO_PI_I]
+        for g in periods:
+            for gj in g:
+                self.extend(basis, gj)
+        return sum(1 for v in values if self.extend(basis, v))
+
+    @cached_property
+    def table_row(self):
+        m = self.motive
+        if m.n != 1 or m.s != 1:
+            raise NotApplicable("the classification table covers n = s = 1 only")
+        (t,) = self.third_kind_values
+        (mu,), (p,) = self.param_logs, self.point_logs
+        p_tor = self.is_torsion_log(p)
+        q_tor = self.is_torsion_log(mu)
+        r_tor = p_tor and _semiabelian_torsion_order(
+            p, t, self.third_kind_periods[0], self.L, self.n_max
+        ) is not None
+        if q_tor and r_tor:
+            return "q-r-torsion"
+        if p_tor and q_tor:
+            return "p-q-torsion"
+        if r_tor:
+            return "r-torsion"
+        if q_tor:
+            return "q-torsion"
+        if p_tor:
+            return "p-torsion"
+        if self.dim_B[0] == 1:
+            if self.deficient and self.dim_Z1 == 0:
+                return "dependent-deficient"
+            return "dependent-not-deficient"
+        return "independent"
+
+
+# ---------------------------------------------------------------------------
+# public views
+# ---------------------------------------------------------------------------
+
+
 def dim_B_elliptic(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """(dim_B, dim_B_vstar, dim_B_Q) over F = End (x) Q.
 
@@ -301,31 +434,7 @@ def dim_B_elliptic(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     F-span of the periods; in the CM case each independent value
     contributes the generator pair {v, delta*v}.
     """
-    L = motive.lattice
-    disc = detect_cm(L, max_height, tol, motive.cm_override)
-    delta = _cm_multiplier(L, disc, max_height, tol)
-    certs = []
-    gens = [L.omega1, L.omega2]
-
-    def add_if_independent(v):
-        inside, cert = _in_rational_span(v, gens, max_height, tol)
-        if cert is not None:
-            certs.append(cert)
-        if inside:
-            return 0
-        gens.append(v)
-        if delta is not None:
-            gens.append(delta * v)
-        return 1
-
-    d_vstar = 0
-    for q in motive.extension_params:
-        d_vstar += add_if_independent(q.primal(L))
-    d_total = d_vstar
-    for R in motive.points:
-        z = elliptic_log(R.base, L, motive.curve).value
-        d_total += add_if_independent(z)
-    return d_total, d_vstar, d_total - d_vstar, tuple(certs)
+    return _MotiveAnalysis(motive, max_height, tol).dim_B
 
 
 def is_deficient(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
@@ -334,77 +443,7 @@ def is_deficient(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     None when not applicable (needs n = s = 1 and dim B = 1 with both
     P and Q non-torsion), False immediately for non-CM curves.
     """
-    if motive.n != 1 or motive.s != 1:
-        return None
-    L = motive.lattice
-    dim_b, _, _, _ = dim_B_elliptic(motive, max_height, tol)
-    if dim_b != 1:
-        return None
-    mu = motive.extension_params[0].primal(L)
-    p = elliptic_log(motive.points[0].base, L, motive.curve).value
-    p_tor, _ = _log_is_rational_period(p, L, max_height, tol)
-    q_tor, _ = _log_is_rational_period(mu, L, max_height, tol)
-    if p_tor or q_tor:
-        return None
-    disc = detect_cm(L, max_height, tol, motive.cm_override)
-    if disc is None:
-        return False
-    delta = _cm_multiplier(L, disc, max_height, tol)
-    cert = detect_integer_relation(
-        [mu, p, delta * p, L.omega1, L.omega2], max_height, tol
-    )
-    if cert is None or cert.coefficients[0] == 0:
-        raise InternalInconsistency(
-            "dim B = 1 but no dependence relation q = beta*p was found"
-        )
-    # q = beta*p mod periods with beta = -(c1 + c2*delta)/c0; beta is
-    # purely imaginary exactly when the real component c1 vanishes
-    return cert.coefficients[1] == 0
-
-
-# ---------------------------------------------------------------------------
-# dim Z(1)
-# ---------------------------------------------------------------------------
-
-
-def _third_kind_values(motive):
-    """The n*s integrals of the third kind (fiber components of the
-    generalized logarithms) together with the span basis they are
-    reduced against: 2*pi*i and the quasi-quasi-periods."""
-    L = motive.lattice
-    basis = [TWO_PI_I]
-    for q in motive.extension_params:
-        g1, g2 = quasi_quasi_periods(q, L)
-        basis.extend([g1, g2])
-    values = []
-    for R in motive.points:
-        for q in motive.extension_params:
-            _, tb = log_G(R, q, L, motive.curve)
-            values.append(tb.value)
-    return values, basis
-
-
-def _zprime_nontrivial(motive, max_height, tol):
-    """Whether the torus Z'(1) spanned by the Lie-bracket values on B is
-    one-dimensional (n = s = 1 case).
-
-    The bracket vanishes identically exactly when dim B = 0, or B is
-    one-sided (P or Q torsion), or the dependence coefficient is purely
-    imaginary (deficient case).
-    """
-    dim_b, _, _, _ = dim_B_elliptic(motive, max_height, tol)
-    if dim_b == 0:
-        return False
-    if dim_b == 2:
-        return True
-    L = motive.lattice
-    p = elliptic_log(motive.points[0].base, L, motive.curve).value
-    mu = motive.extension_params[0].primal(L)
-    p_tor, _ = _log_is_rational_period(p, L, max_height, tol)
-    q_tor, _ = _log_is_rational_period(mu, L, max_height, tol)
-    if p_tor or q_tor:
-        return False
-    return not is_deficient(motive, max_height, tol)
+    return _MotiveAnalysis(motive, max_height, tol).deficient
 
 
 def dim_Z1(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
@@ -415,23 +454,7 @@ def dim_Z1(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     analysis: a nontrivial bracket torus Z'(1) forces the value 1
     regardless of the fiber representative.
     """
-    if motive.s == 0:
-        return 0
-    values, basis = _third_kind_values(motive)
-    t = 0
-    for v in values:
-        inside, _ = _in_rational_span(v, basis, max_height, tol)
-        if not inside:
-            basis.append(v)
-            t += 1
-    if motive.n == 1 and motive.s == 1 and _zprime_nontrivial(motive, max_height, tol):
-        return 1
-    return t
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
+    return _MotiveAnalysis(motive, max_height, tol).dim_Z1
 
 
 def classify_table_row(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
@@ -439,38 +462,7 @@ def classify_table_row(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
     """Exactly one of the eight classification rows (n = s = 1 only),
     evaluated torsion conditions first, then dependence with deficiency,
     then independence."""
-    if motive.n != 1 or motive.s != 1:
-        raise NotApplicable("the classification table covers n = s = 1 only")
-    L = motive.lattice
-    R = motive.points[0]
-    q = motive.extension_params[0]
-    mu = q.primal(L)
-    zb, tb = log_G(R, q, L, motive.curve)
-    p_tor, _ = _log_is_rational_period(zb.value, L, max_height, tol)
-    q_tor, _ = _log_is_rational_period(mu, L, max_height, tol)
-    r_tor = (
-        _semiabelian_torsion_order(zb.value, tb.value, q, L, n_max) is not None
-        if p_tor
-        else False
-    )
-    if q_tor and r_tor:
-        return "q-r-torsion"
-    if p_tor and q_tor:
-        return "p-q-torsion"
-    if r_tor:
-        return "r-torsion"
-    if q_tor:
-        return "q-torsion"
-    if p_tor:
-        return "p-torsion"
-    dim_b, _, _, _ = dim_B_elliptic(motive, max_height, tol)
-    if dim_b == 1:
-        if is_deficient(motive, max_height, tol) and dim_Z1(
-            motive, max_height, tol
-        ) == 0:
-            return "dependent-deficient"
-        return "dependent-not-deficient"
-    return "independent"
+    return _MotiveAnalysis(motive, max_height, tol, n_max).table_row
 
 
 def _bounds_from_dims(dim_b, dim_b_q, dim_z1, cm):
@@ -485,10 +477,9 @@ def _bounds_from_dims(dim_b, dim_b_q, dim_z1, cm):
 def conjecture_bounds(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """The three conjectural transcendence-degree lower bounds computed
     from the dimension invariants (never asserted as true)."""
-    dim_b, _, dim_b_q, _ = dim_B_elliptic(motive, max_height, tol)
-    dim_z1 = dim_Z1(motive, max_height, tol)
-    cm = detect_cm(motive.lattice, max_height, tol, motive.cm_override) is not None
-    return _bounds_from_dims(dim_b, dim_b_q, dim_z1, cm)
+    a = _MotiveAnalysis(motive, max_height, tol)
+    dim_b, _, dim_b_q, _ = a.dim_B
+    return _bounds_from_dims(dim_b, dim_b_q, a.dim_Z1, a.cm[0] is not None)
 
 
 def _torsion_certified(motive):
@@ -509,16 +500,16 @@ def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
     """Full classification report; for n = s = 1 the dimension formulas
     are cross-checked against the matched table row and a mismatch
     raises InternalInconsistency."""
-    L = motive.lattice
-    disc = detect_cm(L, max_height, tol, motive.cm_override)
+    a = _MotiveAnalysis(motive, max_height, tol, n_max)
+    disc = a.cm[0]
     cm = disc is not None
-    dim_b, dim_b_vstar, dim_b_q, certs = dim_B_elliptic(motive, max_height, tol)
-    dim_z1 = dim_Z1(motive, max_height, tol)
+    dim_b, dim_b_vstar, dim_b_q, certs = a.dim_B
+    dim_z1 = a.dim_Z1
     dim_ur = 2 * dim_b + dim_z1
     dim_gal = dim_ur + (2 if cm else 4)
-    deficient = is_deficient(motive, max_height, tol)
+    deficient = a.deficient
     if motive.n == 1 and motive.s == 1:
-        row = classify_table_row(motive, max_height, tol, n_max)
+        row = a.table_row
         expected_ur, expected_cm, expected_noncm = _TABLE_DIMS[row]
         expected_gal = expected_cm if cm else expected_noncm
         if expected_gal is None:

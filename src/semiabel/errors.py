@@ -42,7 +42,8 @@ class NotApplicable(SemiabelError):
 
 
 class InternalInconsistency(SemiabelError):
-    """Dimension formulas and table lookup disagree; never swallowed."""
+    """A cross-checked identity does not hold (dimension formulas against
+    the table row, or a value against its closed form); never swallowed."""
 
 
 class InconsistentOverride(SemiabelError):

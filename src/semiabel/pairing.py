@@ -8,7 +8,12 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import eta_linear, quasi_periods, sigma_w
-from .errors import NotALatticePoint, NotTorsion, PoleAtLatticePoint
+from .errors import (
+    InternalInconsistency,
+    NotALatticePoint,
+    NotTorsion,
+    PoleAtLatticePoint,
+)
 from .lattice import (
     Lattice,
     dual_lattice,
@@ -55,7 +60,7 @@ def weil_pairing(z, zstar, L):
     b1, b2 = real_coordinates(zstar, ds)
     alt = cmath.exp(TWO_PI_I * (a1 * b2 - a2 * b1))
     if abs(val - alt) > 1e-8 * abs(val):
-        raise ArithmeticError(
+        raise InternalInconsistency(
             f"coordinate form of the pairing disagrees: {val} vs {alt}"
         )
     return UnitCircleValue(val)
@@ -107,7 +112,7 @@ def poincare_automorphy_a0(lmbda, lmbdastar, z, zstar, L):
     ).imag
     closed = cmath.exp(TWO_PI_I * expo / D)
     if abs(val - closed) > 1e-8 * max(1.0, abs(val)):
-        raise ArithmeticError("unitarized factor disagrees with closed form")
+        raise InternalInconsistency("unitarized factor disagrees with closed form")
     return val
 
 
@@ -138,7 +143,7 @@ def ratio_f_tilde(z, zstar, L):
     direct = f_tilde(z, mu, L) / f_tilde(mu, z, L)
     closed = cmath.exp(eta_linear(z, L) * mu - eta_linear(mu, L) * z)
     if abs(direct - closed) > 1e-8 * max(1.0, abs(closed)):
-        raise ArithmeticError("f-tilde ratio disagrees with its closed form")
+        raise InternalInconsistency("f-tilde ratio disagrees with its closed form")
     return direct
 
 
@@ -153,5 +158,5 @@ def hodge_weil(lmbda, lmbdastar, L):
     val = eta_linear(lmbda, L) * mu - eta_linear(mu, L) * lmbda
     k = val / TWO_PI_I
     if abs(k - round(k.real)) > 1e-8 * max(1.0, abs(k)):
-        raise ArithmeticError(f"pairing value {val} not in 2 pi i Z")
+        raise InternalInconsistency(f"pairing value {val} not in 2 pi i Z")
     return val

@@ -111,11 +111,18 @@ def log_G(R, q, L, inv=None):
     """Principal (z, t) with exp_G(z, t) = R, modulo the rank-3 kernel."""
     if R.fiber == 0:
         raise FiberZero("fiber coordinate must be nonzero")
+    z = 0j if R.base.is_identity else elliptic_log(R.base, L, inv).value
+    return BranchedValue(z), BranchedValue(_fiber_log(R, z, q, L))
+
+
+def _fiber_log(R, z, q, L):
+    """The fiber component t of log_G(R), given the principal logarithm
+    z of the base point."""
+    if R.fiber == 0:
+        raise FiberZero("fiber coordinate must be nonzero")
     if R.base.is_identity:
-        return BranchedValue(0j), BranchedValue(cmath.log(R.fiber))
-    z = elliptic_log(R.base, L, inv).value
-    t = cmath.log(R.fiber) - cmath.log(serre_fq(z, q, L))
-    return BranchedValue(z), BranchedValue(t)
+        return cmath.log(R.fiber)
+    return cmath.log(R.fiber) - cmath.log(serre_fq(z, q, L))
 
 
 def generalized_log_G(R, q, L, inv=None):

@@ -1,9 +1,11 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import semiabel.classifier as classifier
 from semiabel.classifier import (
     ClassificationReport,
     OneMotiveElliptic,
@@ -24,6 +26,7 @@ from semiabel.errors import (
 )
 from semiabel.lattice import make_lattice
 from semiabel.periods import CurveInvariants, EllipticPoint
+from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
 from semiabel.semiabelian import ExtensionParam, SemiAbelianPoint, exp_G
 
 from conftest import VARPI
@@ -273,6 +276,42 @@ def test_table_reproduction(cm):
         # hard dimension-formula invariants
         assert rep.dim_UR == 2 * rep.dim_B + rep.dim_Z1
         assert rep.dim_B == rep.dim_B_vstar + rep.dim_B_Q
+
+
+@pytest.mark.parametrize("lam", (1e-3, 1e-2, 0.37, 7.0, 1e2, 1e4, 1e6))
+def test_table_rows_invariant_under_scaling(lam):
+    """Lambda -> lam*Lambda keeps every row and its dimensions."""
+    for cm, (w1, w2) in ((True, (VARPI, VARPI * 1j)), (False, (1.0, _noncm().tau))):
+        L = make_lattice(lam * w1, lam * w2)
+        for row, mu, z, t in _cases(L, cm):
+            rep = motivic_galois_dims(_motive(L, mu, z, t))
+            want = (row, _EXPECTED[row], _EXPECTED[row] + (2 if cm else 4), cm)
+            assert (rep.table_row, rep.dim_UR, rep.dim_Gal, rep.cm) == want
+
+
+def test_q_r_torsion_with_root_of_unity_fiber():
+    """For torsion q the quasi-quasi-periods are rational multiples of
+    2*pi*i, so they add nothing to the span the fiber is reduced in."""
+    L = make_lattice(1, 1j)
+    rep = motivic_galois_dims(_motive(L, L.omega1 / 2, None, 2j * math.pi / 3))
+    assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == ("q-r-torsion", 0, 2)
+
+
+def test_classification_never_repeats_a_relation_search(monkeypatch):
+    calls = Counter()
+    search = classifier.detect_integer_relation
+
+    def counted(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
+        calls[tuple(complex(v) for v in values), max_height, tol] += 1
+        return search(values, max_height, tol)
+
+    monkeypatch.setattr(classifier, "detect_integer_relation", counted)
+    for cm in (True, False):
+        L = _sq() if cm else _noncm()
+        for row, mu, z, t in _cases(L, cm):
+            calls.clear()
+            motivic_galois_dims(_motive(L, mu, z, t))
+            assert calls and max(calls.values()) == 1, row
 
 
 def test_non_cm_deficient_unreachable():

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import semiabel.cli as cli
+from semiabel.classifier import motivic_galois_dims
 from semiabel.cli import JobConfig, emit_json, main, parse_config, run_job
 from semiabel.errors import (
     ConflictingCurveSpec,
@@ -234,6 +236,16 @@ def test_job_classify_independent_bounds():
         run_job(_cfg({**SQ, **bad}, "classify"))
 
 
+def test_table_reports_match_golden_bytes():
+    """The classify report of each table instance, byte for byte."""
+    golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
+    got = [
+        emit_json(cli._report_doc(motivic_galois_dims(m)))
+        for m, *_ in cli._table_instances()
+    ]
+    assert got == golden.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -268,6 +280,19 @@ def test_main_domain_error_exit_1(tmp_path, capsys):
     # evaluating at a pole is an input error, not an identity failure
     path = _write(tmp_path, {**SQ, "z": 0.0})
     assert main(["eval", "--config", path]) == 1
+
+
+@pytest.mark.parametrize(
+    "task,doc",
+    (
+        ("expg", {**SQ, "q": {"log": {"re": 0.7, "im": 0.9}}, "z": 0.5, "t": 1000}),
+        ("periods", {"curve": {"g2": 1e308, "g3": 1e308}}),
+    ),
+)
+def test_main_overflow_from_input_exit_1(tmp_path, capsys, task, doc):
+    path = _write(tmp_path, doc)
+    assert main([task, "--config", path]) == 1
+    assert "identity failure" not in capsys.readouterr().err
 
 
 def test_main_identity_failure_exit_2(tmp_path, capsys, monkeypatch):
