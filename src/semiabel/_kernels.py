@@ -1,41 +1,27 @@
 """Hot numeric kernels: nome series for the odd Jacobi theta function and
 Eisenstein weight-4/6 series, plus Carlson's symmetric integral RF.
 
-Every kernel exists in two flavours: a pure-Python/numpy reference
-implementation (the ``_py``-suffixed functions) and, when numba is
-available and not disabled, an ``@njit``-compiled version.  Set
-``SEMIABEL_DISABLE_NUMBA=1`` to force the fallback path; ``benchmarks/``
-compares the two.
-
-All kernels are scalar complex128 routines.  They return a status flag
-instead of raising (numba-friendly); callers translate flags to
-exceptions.
+All kernels are scalar complex routines in pure Python; each raises
+ConvergenceFailure when its series or iteration does not converge.
 """
 
 import cmath
-import os
+
+from .errors import ConvergenceFailure
+
+# reported as environment.numba_enabled by `verify --json` and the benchmark
+NUMBA_ENABLED = False
 
 MAX_TERMS = 10_000
 _REL_EPS = 1e-16
 
-_disabled = os.environ.get("SEMIABEL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-try:
-    if _disabled:
-        raise ImportError
-    from numba import njit as _njit
 
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-    _njit = None
-
-
-def theta1_bundle_py(v, tau):
+def theta1_bundle(v, tau):
     """theta1 and its first three v-derivatives at argument v, lattice Z+Z*tau.
 
     theta1(v) = 2 * sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi v),
     q = exp(i pi tau).  Derivatives are taken with respect to v.
-    Returns (t0, t1, t2, t3, ok) with ok = 0 on convergence failure.
+    Returns (t0, t1, t2, t3).
     """
     ipitau = 1j * cmath.pi * tau
     t0 = 0j
@@ -58,19 +44,19 @@ def theta1_bundle_py(v, tau):
         mag = abs(coeff) * (abs(s) + abs(c) + 1e-300) * a * a * a
         scale = max(scale, abs(t3) + 1e-300)
         if mag < _REL_EPS * scale and n >= 2:
-            return t0, t1, t2, t3, 1
-    return t0, t1, t2, t3, 0
+            return t0, t1, t2, t3
+    raise ConvergenceFailure(f"theta series did not converge at v={v}, tau={tau}")
 
 
-def eisenstein_e4_e6_py(tau):
+def eisenstein_e4_e6(tau):
     """Normalized Eisenstein series E4, E6 at tau via Lambert series.
 
     E4 = 1 + 240 sum n^3 q^n / (1-q^n), E6 = 1 - 504 sum n^5 q^n / (1-q^n),
-    q = exp(2 i pi tau).  Returns (e4, e6, ok).
+    q = exp(2 i pi tau).  Returns (e4, e6).
     """
     q = cmath.exp(2j * cmath.pi * tau)
     if abs(q) >= 1.0 - 1e-6:
-        return 0j, 0j, 0
+        raise ConvergenceFailure(f"|nome| too close to 1 at tau={tau}")
     e4 = 0j
     e6 = 0j
     qn = 1.0 + 0j
@@ -81,15 +67,14 @@ def eisenstein_e4_e6_py(tau):
         e4 += n3 * term
         e6 += n3 * float(n) * float(n) * term
         if abs(term) * n3 * n * n < _REL_EPS * (1.0 + abs(e6)):
-            return 1.0 + 240.0 * e4, 1.0 - 504.0 * e6, 1
-    return 1.0 + 240.0 * e4, 1.0 - 504.0 * e6, 0
+            return 1.0 + 240.0 * e4, 1.0 - 504.0 * e6
+    raise ConvergenceFailure(f"Eisenstein series did not converge at tau={tau}")
 
 
-def carlson_rf_py(x, y, z):
+def carlson_rf(x, y, z):
     """Carlson's symmetric elliptic integral RF(x, y, z) for complex args.
 
     Duplication-theorem iteration; principal square roots throughout.
-    Returns (value, ok).
     """
     A0 = (x + y + z) / 3.0
     Q = (3.0 * 2.220446049250313e-16) ** (-1.0 / 8.0) * max(
@@ -98,10 +83,8 @@ def carlson_rf_py(x, y, z):
     xm, ym, zm = x, y, z
     Am = A0
     pow4 = 1.0
-    ok = 0
     for _ in range(200):
         if Q * pow4 <= abs(Am):
-            ok = 1
             break
         sx = cmath.sqrt(xm)
         sy = cmath.sqrt(ym)
@@ -112,27 +95,19 @@ def carlson_rf_py(x, y, z):
         zm = (zm + lam) / 4.0
         Am = (Am + lam) / 4.0
         pow4 /= 4.0
-    if ok == 0 or Am == 0:
-        return 0j, 0
+    else:
+        raise ConvergenceFailure(f"RF duplication did not converge at {x}, {y}, {z}")
+    if Am == 0:
+        raise ConvergenceFailure(f"RF diverges at {x}, {y}, {z}")
     X = (A0 - x) * pow4 / Am
     Y = (A0 - y) * pow4 / Am
     Z = -X - Y
     E2 = X * Y - Z * Z
     E3 = X * Y * Z
-    val = (
+    return (
         1.0
         - E2 / 10.0
         + E3 / 14.0
         + E2 * E2 / 24.0
         - 3.0 * E2 * E3 / 44.0
     ) / cmath.sqrt(Am)
-    return val, 1
-
-if NUMBA_ENABLED:
-    theta1_bundle = _njit(cache=True)(theta1_bundle_py)
-    eisenstein_e4_e6 = _njit(cache=True)(eisenstein_e4_e6_py)
-    carlson_rf = _njit(cache=True)(carlson_rf_py)
-else:
-    theta1_bundle = theta1_bundle_py
-    eisenstein_e4_e6 = eisenstein_e4_e6_py
-    carlson_rf = carlson_rf_py

@@ -434,7 +434,7 @@ def dim_B_elliptic(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     F-span of the periods; in the CM case each independent value
     contributes the generator pair {v, delta*v}.
     """
-    return _MotiveAnalysis(motive, max_height, tol).dim_B
+    return _MotiveAnalysis(motive, max_height, tol).dim_B[:3]
 
 
 def is_deficient(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):

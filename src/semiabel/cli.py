@@ -44,7 +44,7 @@ from .errors import (
     SchemaError,
     SemiabelError,
 )
-from .lattice import make_lattice, reduce_centered
+from .lattice import make_lattice, real_coordinates, reduce_centered
 from .pairing import (
     ratio_f_tilde,
     torsion_weil_pairing,
@@ -133,14 +133,13 @@ def _cplx(v):
 @dataclass
 class JobConfig:
     task: str
-    curve: CurveInvariants  # None when the lattice is given directly
+    curve: CurveInvariants
     lattice: object  # Lattice or None
     payload: dict
     tol: float
     max_height: int
     n_max: int
     seed: int
-    json_output: bool
 
 
 def _expect(cond, path, message):
@@ -225,7 +224,7 @@ def _resolve_curve(node, path):
     return eisenstein_invariants(L), L
 
 
-def parse_config(text, task=None, seed=None, tol=None, json_output=False):
+def parse_config(text, task=None, seed=None, tol=None):
     """Validated JobConfig from a JSON document, with defaults filled."""
     try:
         doc = json.loads(text)
@@ -269,7 +268,6 @@ def parse_config(text, task=None, seed=None, tol=None, json_output=False):
         max_height=max_height,
         n_max=n_max,
         seed=seed,
-        json_output=json_output,
     )
 
 
@@ -525,14 +523,13 @@ def _contour_third_kind(qp_primal, L, j):
         for b in (0.19999999, 0.31415927, 0.44721360)
     ]
     z0 = max(candidates, key=clearance)
+    zeta_q = zeta_w(qp_primal, L)
     total = 0j
     for p in range(panels):
         lo = p / panels
         for x, wt in zip(nodes, weights):
             z = z0 + (lo + (x + 1.0) / (2.0 * panels)) * w
-            total += wt * (
-                zeta_w(z + qp_primal, L) - zeta_w(z, L) - zeta_w(qp_primal, L)
-            )
+            total += wt * (zeta_w(z + qp_primal, L) - zeta_w(z, L) - zeta_q)
     return total * w / (2.0 * panels)
 
 
@@ -581,18 +578,9 @@ def _check_exp_log(rng):
             R = exp_G(z, t, q, L)
             zb, tb = log_G(R, q, L)
             dz, dt = z - zb.value, t - tb.value
-            # residual modulo the rank-3 kernel lattice
-            a1, a2 = (
-                np.linalg.solve(
-                    np.array(
-                        [
-                            [gens[0][0].real, gens[1][0].real],
-                            [gens[0][0].imag, gens[1][0].imag],
-                        ]
-                    ),
-                    np.array([dz.real, dz.imag]),
-                )
-            )
+            # residual modulo the rank-3 kernel lattice, whose first two
+            # generators project onto the basis omega1, omega2 of Lambda
+            a1, a2 = real_coordinates(dz, L)
             m, n = round(a1), round(a2)
             rz = dz - m * gens[0][0] - n * gens[1][0]
             rt = dt - m * gens[0][1] - n * gens[1][1]
@@ -815,9 +803,7 @@ def main(argv=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(
-            text, task=args.task, seed=args.seed, tol=args.tol, json_output=args.json
-        )
+        cfg = parse_config(text, task=args.task, seed=args.seed, tol=args.tol)
         doc, code = run_job(cfg)
     except SchemaError as exc:
         print(f"error: {exc.path or '/'}: {exc.message}", file=sys.stderr)

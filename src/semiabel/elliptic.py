@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import eisenstein_e4_e6, theta1_bundle
-from .errors import ConvergenceFailure, NotALatticePoint, PoleAtLatticePoint
+from .errors import PoleAtLatticePoint
 from .lattice import (
     Lattice,
     lattice_coords,
@@ -46,21 +46,12 @@ class ThetaNormalization:
     piA: complex
 
 
-def _theta(v, tau):
-    t0, t1, t2, t3, ok = theta1_bundle(complex(v), complex(tau))
-    if not ok:
-        raise ConvergenceFailure("theta series did not converge")
-    return t0, t1, t2, t3
-
-
 def _reduced(L):
     """(w1, w2, tau, eta1, eta2, theta1'(0)) for a reduced basis of L."""
     if "elliptic" not in L._cache:
         w1, w2, _ = L.reduced_basis()
         tau = w2 / w1
-        _, d1, _, d3, ok = theta1_bundle(0j, complex(tau))
-        if not ok:
-            raise ConvergenceFailure("theta series did not converge at 0")
+        _, d1, _, d3 = theta1_bundle(0j, tau)
         eta1r = -d3 / (3.0 * d1 * w1)
         eta2r = (eta1r * w2 - TWO_PI_I) / w1
         L._cache["elliptic"] = (w1, w2, tau, eta1r, eta2r, d1)
@@ -70,9 +61,7 @@ def _reduced(L):
 def eisenstein_invariants(L):
     """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series."""
     w1, _, tau, _, _, _ = _reduced(L)
-    e4, e6, ok = eisenstein_e4_e6(tau)
-    if not ok:
-        raise ConvergenceFailure("|nome| too close to 1")
+    e4, e6 = eisenstein_e4_e6(tau)
     pi = math.pi
     g2 = (4.0 * pi**4 / 3.0) * e4 / w1**4
     g3 = (8.0 * pi**6 / 27.0) * e6 / w1**6
@@ -100,7 +89,7 @@ def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z."""
     z = complex(z)
     z0, m, n, w1, w2, tau, eta1r, eta2r, d1_0 = _split(z, L)
-    t0, _, _, _ = _theta(z0 / w1, tau)
+    t0, _, _, _ = theta1_bundle(z0 / w1, tau)
     s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
     if m == 0 and n == 0:
         return s0
@@ -114,7 +103,7 @@ def zeta_w(z, L):
     z = complex(z)
     z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
     _check_pole(z0, L)
-    t0, d1, _, _ = _theta(z0 / w1, tau)
+    t0, d1, _, _ = theta1_bundle(z0 / w1, tau)
     val = eta1r * z0 / w1 + d1 / (w1 * t0)
     return val + m * eta1r + n * eta2r
 
@@ -124,7 +113,7 @@ def wp(z, L):
     z = complex(z)
     z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
     _check_pole(z0, L)
-    t0, d1, d2, _ = _theta(z0 / w1, tau)
+    t0, d1, d2, _ = theta1_bundle(z0 / w1, tau)
     return -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
 
 
@@ -133,7 +122,7 @@ def wp_prime(z, L):
     z = complex(z)
     z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
     _check_pole(z0, L)
-    t0, d1, d2, d3 = _theta(z0 / w1, tau)
+    t0, d1, d2, d3 = theta1_bundle(z0 / w1, tau)
     g = d1 / t0
     gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
     return -gpp / w1**3

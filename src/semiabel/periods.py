@@ -74,13 +74,6 @@ def check_on_curve(P, inv, tol=CURVE_TOL):
         raise NotOnCurve(f"y^2 - (4x^3 - g2 x - g3) = {lhs - rhs}")
 
 
-def _rf(x, y, z):
-    val, ok = carlson_rf(complex(x), complex(y), complex(z))
-    if not ok:
-        raise ConvergenceFailure("RF duplication did not converge")
-    return val
-
-
 def _cubic_roots(g2, g3):
     # roots of 4t^3 - g2 t - g3
     r = np.roots([4.0, 0.0, -complex(g2), -complex(g3)])
@@ -101,8 +94,8 @@ def periods_from_invariants(c):
     best = None
     for e1, e2, e3 in permutations(roots):
         try:
-            w1 = 2.0 * _rf(0j, e1 - e2, e1 - e3)
-            w2 = 2.0 * _rf(0j, e3 - e1, e3 - e2)
+            w1 = 2.0 * carlson_rf(0j, e1 - e2, e1 - e3)
+            w2 = 2.0 * carlson_rf(0j, e3 - e1, e3 - e2)
             L = make_lattice(w1, w2)
             inv = eisenstein_invariants(L)
         except Exception:
@@ -130,16 +123,24 @@ def elliptic_log(P, L, inv=None):
         return BranchedValue(0j)
     check_on_curve(P, inv)
     e1, e2, e3 = _cubic_roots(inv.g2, inv.g3)
-    z = _rf(P.x - e1, P.x - e2, P.x - e3)
+    z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
     # RF determines z up to sign and lattice; pick the sign matching y
     if abs(wp_prime(z, L) - P.y) > abs(wp_prime(-z, L) - P.y):
         z = -z
-    # Newton refinement on wp(z) - x
+    # Newton refinement on wp(z) - x.  A step that increased the residual
+    # is undone: near 2-torsion wp' is round-off sized, and one such step
+    # throws an already accurate z off the root.
+    z_prev, r_prev = z, cmath.inf
     for _ in range(8):
+        resid = wp(z, L) - P.x
+        if abs(resid) > r_prev:
+            z = z_prev
+            break
         d = wp_prime(z, L)
         if d == 0:
             break
-        step = (wp(z, L) - P.x) / d
+        step = resid / d
+        z_prev, r_prev = z, abs(resid)
         z -= step
         if abs(step) < 1e-14 * abs(L.omega1):
             break

@@ -320,6 +320,15 @@ def test_main_verify_deterministic(tmp_path, capsys):
     assert names == sorted(names)
 
 
+@pytest.mark.parametrize("index, seed", enumerate((0, 5, 17)))
+def test_verify_report_matches_golden_bytes(tmp_path, capsys, index, seed):
+    """verify --json on y^2 = 4x^3 - 4x, byte for byte, one golden line per seed."""
+    golden = Path(__file__).with_name("golden_verify_reports.jsonl").read_text()
+    path = _write(tmp_path, SQ)
+    assert main(["verify", "--config", path, "--json", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == golden.splitlines(keepends=True)[index]
+
+
 def test_main_verify_text_render(tmp_path, capsys):
     path = _write(tmp_path, SQ)
     assert main(["verify", "--config", path]) == 0

@@ -4,11 +4,7 @@ import math
 import mpmath
 import pytest
 
-from semiabel._kernels import (
-    carlson_rf_py,
-    eisenstein_e4_e6_py,
-    theta1_bundle_py,
-)
+from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle
 from semiabel.elliptic import (
     eisenstein_invariants,
     eta_linear,
@@ -23,7 +19,7 @@ from semiabel.elliptic import (
     wp_prime,
     zeta_w,
 )
-from semiabel.errors import PoleAtLatticePoint
+from semiabel.errors import ConvergenceFailure, PoleAtLatticePoint
 from semiabel.lattice import make_lattice
 
 from conftest import VARPI, lattices_for_sweep
@@ -44,8 +40,7 @@ def test_theta1_bundle_matches_mpmath():
     for tau in (1j, 0.1 + 1.3j, -0.4 + 0.9j):
         q = mpmath.exp(1j * mpmath.pi * tau)
         for v in (0.0, 0.23 + 0.11j, -0.4 + 0.37j):
-            t0, t1, t2, t3, ok = theta1_bundle_py(complex(v), complex(tau))
-            assert ok
+            t0, t1, t2, t3 = theta1_bundle(complex(v), complex(tau))
             for k, ours in enumerate((t0, t1, t2, t3)):
                 ref = mpmath.pi**k * mpmath.jtheta(1, mpmath.pi * v, q, derivative=k)
                 assert abs(ours - complex(ref)) < 1e-11 * (1 + abs(complex(ref)))
@@ -54,8 +49,7 @@ def test_theta1_bundle_matches_mpmath():
 def test_eisenstein_series_match_theta_constants():
     """E4 = (theta2^8 + theta3^8 + theta4^8)/2 via mpmath null values."""
     for tau in (1j, 0.1 + 1.3j, -0.3 + 0.8j):
-        e4, e6, ok = eisenstein_e4_e6_py(complex(tau))
-        assert ok
+        e4, e6 = eisenstein_e4_e6(complex(tau))
         q = mpmath.exp(1j * mpmath.pi * tau)
         th2 = mpmath.jtheta(2, 0, q)
         th3 = mpmath.jtheta(3, 0, q)
@@ -72,10 +66,26 @@ def test_eisenstein_series_match_theta_constants():
 
 def test_carlson_rf_matches_mpmath():
     for args in ((0, 1, 2), (1, 2, 4), (0.5 + 0.1j, 2, 3 - 1j), (0, 2 - 1j, 2 + 1j)):
-        val, ok = carlson_rf_py(*(complex(a) for a in args))
-        assert ok
+        val = carlson_rf(*(complex(a) for a in args))
         ref = complex(mpmath.elliprf(*args))
         assert abs(val - ref) < 1e-12 * (1 + abs(ref))
+
+
+def test_theta1_bundle_raises_when_the_series_does_not_converge():
+    # |nome| = exp(-1e-9 pi): far more terms than MAX_TERMS are needed
+    with pytest.raises(ConvergenceFailure):
+        theta1_bundle(0.1 + 0j, 1e-9j)
+
+
+def test_eisenstein_e4_e6_raises_when_the_nome_is_near_one():
+    with pytest.raises(ConvergenceFailure):
+        eisenstein_e4_e6(1e-7j)
+
+
+def test_carlson_rf_raises_where_the_integral_diverges():
+    # RF(0, 0, 0) = int_0^inf dt / (2 t^(3/2)) diverges at t = 0
+    with pytest.raises(ConvergenceFailure):
+        carlson_rf(0j, 0j, 0j)
 
 
 # ---------------------------------------------------------------------------

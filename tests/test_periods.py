@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from semiabel.elliptic import eisenstein_invariants, wp, wp_prime, zeta_w
-from semiabel.errors import NotOnCurve, SingularCurve
+from semiabel.errors import ConvergenceFailure, NotOnCurve, SingularCurve
 from semiabel.lattice import make_lattice, reduce_centered
 from semiabel.periods import (
     CurveInvariants,
@@ -97,6 +97,46 @@ def test_elliptic_log_identity_and_two_torsion():
     resid, _, _ = reduce_centered(2 * z, L)
     assert abs(resid) < 1e-9 * abs(L.omega1)
     assert abs(wp(z, L) - 1.0) < 1e-9
+
+
+def _half_periods(L):
+    return (L.omega1 / 2, L.omega2 / 2, (L.omega1 + L.omega2) / 2)
+
+
+def test_elliptic_log_at_half_periods_of_a_rotated_hexagonal_lattice():
+    """At a 2-division point RF is already accurate while wp' is round-off
+    sized, so a Newton step there must not leave the root."""
+    L = make_lattice(
+        -2.076082089570768 - 1.5949031923129933j,
+        0.3431856363345658 - 2.595391426066662j,
+    )
+    inv = eisenstein_invariants(L)
+    for h in _half_periods(L):
+        z = elliptic_log(EllipticPoint(wp(h, L), wp_prime(h, L)), L, inv).value
+        resid, _, _ = reduce_centered(z - h, L)
+        assert abs(resid) < 1e-8 * abs(L.omega1)
+
+
+def test_elliptic_log_at_half_periods_of_seeded_rotated_lattices():
+    rng = np.random.default_rng(0)
+    failures = []
+    for i in range(300):
+        tau = (1j, cmath.exp(1j * math.pi / 3),
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0)))[i % 3]
+        w1 = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * rng.uniform(0.5, 4)
+        L = make_lattice(w1, w1 * tau)
+        inv = eisenstein_invariants(L)
+        for h in _half_periods(L):
+            P = EllipticPoint(wp(h, L), wp_prime(h, L))
+            try:
+                z = elliptic_log(P, L, inv).value
+            except ConvergenceFailure:
+                failures.append((L, h))
+                continue
+            resid, _, _ = reduce_centered(z - h, L)
+            if abs(resid) >= 1e-8 * abs(L.omega1):
+                failures.append((L, h))
+    assert failures == []
 
 
 def test_elliptic_log_matches_carlson_oracle():
