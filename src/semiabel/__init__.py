@@ -36,11 +36,13 @@ from .elliptic import (
     theta_automorphy_factor,
     theta_normalization,
     theta_normalized,
+    weierstrass,
     wp,
     wp_prime,
     zeta_w,
 )
 from .errors import (
+    BeyondWorkingPrecision,
     ConflictingCurveSpec,
     ConvergenceFailure,
     DegenerateLattice,

@@ -99,7 +99,7 @@ class ClassificationReport:
     cm_discriminant: int
     deficient: bool  # None when not applicable
     bounds: dict
-    confidence: str
+    confidence: str  # "numeric": every decision rests on a relation search
     relations: tuple = ()
 
     def __post_init__(self):
@@ -482,19 +482,6 @@ def conjecture_bounds(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     return _bounds_from_dims(dim_b, dim_b_q, a.dim_Z1, a.cm[0] is not None)
 
 
-def _torsion_certified(motive):
-    """Whether every torsion determination could run on exact rational
-    coordinates (exact group-law path)."""
-    if not (_is_exact(motive.curve.g2) and _is_exact(motive.curve.g3)):
-        return False
-    for R in motive.points:
-        if R.base.is_identity:
-            continue
-        if not (_is_exact(R.base.x) and _is_exact(R.base.y)):
-            return False
-    return True
-
-
 def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
                         n_max=DEFAULT_N_MAX):
     """Full classification report; for n = s = 1 the dimension formulas
@@ -536,6 +523,6 @@ def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
         cm_discriminant=disc,
         deficient=deficient,
         bounds=_bounds_from_dims(dim_b, dim_b_q, dim_z1, cm),
-        confidence="certified-torsion" if _torsion_certified(motive) else "numeric",
+        confidence="numeric",
         relations=certs,
     )

@@ -11,7 +11,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -34,8 +33,7 @@ from .elliptic import (
     theta_automorphy_factor,
     theta_normalization,
     theta_normalized,
-    wp,
-    wp_prime,
+    weierstrass,
     zeta_w,
 )
 from .errors import (
@@ -241,7 +239,7 @@ def parse_config(text, task=None, seed=None, tol=None):
     _expect("curve" in doc, "/curve", "missing curve specification")
     curve, lattice = _resolve_curve(doc["curve"], "/curve")
     if tol is None:
-        tol = doc.get("tol", float(os.environ.get("SEMIABEL_TOL", DEFAULT_TOL)))
+        tol = doc.get("tol", DEFAULT_TOL)
     _expect(isinstance(tol, (int, float)) and tol > 0, "/tol", "tolerance must be positive")
     max_height = doc.get("max_height", DEFAULT_MAX_HEIGHT)
     _expect(
@@ -324,12 +322,13 @@ def _job_eval(cfg):
     values = []
     for i, zn in enumerate(zs):
         z = _parse_complex(zn, f"/z/{i}")
+        p, dp, zeta = weierstrass(z, cfg.lattice)
         values.append(
             {
                 "z": _cplx(z),
-                "wp": _cplx(wp(z, cfg.lattice)),
-                "wp_prime": _cplx(wp_prime(z, cfg.lattice)),
-                "zeta": _cplx(zeta_w(z, cfg.lattice)),
+                "wp": _cplx(p),
+                "wp_prime": _cplx(dp),
+                "zeta": _cplx(zeta),
                 "sigma": _cplx(sigma_w(z, cfg.lattice)),
             }
         )
@@ -465,7 +464,7 @@ def _check_ode(rng):
         inv = eisenstein_invariants(L)
         for _ in range(20):
             z = _sample_z(rng, L)
-            p, dp = wp(z, L), wp_prime(z, L)
+            p, dp, _ = weierstrass(z, L)
             lhs, rhs = dp * dp, 4 * p**3 - inv.g2 * p - inv.g3
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
     return worst

@@ -16,12 +16,11 @@ from .errors import PoleAtLatticePoint
 from .lattice import (
     Lattice,
     lattice_coords,
+    in_pole_guard,
     make_lattice,
     real_coordinates,
     reduce_centered,
 )
-
-POLE_GUARD = 1e-10
 
 TWO_PI_I = 2j * math.pi
 
@@ -72,23 +71,11 @@ def _psi(m, n):
     return 1.0 if (m % 2 == 0 and n % 2 == 0) else -1.0
 
 
-def _split(z, L):
-    """Reduce z to the centered cell of the reduced basis."""
-    w1, w2, tau, eta1r, eta2r, d1_0 = _reduced(L)
-    Lr = Lattice(w1, w2)
-    z0, m, n = reduce_centered(z, Lr)
-    return z0, m, n, w1, w2, tau, eta1r, eta2r, d1_0
-
-
-def _check_pole(z0, L):
-    if abs(z0) < POLE_GUARD * abs(L.omega1):
-        raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
-
-
 def sigma_w(z, L):
-    """Weierstrass sigma; entire, principal value at the original z."""
-    z = complex(z)
-    z0, m, n, w1, w2, tau, eta1r, eta2r, d1_0 = _split(z, L)
+    """Weierstrass sigma; entire, principal value at the original z.  Not
+    in weierstrass(): it overflows at far translates where wp is finite."""
+    w1, w2, tau, eta1r, eta2r, d1_0 = _reduced(L)
+    z0, m, n = reduce_centered(z, Lattice(w1, w2))
     t0, _, _, _ = theta1_bundle(z0 / w1, tau)
     s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
     if m == 0 and n == 0:
@@ -98,34 +85,35 @@ def sigma_w(z, L):
     return _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s0
 
 
+def weierstrass(z, L):
+    """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
+    zeta is the principal value at the original z.  Raises
+    PoleAtLatticePoint within the pole guard of Lambda."""
+    w1, w2, tau, eta1r, eta2r, _ = _reduced(L)
+    z0, m, n = reduce_centered(z, Lattice(w1, w2))
+    if in_pole_guard(z0, L):
+        raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
+    t0, d1, d2, d3 = theta1_bundle(z0 / w1, tau)
+    g = d1 / t0
+    gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
+    p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
+    zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
+    return p, -gpp / w1**3, zeta
+
+
 def zeta_w(z, L):
     """Weierstrass zeta; principal value, pole guard at lattice points."""
-    z = complex(z)
-    z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
-    _check_pole(z0, L)
-    t0, d1, _, _ = theta1_bundle(z0 / w1, tau)
-    val = eta1r * z0 / w1 + d1 / (w1 * t0)
-    return val + m * eta1r + n * eta2r
+    return weierstrass(z, L)[2]
 
 
 def wp(z, L):
     """Weierstrass wp function (lattice-periodic)."""
-    z = complex(z)
-    z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
-    _check_pole(z0, L)
-    t0, d1, d2, _ = theta1_bundle(z0 / w1, tau)
-    return -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
+    return weierstrass(z, L)[0]
 
 
 def wp_prime(z, L):
     """Derivative of wp (lattice-periodic)."""
-    z = complex(z)
-    z0, m, n, w1, w2, tau, eta1r, eta2r, _ = _split(z, L)
-    _check_pole(z0, L)
-    t0, d1, d2, d3 = theta1_bundle(z0 / w1, tau)
-    g = d1 / t0
-    gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
-    return -gpp / w1**3
+    return weierstrass(z, L)[1]
 
 
 def quasi_periods(L):
@@ -153,12 +141,15 @@ def rotate_real_frame(L):
     the rotated lattice, the ordering under which the quasi-period form
     eta(lambda) equals pi*(conj(lambda) + A*lambda)/D.
     """
-    phase = abs(L.omega1) / L.omega1
-    w1 = abs(L.omega1)
-    w2 = L.omega2 * phase
-    if w2.imag > 0:
-        w2 = -w2
-    return make_lattice(L.omega1 * phase, L.omega2 * phase), phase, w1, w2, w1 * (-w2.imag)
+    if "rotated" not in L._cache:
+        phase = abs(L.omega1) / L.omega1
+        w1 = abs(L.omega1)
+        w2 = L.omega2 * phase
+        if w2.imag > 0:
+            w2 = -w2
+        Lr = make_lattice(L.omega1 * phase, L.omega2 * phase)
+        L._cache["rotated"] = (Lr, phase, w1, w2, w1 * (-w2.imag))
+    return L._cache["rotated"]
 
 
 def theta_normalization(L):

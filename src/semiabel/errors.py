@@ -17,6 +17,10 @@ class PoleAtLatticePoint(SemiabelError):
     """Evaluation requested at (or too close to) a pole."""
 
 
+class BeyondWorkingPrecision(SemiabelError):
+    """Reducing the argument to a cell would lose more than the pole guard."""
+
+
 class NotALatticePoint(SemiabelError):
     """Argument expected on the lattice is not a lattice point."""
 

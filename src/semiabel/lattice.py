@@ -8,9 +8,14 @@ series evaluations of :mod:`semiabel.elliptic` converge quickly.
 
 from dataclasses import dataclass, field
 
-from .errors import DegenerateLattice
+from .errors import BeyondWorkingPrecision, DegenerateLattice
 
 DEGENERACY_TOL = 1e-12
+
+# distance to Lambda, relative to |omega1|, that counts as a lattice point
+POLE_GUARD = 1e-10
+# past this a coordinate's rounding error |a| * 2^-52 exceeds the pole guard
+MAX_COORDINATE = POLE_GUARD * 2.0**52
 
 
 def _tau_of(w1, w2):
@@ -25,7 +30,6 @@ class Lattice:
 
     omega1: complex
     omega2: complex
-    normalized: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -100,9 +104,19 @@ def from_real_coordinates(a1, a2, L):
     return a1 * L.omega1 + a2 * L.omega2
 
 
+def _cell_coordinates(z, L):
+    """real_coordinates(z, L), refused past MAX_COORDINATE."""
+    a1, a2 = real_coordinates(z, L)
+    if not (abs(a1) <= MAX_COORDINATE and abs(a2) <= MAX_COORDINATE):
+        raise BeyondWorkingPrecision(
+            f"argument {z} is beyond working precision (coordinates {a1:.3g}, {a2:.3g})"
+        )
+    return a1, a2
+
+
 def reduce_to_fundamental(z, L):
     """(z0, m, n) with z = z0 + m*omega1 + n*omega2 and coords of z0 in [0,1)^2."""
-    a1, a2 = real_coordinates(z, L)
+    a1, a2 = _cell_coordinates(z, L)
     import math
 
     m = math.floor(a1)
@@ -118,11 +132,22 @@ def reduce_to_fundamental(z, L):
 
 def reduce_centered(z, L):
     """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2)."""
-    a1, a2 = real_coordinates(z, L)
+    a1, a2 = _cell_coordinates(z, L)
     m = round(a1)
     n = round(a2)
     z0 = (a1 - m) * L.omega1 + (a2 - n) * L.omega2
     return z0, m, n
+
+
+def in_pole_guard(z0, L):
+    """Whether z0 = z - lambda, for the lattice point lambda nearest in
+    coordinates, lies within the pole guard of Lambda."""
+    return abs(z0) < POLE_GUARD * abs(L.omega1)
+
+
+def near_lattice(z, L):
+    """Whether z lies within the pole guard of Lambda."""
+    return in_pole_guard(reduce_centered(z, L)[0], L)
 
 
 def duality_product(z, zstar):

@@ -7,10 +7,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import eta_linear, quasi_periods, sigma_w
+from .elliptic import eta_linear, sigma_w
 from .errors import (
     InternalInconsistency,
-    NotALatticePoint,
     NotTorsion,
     PoleAtLatticePoint,
 )
@@ -20,13 +19,11 @@ from .lattice import (
     dual_to_primal,
     duality_product,
     lattice_coords,
+    near_lattice,
     real_coordinates,
-    reduce_centered,
 )
 
 TWO_PI_I = 2j * math.pi
-
-_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,7 @@ def f_tilde(z, w, L):
     z = complex(z)
     w = complex(w)
     for u in (z, w, z + w):
-        z0, _, _ = reduce_centered(u, L)
-        if abs(z0) < _GUARD * abs(L.omega1):
+        if near_lattice(u, L):
             raise PoleAtLatticePoint(f"argument {u} on Lambda")
     return (
         sigma_w(z + w, L)

@@ -18,18 +18,16 @@ from ._kernels import carlson_rf
 from .elliptic import (
     CurveInvariants,
     eisenstein_invariants,
-    quasi_periods,
+    weierstrass,
     wp,
-    wp_prime,
     zeta_w,
 )
 from .errors import (
     ConvergenceFailure,
     NotOnCurve,
-    PoleAtLatticePoint,
     SingularCurve,
 )
-from .lattice import Lattice, make_lattice, reduce_centered, reduce_to_fundamental
+from .lattice import make_lattice, reduce_centered, reduce_to_fundamental
 
 DISCRIMINANT_TOL = 1e-12
 CURVE_TOL = 1e-9
@@ -50,10 +48,9 @@ class EllipticPoint:
 
 @dataclass(frozen=True)
 class BranchedValue:
-    """A value defined up to lattice translations, with winding data."""
+    """A value defined up to lattice translations: its principal representative."""
 
     value: complex
-    winding: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def _principal(z, L):
 
 def elliptic_log(P, L, inv=None):
     """Principal elliptic logarithm: z in the fundamental domain with
-    wp(z) = x, wp'(z) = y; winding data (0, 0) by convention."""
+    wp(z) = x, wp'(z) = y."""
     if inv is None:
         inv = eisenstein_invariants(L)
     if P.is_identity:
@@ -124,19 +121,21 @@ def elliptic_log(P, L, inv=None):
     check_on_curve(P, inv)
     e1, e2, e3 = _cubic_roots(inv.g2, inv.g3)
     z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
-    # RF determines z up to sign and lattice; pick the sign matching y
-    if abs(wp_prime(z, L) - P.y) > abs(wp_prime(-z, L) - P.y):
+    # RF determines z up to sign and lattice; pick the sign matching y, using
+    # wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd, cos even)
+    dp = weierstrass(z, L)[1]
+    if abs(dp - P.y) > abs(-dp - P.y):
         z = -z
     # Newton refinement on wp(z) - x.  A step that increased the residual
     # is undone: near 2-torsion wp' is round-off sized, and one such step
     # throws an already accurate z off the root.
     z_prev, r_prev = z, cmath.inf
     for _ in range(8):
-        resid = wp(z, L) - P.x
+        p, d, _ = weierstrass(z, L)
+        resid = p - P.x
         if abs(resid) > r_prev:
             z = z_prev
             break
-        d = wp_prime(z, L)
         if d == 0:
             break
         step = resid / d
@@ -155,7 +154,8 @@ def elliptic_log(P, L, inv=None):
             z = cand
     z = _principal(z, L)
     scale = 1.0 + abs(P.x) + abs(P.y)
-    if abs(wp(z, L) - P.x) > 1e-7 * scale or abs(wp_prime(z, L) - P.y) > 1e-6 * scale:
+    p, dp, _ = weierstrass(z, L)
+    if abs(p - P.x) > 1e-7 * scale or abs(dp - P.y) > 1e-6 * scale:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"
         )

@@ -10,13 +10,13 @@ conj(w2)), which carries the dual basis onto the primal basis.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import quasi_periods, sigma_w, wp, wp_prime, zeta_w
+from .elliptic import quasi_periods, sigma_w, weierstrass, zeta_w
 from .errors import FiberZero, PoleAtLatticePoint
-from .lattice import dual_to_primal, is_lattice_point, reduce_centered
+from .lattice import dual_to_primal, near_lattice
 from .periods import (
     BranchedValue,
     EllipticPoint,
@@ -24,8 +24,6 @@ from .periods import (
     elliptic_log,
     generalized_elliptic_log,
 )
-
-ZERO_GUARD = 1e-10
 
 TWO_PI_I = 2j * math.pi
 
@@ -35,7 +33,6 @@ class ExtensionParam:
     """A point Q of the dual curve, carried by its logarithm in Lie E*."""
 
     q_log_dual: complex
-    q_point: EllipticPoint = None
 
     def primal(self, L):
         """Pullback of the logarithm to Lie E via self-duality."""
@@ -58,20 +55,14 @@ class SemiAbelianPoint:
 class PeriodMatrixG:
     omega_A: np.ndarray  # rows (omega_j, eta_j)
     third_kind_column: tuple  # (eta_j q - omega_j zeta(q)) per j
-    two_pi_i: complex = TWO_PI_I
 
     def as_matrix(self):
         m = np.zeros((3, 3), dtype=complex)
         m[:2, :2] = self.omega_A
         m[0, 2] = self.third_kind_column[0]
         m[1, 2] = self.third_kind_column[1]
-        m[2, 2] = self.two_pi_i
+        m[2, 2] = TWO_PI_I
         return m
-
-
-def _near_lattice(z, L):
-    z0, _, _ = reduce_centered(z, L)
-    return abs(z0) < ZERO_GUARD * abs(L.omega1)
 
 
 def serre_fq(z, q, L):
@@ -81,11 +72,11 @@ def serre_fq(z, q, L):
     """
     z = complex(z)
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if _near_lattice(qp, L):
+    if near_lattice(qp, L):
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
-    if _near_lattice(z, L):
+    if near_lattice(z, L):
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    if _near_lattice(z + qp, L):
+    if near_lattice(z + qp, L):
         return 0j
     return (
         sigma_w(z + qp, L)
@@ -98,12 +89,13 @@ def exp_G(z, t, q, L):
     """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t)."""
     z = complex(z)
     t = complex(t)
-    if _near_lattice(z, L):
+    if near_lattice(z, L):
         return SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
     f = serre_fq(z, q, L)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
-    base = EllipticPoint(wp(z, L), wp_prime(z, L))
+    p, dp, _ = weierstrass(z, L)
+    base = EllipticPoint(p, dp)
     return SemiAbelianPoint(base, cmath.exp(t) * f)
 
 
@@ -136,7 +128,7 @@ def generalized_log_G(R, q, L, inv=None):
 def quasi_quasi_periods(q, L):
     """Third-kind periods (eta_j q - omega_j zeta(q)) for j = 1, 2."""
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if _near_lattice(qp, L):
+    if near_lattice(qp, L):
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
     e = quasi_periods(L)
     zq = zeta_w(qp, L)

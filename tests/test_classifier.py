@@ -386,11 +386,14 @@ def test_conjecture_bounds_weak_abelian_case():
 
 
 def test_confidence_flag():
+    # exact coordinates do not make the report certified: the analysis
+    # decides torsion by relation searches on the logarithms, never by
+    # exact group-law addition
     curve = CurveInvariants(Fraction(4), Fraction(0))
     L = _sq()
     q = ExtensionParam.from_primal(L.omega2 / 2, L)
     R = SemiAbelianPoint(EllipticPoint(Fraction(1), Fraction(0)), 1.0)
     m = OneMotiveElliptic(curve, L, (q,), (R,))
-    assert motivic_galois_dims(m).confidence == "certified-torsion"
+    assert motivic_galois_dims(m).confidence == "numeric"
     m2 = _motive(L, _mu(L), _p(L), 0.3)
     assert motivic_galois_dims(m2).confidence == "numeric"

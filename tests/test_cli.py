@@ -90,13 +90,6 @@ def test_parse_config_lattice_form_and_overrides():
     assert (cfg.tol, cfg.seed) == (1e-4, 3)
 
 
-def test_parse_config_tol_env(monkeypatch):
-    monkeypatch.setenv("SEMIABEL_TOL", "1e-7")
-    assert _cfg(SQ, "periods").tol == 1e-7
-    # an explicit document value still wins over the environment
-    assert _cfg({**SQ, "tol": 1e-5}, "periods").tol == 1e-5
-
-
 @pytest.mark.parametrize(
     "doc,task,path",
     (
@@ -295,6 +288,35 @@ def test_main_overflow_from_input_exit_1(tmp_path, capsys, task, doc):
     assert "identity failure" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "task,doc",
+    (
+        ("eval", {**SQ, "z": 1e200}),
+        ("expg", {**SQ, "q": {"log": {"re": 0.7, "im": 0.9}}, "z": 1e200, "t": 0.5}),
+    ),
+)
+def test_main_argument_beyond_working_precision_exit_1(tmp_path, capsys, task, doc):
+    path = _write(tmp_path, doc)
+    assert main([task, "--config", path]) == 1
+    assert "beyond working precision" in capsys.readouterr().err
+
+
+def test_eval_sums_two_theta_series_per_point(monkeypatch):
+    """One series gives wp, wp' and zeta, the other sigma."""
+    import semiabel.elliptic as elliptic
+
+    cfg = _cfg({**SQ, "z": {"re": 0.9, "im": 0.4}}, "eval")
+    theta, calls = elliptic.theta1_bundle, []
+
+    def counted(v, tau):
+        calls.append(v)
+        return theta(v, tau)
+
+    monkeypatch.setattr(elliptic, "theta1_bundle", counted)
+    run_job(cfg)
+    assert len(calls) == 2
+
+
 def test_main_identity_failure_exit_2(tmp_path, capsys, monkeypatch):
     def boom(cfg):
         raise InternalInconsistency("dimension formula violated")
@@ -327,6 +349,49 @@ def test_verify_report_matches_golden_bytes(tmp_path, capsys, index, seed):
     path = _write(tmp_path, SQ)
     assert main(["verify", "--config", path, "--json", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == golden.splitlines(keepends=True)[index]
+
+
+# a generic g2/g3 curve and a rotated lattice-given curve
+EVAL_CURVES = (
+    {"g2": {"re": 1.7, "im": 0.3}, "g3": {"re": -0.4, "im": 0.9}},
+    {"lattice": {"w1": {"re": 1.3, "im": 0.8}, "w2": {"re": -0.5, "im": 1.9}}},
+)
+EVAL_ZS = (0.37 + 0.21j, -0.8 + 0.45j, 2.9 - 1.7j, 11.3 + 7.9j)
+
+
+def _run_json(tmp_path, capsys, task, doc):
+    assert main([task, "--config", _write(tmp_path, doc), "--json"]) == 0
+    return capsys.readouterr().out
+
+
+def _eval_expg_logg_lines(tmp_path, capsys):
+    """eval, expg and logg --json on both curves; each logg inverts the
+    expg output before it, and one expg takes its parameter as a point."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    lines = []
+    for curve in EVAL_CURVES:
+        base = {"curve": curve}
+        out = _run_json(tmp_path, capsys, "eval", {**base, "z": [J(z) for z in EVAL_ZS]})
+        lines.append(out)
+        v = json.loads(out)["values"][1]
+        params = ({"log": J(0.41 + 0.27j)}, {"x": v["wp"], "y": v["wp_prime"]})
+        for q in params:
+            for z in EVAL_ZS:
+                out = _run_json(
+                    tmp_path, capsys, "expg", {**base, "q": q, "z": J(z), "t": J(0.3 - 0.2j)}
+                )
+                lines.append(out)
+                R = json.loads(out)
+                point = {"base": R["base"], "fiber": R["fiber"]}
+                lines.append(_run_json(tmp_path, capsys, "logg", {**base, "q": q, "point": point}))
+            point = {"base": "O", "fiber": 2.0}
+            lines.append(_run_json(tmp_path, capsys, "logg", {**base, "q": q, "point": point}))
+    return lines
+
+
+def test_eval_expg_logg_match_golden_bytes(tmp_path, capsys):
+    golden = Path(__file__).with_name("golden_eval_reports.jsonl").read_text()
+    assert _eval_expg_logg_lines(tmp_path, capsys) == golden.splitlines(keepends=True)
 
 
 def test_main_verify_text_render(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle
 from semiabel.elliptic import (
@@ -15,12 +17,17 @@ from semiabel.elliptic import (
     theta_automorphy_factor,
     theta_normalization,
     theta_normalized,
+    weierstrass,
     wp,
     wp_prime,
     zeta_w,
 )
-from semiabel.errors import ConvergenceFailure, PoleAtLatticePoint
-from semiabel.lattice import make_lattice
+from semiabel.errors import (
+    BeyondWorkingPrecision,
+    ConvergenceFailure,
+    PoleAtLatticePoint,
+)
+from semiabel.lattice import make_lattice, near_lattice
 
 from conftest import VARPI, lattices_for_sweep
 
@@ -248,6 +255,46 @@ def test_sigma_oddness_and_pole_guard(generic_lattice):
     with pytest.raises(PoleAtLatticePoint):
         wp(L.omega1 + L.omega2, L)
     assert sigma_w(0j, L) == 0j  # sigma is entire with a simple zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    phase=st.floats(-math.pi, math.pi),
+    scale=st.floats(0.1, 10.0),
+    tau_re=st.floats(-0.5, 0.5),
+    tau_im=st.floats(0.4, 3.0),
+    a1=st.floats(-3.0, 3.0),
+    a2=st.floats(-3.0, 3.0),
+)
+def test_wp_prime_is_odd_bit_for_bit(phase, scale, tau_re, tau_im, a1, a2):
+    """elliptic_log picks the sign of its logarithm from one wp' value,
+    which needs wp'(-z) = -wp'(z) exactly, not just to rounding."""
+    w1 = scale * cmath.exp(1j * phase)
+    L = make_lattice(w1, w1 * complex(tau_re, tau_im))
+    z = a1 * L.omega1 + a2 * L.omega2
+    assume(not near_lattice(z, L))
+    assert wp_prime(-z, L) == -wp_prime(z, L)
+
+
+def test_sigma_overflows_where_the_weierstrass_bundle_does_not():
+    """At a far translate wp, wp' and zeta stay finite while sigma's
+    quasi-periodicity factor overflows, so sigma is not computed inside
+    weierstrass()."""
+    L = make_lattice(1.0, 1j)
+    z = 0.3 + 0.2j
+    far = z + 40 * L.omega1 + 40 * L.omega2
+    p, dp, _ = weierstrass(far, L)
+    assert p == pytest.approx(wp(z, L), rel=1e-12)
+    assert dp == pytest.approx(wp_prime(z, L), rel=1e-12)
+    with pytest.raises(OverflowError):
+        sigma_w(far, L)
+
+
+def test_arguments_beyond_working_precision_are_rejected(generic_lattice):
+    # reducing 1e200 to a cell leaves no digit of z
+    for f in (wp, wp_prime, zeta_w, sigma_w):
+        with pytest.raises(BeyondWorkingPrecision, match="beyond working precision"):
+            f(1e200, generic_lattice)
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiabel.errors import DegenerateLattice, NotALatticePoint
+from semiabel.errors import (
+    BeyondWorkingPrecision,
+    DegenerateLattice,
+    NotALatticePoint,
+)
 from semiabel.lattice import (
     dual_lattice,
     dual_to_primal,
@@ -85,6 +89,16 @@ def test_reduce_centered_range(a1, a2):
     assert -0.5 - 1e-9 <= c1 < 0.5 + 1e-9
     assert -0.5 - 1e-9 <= c2 < 0.5 + 1e-9
     assert abs(z0 + m * L.omega1 + n * L.omega2 - z) < 1e-9 * (1 + abs(z))
+
+
+def test_reduction_refuses_coordinates_beyond_working_precision():
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    for reduce in (reduce_centered, reduce_to_fundamental):
+        _, m, n = reduce(from_real_coordinates(4e5 + 0.25, -4e5 + 0.375, L), L)
+        assert (m, n) == (400_000, -400_000)
+        for a1, a2 in ((5e5, 0.3), (0.3, -5e5), (math.inf, 0.0)):
+            with pytest.raises(BeyondWorkingPrecision, match="beyond working precision"):
+                reduce(from_real_coordinates(a1, a2, L), L)
 
 
 @settings(max_examples=60, deadline=None)

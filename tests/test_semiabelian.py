@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiabel.elliptic import eisenstein_invariants, quasi_periods, wp, zeta_w
-from semiabel.errors import FiberZero, PoleAtLatticePoint
+from semiabel.errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
 from semiabel.lattice import reduce_centered
 from semiabel.periods import EllipticPoint
 from semiabel.semiabelian import (
@@ -168,6 +168,14 @@ def test_fiber_zero_at_minus_q(generic_lattice):
     q = _q_of(L)
     with pytest.raises(FiberZero):
         exp_G(-q.primal(L), 0.0, q, L)
+
+
+def test_exp_G_rejects_arguments_beyond_working_precision(generic_lattice):
+    # reduced to a cell, 1e200 is the lattice point 0, whose image would
+    # be the identity
+    L = generic_lattice
+    with pytest.raises(BeyondWorkingPrecision):
+        exp_G(1e200, 0.5, _q_of(L), L)
 
 
 def test_generalized_log_G(generic_lattice):
