@@ -145,19 +145,22 @@ def _expect(cond, path, message):
         raise SchemaError(path, message)
 
 
+def _parse_real(node, path, message):
+    _expect(
+        isinstance(node, (int, float)) and not isinstance(node, bool), path, message
+    )
+    _expect(math.isfinite(node), path, "expected a finite number")
+    return node
+
+
 def _parse_complex(node, path):
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
-    _expect(isinstance(node, dict), path, "expected a number or {re, im}")
+    if not isinstance(node, dict):
+        return complex(_parse_real(node, path, "expected a number or {re, im}"))
     _expect("re" in node and "im" in node, path, "expected keys re and im")
-    re, im = node["re"], node["im"]
-    for key, v in (("re", re), ("im", im)):
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{path}/{key}",
-            "expected a number",
-        )
-    return complex(re, im)
+    return complex(
+        _parse_real(node["re"], f"{path}/re", "expected a number"),
+        _parse_real(node["im"], f"{path}/im", "expected a number"),
+    )
 
 
 def _parse_point(node, path):

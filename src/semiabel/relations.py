@@ -1,20 +1,18 @@
 """Heuristic integer-relation detection by lattice reduction.
 
 Rows of the search lattice are [e_i | round(S * Re(v_i)) | round(S * Im(v_i))]
-with a scale S chosen from the tolerance; after LLL reduction, short
-vectors whose embedded column is small yield candidate relations, which
-are re-verified by direct summation and re-detected at a sharper
-tolerance before being certified.
+with a scale S chosen from the tolerance; after exact integer LLL
+reduction, short vectors whose embedded column is small yield candidate
+relations, which are re-verified by direct summation and re-detected at a
+sharper tolerance before being certified.
 """
 
+import cmath
 from dataclasses import dataclass
-
-import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_HEIGHT = 1000
 MAX_VALUES = 12
-_LLL_DELTA = 0.99
 
 
 @dataclass(frozen=True)
@@ -25,47 +23,66 @@ class RelationCertificate:
     verified_at_higher_precision: bool
 
 
-def _gram_schmidt(basis):
-    """Float GSO of an integer basis: returns (orthogonal rows, mu)."""
-    b = np.array(basis, dtype=float)
-    n = len(basis)
-    ortho = np.zeros_like(b)
-    mu = np.zeros((n, n))
-    for i in range(n):
-        ortho[i] = b[i]
-        for j in range(i):
-            denom = ortho[j] @ ortho[j]
-            mu[i, j] = 0.0 if denom == 0 else (b[i] @ ortho[j]) / denom
-            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
-    return ortho, mu
+def _round_half_even(num, den):
+    """round(num / den) for integers with den > 0, ties to even."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
 
 
-def lll_reduce(basis, delta=_LLL_DELTA):
-    """In-place LLL on a list of integer row vectors (exact arithmetic
-    on the basis, floating-point Gram-Schmidt)."""
+def lll_reduce(basis):
+    """LLL reduction (delta = 99/100) of linearly independent integer rows.
+
+    Integral LLL (Cohen, Alg. 2.6.7): the Gram-Schmidt data are kept as
+    integers, d[i + 1] = det Gram(b_0..b_i) and lam[k][j] = d[j + 1] * mu_kj,
+    and updated exactly on each size reduction and swap. Each row k is
+    size-reduced against rows k-1..0 before its Lovasz test.
+    """
     basis = [list(map(int, row)) for row in basis]
     n = len(basis)
     if n <= 1:
         return basis
-    ortho, mu = _gram_schmidt(basis)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(a * b for a, b in zip(basis[k], basis[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise ValueError("basis rows must be linearly independent")
     k = 1
-    iters = 0
-    max_iters = 10_000 * n * n
-    while k < n and iters < max_iters:
-        iters += 1
+    while k < n:
+        bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q != 0:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-                ortho, mu = _gram_schmidt(basis)
-        nk = ortho[k] @ ortho[k]
-        nk1 = ortho[k - 1] @ ortho[k - 1]
-        if nk >= (delta - mu[k, k - 1] ** 2) * nk1:
+            q = _round_half_even(lk[j], d[j + 1])
+            if q:
+                bj, lj = basis[j], lam[j]
+                for c in range(len(bk)):
+                    bk[c] -= q * bj[c]
+                lk[j] -= q * d[j + 1]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        la = lk[k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + la * la) >= 99 * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            ortho, mu = _gram_schmidt(basis)
-            k = max(k - 1, 1)
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], bk
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k - 1] * d[k + 1] + la * la) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - la * t) // d[k]
+            li[k - 1] = (b * t + la * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return basis
 
 
@@ -104,7 +121,7 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:
         raise ValueError(f"at most {MAX_VALUES} values supported")
-    if any(not np.isfinite([v.real, v.imag]).all() for v in values):
+    if not all(cmath.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     if not values:
         return None

@@ -301,6 +301,37 @@ def test_main_argument_beyond_working_precision_exit_1(tmp_path, capsys, task, d
     assert "beyond working precision" in capsys.readouterr().err
 
 
+_Q_LOG = {"log": {"re": 0.7, "im": 0.9}}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize(
+    "task,doc",
+    (
+        ("periods", lambda x: {"curve": {"g2": x, "g3": 0.0}}),
+        (
+            "periods",
+            lambda x: {"curve": {"lattice": {"w1": 1.0, "w2": {"re": 0, "im": x}}}},
+        ),
+        (
+            "logg",
+            lambda x: {
+                **SQ, "q": _Q_LOG, "point": {"base": {"x": x, "y": 1.0}, "fiber": 1.0}
+            },
+        ),
+        ("logg", lambda x: {**SQ, "q": _Q_LOG, "point": {"base": "O", "fiber": x}}),
+        ("eval", lambda x: {**SQ, "z": x}),
+    ),
+    ids=("g2", "lattice-w2-im", "point-x", "fiber", "eval-z"),
+)
+def test_main_nonfinite_input_exit_1(tmp_path, capsys, task, doc, bad):
+    """json.loads accepts NaN and Infinity; the CLI rejects them as input."""
+    path = _write(tmp_path, doc(bad))
+    assert main([task, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval_sums_two_theta_series_per_point(monkeypatch):
     """One series gives wp, wp' and zeta, the other sigma."""
     import semiabel.elliptic as elliptic

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semiabel.relations import detect_integer_relation, lll_reduce
+from semiabel.relations import DEFAULT_TOL, detect_integer_relation, lll_reduce
 
 
 def test_trivial_relations():
@@ -99,3 +99,165 @@ def test_rational_relation_with_moderate_denominator():
     cert = detect_integer_relation([x, 1.0])
     assert cert is not None
     assert tuple(map(abs, cert.coefficients)) == (113, 355)
+
+
+# ---------------------------------------------------------------------------
+# exact integer LLL against the float Gram-Schmidt LLL it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_gram_schmidt(basis):
+    """Float GSO of an integer basis: returns (orthogonal rows, mu)."""
+    b = np.array(basis, dtype=float)
+    n = len(basis)
+    ortho = np.zeros_like(b)
+    mu = np.zeros((n, n))
+    for i in range(n):
+        ortho[i] = b[i]
+        for j in range(i):
+            denom = ortho[j] @ ortho[j]
+            mu[i, j] = 0.0 if denom == 0 else (b[i] @ ortho[j]) / denom
+            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
+    return ortho, mu
+
+
+def _reference_lll(basis, delta=0.99):
+    """The float LLL of earlier releases, frozen: Gram-Schmidt rebuilt in
+    floating point after every size reduction and swap."""
+    basis = [list(map(int, row)) for row in basis]
+    n = len(basis)
+    if n <= 1:
+        return basis
+    ortho, mu = _reference_gram_schmidt(basis)
+    k = 1
+    iters = 0
+    max_iters = 10_000 * n * n
+    while k < n and iters < max_iters:
+        iters += 1
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q != 0:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                ortho, mu = _reference_gram_schmidt(basis)
+        nk = ortho[k] @ ortho[k]
+        nk1 = ortho[k - 1] @ ortho[k - 1]
+        if nk >= (delta - mu[k, k - 1] ** 2) * nk1:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            ortho, mu = _reference_gram_schmidt(basis)
+            k = max(k - 1, 1)
+    return basis
+
+
+def _exact_gram_schmidt(basis):
+    """Squared GSO norms B_i and coefficients mu_ij, in Fractions."""
+    n = len(basis)
+    ortho, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(basis):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(Fraction(x) * y for x, y in zip(row, ortho[j])) / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(x * x for x in v))
+    return norms, mu
+
+
+def _gram_det(basis):
+    det = Fraction(1)
+    for b in _exact_gram_schmidt(basis)[0]:
+        det *= b
+    return det
+
+
+# kind -> (tolerance that sets the scale 1000/tol, planted relation);
+# None marks a small-entry basis
+_KINDS = {
+    "small": None,
+    "tol": (DEFAULT_TOL, False),
+    "tol-planted": (DEFAULT_TOL, True),
+    "tol/100": (DEFAULT_TOL / 100, False),
+    "tol/100-planted": (DEFAULT_TOL / 100, True),
+}
+
+
+def _seeded_basis(dim, kind):
+    """A seeded basis of one of the kinds the relation engine meets: small
+    entries with nonzero determinant, or a `_search` lattice at scale
+    1000/tol or 1000/(tol/100), free or with a planted relation."""
+    rng = np.random.default_rng(1000 * dim + list(_KINDS).index(kind))
+    if _KINDS[kind] is None:
+        while True:
+            basis = [[int(x) for x in rng.integers(-50, 51, size=dim)]
+                     for _ in range(dim)]
+            if _gram_det(basis) != 0:
+                return basis
+    tol, planted = _KINDS[kind]
+    vals = [complex(rng.normal(), rng.normal()) for _ in range(dim)]
+    if planted:
+        coeffs = [int(c) for c in rng.integers(-100, 101, size=dim)]
+        coeffs[-1] = coeffs[-1] or 1
+        vals[-1] = -sum(c * v for c, v in zip(coeffs[:-1], vals)) / coeffs[-1]
+    scale = 1000.0 / tol
+    rows = []
+    for i, v in enumerate(vals):
+        row = [0] * dim + [round(v.real * scale), round(v.imag * scale)]
+        row[i] = 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_lll_matches_float_reference_and_is_reduced(dim, kind):
+    basis = _seeded_basis(dim, kind)
+    reduced = lll_reduce([row[:] for row in basis])
+    assert reduced == _reference_lll(basis)
+    _assert_lll_reduced(reduced, basis)
+
+
+def _assert_lll_reduced(reduced, basis):
+    """Size-reduced, Lovasz at delta = 99/100 and the same lattice, exactly."""
+    norms, mu = _exact_gram_schmidt(reduced)
+    dim = len(reduced)
+    half = Fraction(1, 2)
+    assert all(abs(mu[i][j]) <= half for i in range(dim) for j in range(i))
+    delta = Fraction(99, 100)
+    assert all(
+        norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1] for k in range(1, dim)
+    )
+    assert _gram_det(reduced) == _gram_det(basis)
+
+
+def test_lll_on_exact_relation_agrees_with_float_reference_up_to_sign():
+    """A `_search` lattice whose embedded columns satisfy 3 v0 = 2 v1 + 2 v2
+    exactly, as torsion motives give. Some mu then lie within an ulp of a
+    half-integer, and the float Gram-Schmidt rounds one of them to the other
+    neighbour: the float basis negates two rows. The exact basis is reduced
+    and holds the same relation."""
+    basis = [
+        [1, 0, 0, 1185002955210, -305705363042],
+        [0, 1, 0, 756377911174, -742400353667],
+        [0, 0, 1, 1021126521641, 283842309104],
+    ]
+    reduced = lll_reduce([row[:] for row in basis])
+    assert reduced[0] == [-3, 2, 2, 0, 0]
+    _assert_lll_reduced(reduced, basis)
+    reference = _reference_lll(basis)
+    assert [r if r in reference else [-x for x in r] for r in reduced] == reference
+
+
+@pytest.mark.parametrize(
+    "basis,reduced",
+    (([[2, 0], [1, 5]], [[2, 0], [1, 5]]), ([[2, 0], [3, 5]], [[2, 0], [-1, 5]])),
+)
+def test_lll_size_reduction_rounds_ties_to_even(basis, reduced):
+    """mu = 1/2 rounds to 0 and mu = 3/2 to 2, as round() on a float does."""
+    assert lll_reduce(basis) == reduced == _reference_lll(basis)
+
+
+def test_lll_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2, 3], [2, 4, 6]])
