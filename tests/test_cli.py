@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semiabel.cli as cli
@@ -12,6 +13,8 @@ from semiabel.errors import (
     InternalInconsistency,
     SchemaError,
 )
+from semiabel.lattice import make_lattice
+from semiabel.semiabelian import quasi_quasi_periods
 
 from conftest import VARPI
 
@@ -380,6 +383,33 @@ def test_verify_report_matches_golden_bytes(tmp_path, capsys, index, seed):
     path = _write(tmp_path, SQ)
     assert main(["verify", "--config", path, "--json", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == golden.splitlines(keepends=True)[index]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_third_kind_contour_accurate_over_verify_seeds(seed):
+    """The contour check's residual stays at round-off; a fixed 64-node
+    rule degrades at seeds 3, 4 and 14 and exceeds the 1e-6 tolerance at
+    seed 24."""
+    assert cli._check_third_kind(np.random.default_rng(seed + 4))[1] < 1e-13
+
+
+@pytest.mark.parametrize(
+    "L, j",
+    (
+        (make_lattice(1, 0.4 + 4j), 2),  # tall: 47 to 93 nodes along omega2
+        (make_lattice(1, 0.2 + 0.3j), 1),  # flat: pole lines 0.3 apart, 39 to 77 nodes
+    ),
+    ids=("tall", "flat"),
+)
+@pytest.mark.parametrize("cross", (0.013, 0.49, 0.5, 0.987))
+def test_contour_third_kind_matches_quasi_quasi_periods(L, j, cross):
+    """The pole line of -q + Lambda next to one of Lambda (q's coordinate
+    along the other period near 0 or 1) or midway between two of them
+    (near 1/2, where the path comes closest to a pole, h/4)."""
+    w, other = (L.omega1, L.omega2) if j == 1 else (L.omega2, L.omega1)
+    qp = 0.37 * w + cross * other
+    k = (cli._contour_third_kind(qp, L, j) - quasi_quasi_periods(qp, L)[j - 1]) / (2j * math.pi)
+    assert abs(k - round(k.real)) * 2 * math.pi < 1e-12
 
 
 # a generic g2/g3 curve and a rotated lattice-given curve
