@@ -408,7 +408,8 @@ def test_contour_third_kind_matches_quasi_quasi_periods(L, j, cross):
     (near 1/2, where the path comes closest to a pole, h/4)."""
     w, other = (L.omega1, L.omega2) if j == 1 else (L.omega2, L.omega1)
     qp = 0.37 * w + cross * other
-    k = (cli._contour_third_kind(qp, L, j) - quasi_quasi_periods(qp, L)[j - 1]) / (2j * math.pi)
+    quad = cli._contour_third_kind(qp, L, j)
+    k = (quad - quasi_quasi_periods(qp, L)[j - 1]) / (2j * math.pi)
     assert abs(k - round(k.real)) * 2 * math.pi < 1e-12
 
 
