@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import semiabel.cli as cli
+import semiabel.verify as verify
 from semiabel.classifier import motivic_galois_dims
 from semiabel.cli import JobConfig, emit_json, main, parse_config, run_job
 from semiabel.errors import (
@@ -237,7 +238,7 @@ def test_table_reports_match_golden_bytes():
     golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
     got = [
         emit_json(cli._report_doc(motivic_galois_dims(m)))
-        for m, *_ in cli._table_instances()
+        for m, *_ in verify._table_instances()
     ]
     assert got == golden.splitlines()
 
@@ -390,7 +391,7 @@ def test_third_kind_contour_accurate_over_verify_seeds(seed):
     """The contour check's residual stays at round-off; a fixed 64-node
     rule degrades at seeds 3, 4 and 14 and exceeds the 1e-6 tolerance at
     seed 24."""
-    assert cli._check_third_kind(np.random.default_rng(seed + 4))[1] < 1e-13
+    assert verify._check_third_kind(np.random.default_rng(seed + 4))[1] < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -408,7 +409,7 @@ def test_contour_third_kind_matches_quasi_quasi_periods(L, j, cross):
     (near 1/2, where the path comes closest to a pole, h/4)."""
     w, other = (L.omega1, L.omega2) if j == 1 else (L.omega2, L.omega1)
     qp = 0.37 * w + cross * other
-    quad = cli._contour_third_kind(qp, L, j)
+    quad = verify._contour_third_kind(qp, L, j)
     k = (quad - quasi_quasi_periods(qp, L)[j - 1]) / (2j * math.pi)
     assert abs(k - round(k.real)) * 2 * math.pi < 1e-12
 
