@@ -148,7 +148,8 @@ def _check_third_kind(rng):
                 w = L.omega1 if j == 1 else L.omega2
                 z = _sample_z(rng, L)
                 ratio = serre_fq(z + w, q, L) / serre_fq(z, q, L)
-                worst_ratio = max(worst_ratio, abs(ratio - cmath.exp(g[j - 1])))
+                e = cmath.exp(g[j - 1])
+                worst_ratio = max(worst_ratio, abs(ratio - e) / abs(e))
                 quad = _contour_third_kind(qp, L, j)
                 k = (quad - g[j - 1]) / TWO_PI_I
                 worst_contour = max(worst_contour, abs(k - round(k.real)) * 2 * math.pi)
