@@ -417,10 +417,10 @@ def _render_text(doc):
     lines = []
     if doc.get("task") == "verify":
         for e in doc["entries"]:
-            status = "PASS" if e["pass"] else "FAIL"
+            status, rel = ("PASS", "<") if e["pass"] else ("FAIL", ">=")
             lines.append(
                 f"{status}  {e['name']}: max residual {e['max_residual']:.3e}"
-                f" < {e['tolerance']:.1e}  [{e['anchor']}]"
+                f" {rel} {e['tolerance']:.1e}  [{e['anchor']}]"
             )
         lines.append(f"overall: {'PASS' if doc['overall_pass'] else 'FAIL'}")
     else:

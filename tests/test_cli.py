@@ -377,6 +377,28 @@ def test_main_verify_deterministic(tmp_path, capsys):
     assert names == sorted(names)
 
 
+def test_main_verify_failure_exit_2(tmp_path, capsys, monkeypatch):
+    """A failing identity exits 2, in JSON and in text, and the text
+    line does not claim the residual is under its tolerance."""
+    monkeypatch.setattr(verify, "_check_kernel", lambda rng: 1.0)
+    path = _write(tmp_path, SQ)
+    assert main(["verify", "--config", path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["overall_pass"] is False
+    assert main(["verify", "--config", path]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  kernel-lattice: max residual 1.000e+00 >= 1.0e-08")
+    assert lines[-1] == "overall: FAIL"
+
+
+def test_verify_reports_the_job_tolerance(tmp_path, capsys):
+    """The document's tolerance is the job's, not a check's."""
+    path = _write(tmp_path, SQ)
+    assert main(["verify", "--config", path, "--json", "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out.endswith('"tolerance":9.9999999999999995e-07}\n')
+
+
 @pytest.mark.parametrize("index, seed", enumerate((0, 5, 17)))
 def test_verify_report_matches_golden_bytes(tmp_path, capsys, index, seed):
     """verify --json on y^2 = 4x^3 - 4x, byte for byte, one golden line per seed."""
