@@ -31,6 +31,8 @@ from .semiabelian import _fiber_log, quasi_quasi_periods
 TWO_PI_I = 2j * math.pi
 
 DEFAULT_N_MAX = 64
+# distance of N times a coordinate from an integer that counts as torsion
+TORSION_TOL = 1e-8
 
 TABLE_ROWS = (
     "q-r-torsion",
@@ -181,27 +183,27 @@ def is_torsion(P, L, n_max=DEFAULT_N_MAX, curve=None):
     return _log_torsion_order(z, L, n_max)
 
 
-def _log_torsion_order(z, L, n_max, tol=1e-8):
+def _log_torsion_order(z, L, n_max):
     """Smallest N <= n_max with N*z in Lambda, via real coordinates."""
     a1, a2 = real_coordinates(z, L)
     for N in range(1, n_max + 1):
-        if abs(N * a1 - round(N * a1)) < tol and abs(N * a2 - round(N * a2)) < tol:
+        if max(abs(N * a1 - round(N * a1)), abs(N * a2 - round(N * a2))) < TORSION_TOL:
             return N
     return None
 
 
-def _semiabelian_torsion_order(z, t, g, L, n_max, tol=1e-8):
+def _semiabelian_torsion_order(z, t, g, L, n_max):
     """Smallest N <= n_max with N*(z, t) in the rank-3 kernel lattice
     of exp_G, i.e. N*R = identity of G; None when no such N.  g holds
     the quasi-quasi-periods (g1, g2) of the extension parameter."""
     a1, a2 = real_coordinates(z, L)
     g1, g2 = g
     for N in range(1, n_max + 1):
-        if abs(N * a1 - round(N * a1)) > tol or abs(N * a2 - round(N * a2)) > tol:
+        if max(abs(N * a1 - round(N * a1)), abs(N * a2 - round(N * a2))) > TORSION_TOL:
             continue
         m, n = round(N * a1), round(N * a2)
         k = (N * t + m * g1 + n * g2) / TWO_PI_I
-        if abs(k - round(k.real)) < tol * (1.0 + abs(k)):
+        if abs(k - round(k.real)) < TORSION_TOL * (1.0 + abs(k)):
             return N
     return None
 

@@ -6,9 +6,10 @@ and, lazily, a modular-reduced basis of the same lattice on which the
 series evaluations of :mod:`semiabel.elliptic` converge quickly.
 """
 
+import math
 from dataclasses import dataclass, field
 
-from .errors import BeyondWorkingPrecision, DegenerateLattice
+from .errors import BeyondWorkingPrecision, DegenerateLattice, NotALatticePoint
 
 DEGENERACY_TOL = 1e-12
 
@@ -117,8 +118,6 @@ def _cell_coordinates(z, L):
 def reduce_to_fundamental(z, L):
     """(z0, m, n) with z = z0 + m*omega1 + n*omega2 and coords of z0 in [0,1)^2."""
     a1, a2 = _cell_coordinates(z, L)
-    import math
-
     m = math.floor(a1)
     n = math.floor(a2)
     # guard against coordinates an ulp below an integer
@@ -189,8 +188,6 @@ def is_lattice_point(z, L, tol=1e-8):
 
 def lattice_coords(z, L, tol=1e-8):
     """Integer coordinates of a lattice point; raises if z is not on Lambda."""
-    from .errors import NotALatticePoint
-
     a1, a2 = real_coordinates(z, L)
     m, n = round(a1), round(a2)
     if abs(a1 - m) >= tol or abs(a2 - n) >= tol:

@@ -33,20 +33,18 @@ from semiabel.elliptic import (
 from semiabel.errors import InternalInconsistency
 from semiabel.lattice import dual_to_primal, make_lattice, reduce_centered
 from semiabel.pairing import f_tilde, torsion_weil_pairing, weil_pairing
-from semiabel.periods import EllipticPoint
 from semiabel.relations import detect_integer_relation
 from semiabel.semiabelian import (
     ExtensionParam,
-    SemiAbelianPoint,
     exp_G,
     kernel_generators,
     log_G,
     quasi_quasi_periods,
     serre_fq,
 )
+from semiabel.verify import _table_instances
 
 TWO_PI_I = 2j * math.pi
-VARPI = 2.6220575542921198
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -257,40 +255,10 @@ def test_criterion_08_torsion_weil():
     _report("08 torsion-weil-roots", worst, 1e-8, time.perf_counter() - t0, 1.0)
 
 
-def _table_instances():
-    L_cm = make_lattice(VARPI, VARPI * 1j)
-    L_nc = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
-    out = []
-    for cm, L in ((True, L_cm), (False, L_nc)):
-        inv = eisenstein_invariants(L)
-        w1 = L.omega1
-        p = complex(0.1 * math.pi, 0.07 * math.sqrt(3.0)) * abs(w1)
-        mu = complex(0.2 * math.sqrt(5.0), 0.11 * math.sqrt(7.0)) * abs(w1)
-        cases = [
-            ("q-r-torsion", 0, w1 / 2, None, 0.0),
-            ("p-q-torsion", 1, w1 / 2, None, cmath.log(2)),
-            ("r-torsion", 2, mu, None, 0.0),
-            ("q-torsion", 3, w1 / 2, p, 0.5),
-            ("p-torsion", 3, mu, w1 / 2, 0.5),
-            ("dependent-not-deficient", 3, 2 * p, p, 0.3),
-            ("independent", 5, mu, p, 0.3),
-        ]
-        if cm:
-            cases.append(("dependent-deficient", 2, 1j * p, p, 0.0))
-        for row, ur, mu_i, z, t in cases:
-            q = ExtensionParam.from_primal(mu_i, L)
-            if z is None:
-                R = SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
-            else:
-                R = exp_G(z, t, q, L)
-            out.append((OneMotiveElliptic(inv, L, (q,), (R,)), row, ur, cm))
-    return out
-
-
 def test_criterion_09_dimension_table():
     t0 = time.perf_counter()
     reports = []
-    for motive, row, ur, cm in _table_instances():
+    for motive, row, ur, _, cm in _table_instances():
         rep = motivic_galois_dims(motive)
         assert rep.table_row == row
         assert rep.dim_UR == ur
@@ -313,7 +281,7 @@ def test_criterion_09_dimension_table():
 
 def test_criterion_10_formula_consistency():
     t0 = time.perf_counter()
-    for motive, _, _, cm in _table_instances():
+    for motive, _, _, _, cm in _table_instances():
         rep = motivic_galois_dims(motive)
         assert rep.dim_UR == 2 * rep.dim_B + rep.dim_Z1
         assert rep.dim_Gal == rep.dim_UR + (2 if cm else 4)
