@@ -161,7 +161,8 @@ def _parse_extension_param(node, path, L, inv):
     if "log" in node:
         return ExtensionParam.from_primal(_parse_complex(node["log"], f"{path}/log"), L)
     point = _parse_point(node, path)
-    _expect(not point.is_identity, path, "the identity cannot parametrize an extension")
+    q = point if not point.is_identity else None
+    _expect(q is not None, path, "the identity cannot parametrize an extension")
     z = elliptic_log(point, L, inv).value
     return ExtensionParam.from_primal(z, L)
 
