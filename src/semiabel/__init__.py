@@ -26,7 +26,6 @@ from .classifier import (
 from .elliptic import (
     CurveInvariants,
     QuasiPeriods,
-    ThetaNormalization,
     eisenstein_invariants,
     eta_linear,
     quasi_periods,
@@ -59,7 +58,6 @@ from .errors import (
     SingularCurve,
 )
 from .lattice import (
-    DualLattice,
     Lattice,
     dual_lattice,
     dual_to_primal,
@@ -93,7 +91,6 @@ from .periods import (
 from .relations import RelationCertificate, detect_integer_relation
 from .semiabelian import (
     ExtensionParam,
-    PeriodMatrixG,
     SemiAbelianPoint,
     exp_G,
     generalized_log_G,

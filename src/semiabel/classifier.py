@@ -90,6 +90,9 @@ class OneMotiveElliptic:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The classification of one motive; its fields are the keys of the
+    ``classify --json`` document."""
+
     dim_B: int
     dim_B_vstar: int
     dim_B_Q: int
@@ -339,10 +342,8 @@ class _MotiveAnalysis:
         disc, delta = self.cm
         if disc is None:
             return False
-        cert = detect_integer_relation(
-            [mu, p, delta * p, self.L.omega1, self.L.omega2], self.max_height, self.tol
-        )
-        if cert is None or cert.coefficients[0] == 0:
+        inside, cert = self.in_span(mu, (p, delta * p, self.L.omega1, self.L.omega2))
+        if not inside:
             raise InternalInconsistency(
                 "dim B = 1 but no dependence relation q = beta*p was found"
             )

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import verify
 from .classifier import DEFAULT_N_MAX, OneMotiveElliptic, motivic_galois_dims
@@ -307,10 +307,10 @@ def _job_eval(cfg):
     return {"values": values}
 
 
-def _get_extension_param(cfg, key="q"):
-    node = cfg.payload.get(key)
-    _expect(node is not None, f"/{key}", "missing extension parameter")
-    return _parse_extension_param(node, f"/{key}", cfg.lattice, cfg.curve)
+def _get_extension_param(cfg):
+    node = cfg.payload.get("q")
+    _expect(node is not None, "/q", "missing extension parameter")
+    return _parse_extension_param(node, "/q", cfg.lattice, cfg.curve)
 
 
 def _job_expg(cfg):
@@ -346,37 +346,11 @@ def _job_pairing(cfg):
     return {"weil": _cplx(weil_pairing(z, zstar, cfg.lattice).value)}
 
 
-def _report_doc(rep):
-    return {
-        "dim_B": rep.dim_B,
-        "dim_B_vstar": rep.dim_B_vstar,
-        "dim_B_Q": rep.dim_B_Q,
-        "dim_Z1": rep.dim_Z1,
-        "dim_UR": rep.dim_UR,
-        "dim_Gal": rep.dim_Gal,
-        "table_row": rep.table_row,
-        "cm": rep.cm,
-        "cm_discriminant": rep.cm_discriminant,
-        "deficient": rep.deficient,
-        "bounds": dict(rep.bounds),
-        "confidence": rep.confidence,
-        "relations": [
-            {
-                "coefficients": list(c.coefficients),
-                "residual": c.residual,
-                "height": c.height,
-                "verified_at_higher_precision": c.verified_at_higher_precision,
-            }
-            for c in rep.relations
-        ],
-    }
-
-
 def _job_classify(cfg):
     rep = motivic_galois_dims(
         _parse_motive(cfg), cfg.max_height, cfg.tol, cfg.n_max
     )
-    return _report_doc(rep)
+    return asdict(rep)
 
 
 def _job_bounds(cfg):

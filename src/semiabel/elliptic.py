@@ -40,11 +40,6 @@ class QuasiPeriods:
     eta2: complex
 
 
-@dataclass(frozen=True)
-class ThetaNormalization:
-    piA: complex
-
-
 def _reduced(L):
     """(w1, w2, tau, eta1, eta2, theta1'(0)) for a reduced basis of L."""
     if "elliptic" not in L._cache:
@@ -156,7 +151,7 @@ def theta_normalization(L):
     """The constant piA = eta1*Im(conj(w2)) - pi in the clockwise rotated frame."""
     Lr, _, w1, w2, _ = rotate_real_frame(L)
     qp = quasi_periods(Lr)
-    return ThetaNormalization(qp.eta1 * (-w2.imag) - math.pi)
+    return qp.eta1 * (-w2.imag) - math.pi
 
 
 def theta_normalized(z, L):
@@ -168,7 +163,7 @@ def theta_normalized(z, L):
     """
     Lr, _, _, _, D = rotate_real_frame(L)
     zr = complex(z)
-    piA = theta_normalization(L).piA
+    piA = theta_normalization(L)
     return sigma_w(zr, Lr) * cmath.exp(-piA * zr * zr / (2 * D))
 
 

@@ -154,14 +154,9 @@ def duality_product(z, zstar):
     return (complex(z).conjugate() * complex(zstar)).imag
 
 
-@dataclass(frozen=True)
-class DualLattice:
-    omega1_star: complex
-    omega2_star: complex
-
-
 def dual_lattice(L):
-    """Basis of Lambda* = {l*; Im(conj(Lambda) l*) in Z}, symplectic convention:
+    """Lambda* = {l*; Im(conj(Lambda) l*) in Z} as a Lattice whose basis
+    (omega1*, omega2*) follows the symplectic convention:
 
     Im(conj(w1) w1*) = 0,  Im(conj(w2) w1*) = 1,
     Im(conj(w1) w2*) = -1, Im(conj(w2) w2*) = 0.
@@ -170,7 +165,7 @@ def dual_lattice(L):
     if abs(D) <= DEGENERACY_TOL * abs(L.omega1) * abs(L.omega2):
         raise DegenerateLattice("vanishing covolume")
     # conj(w1)*w1 real and Im(conj(w2) * r*w1) = r*Im(conj(w2)w1) = r*D
-    return DualLattice(L.omega1 / D, L.omega2 / D)
+    return Lattice(L.omega1 / D, L.omega2 / D)
 
 
 def dual_to_primal(zstar, L):
@@ -186,10 +181,10 @@ def is_lattice_point(z, L, tol=1e-8):
     return abs(a1 - round(a1)) < tol and abs(a2 - round(a2)) < tol
 
 
-def lattice_coords(z, L, tol=1e-8):
+def lattice_coords(z, L):
     """Integer coordinates of a lattice point; raises if z is not on Lambda."""
     a1, a2 = real_coordinates(z, L)
     m, n = round(a1), round(a2)
-    if abs(a1 - m) >= tol or abs(a2 - n) >= tol:
+    if abs(a1 - m) >= 1e-8 or abs(a2 - n) >= 1e-8:
         raise NotALatticePoint(f"{z} has coordinates ({a1}, {a2})")
     return m, n

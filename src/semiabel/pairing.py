@@ -14,7 +14,6 @@ from .errors import (
     PoleAtLatticePoint,
 )
 from .lattice import (
-    Lattice,
     dual_lattice,
     dual_to_primal,
     duality_product,
@@ -35,11 +34,6 @@ class UnitCircleValue:
             raise ValueError(f"not on the unit circle: {self.value}")
 
 
-def _dual_lattice_as_lattice(L):
-    d = dual_lattice(L)
-    return Lattice(d.omega1_star, d.omega2_star)
-
-
 def weil_pairing(z, zstar, L):
     """exp(2 pi i Im(conj(z) mu) / |Im(w1 conj(w2))|), mu = iota(z*).
 
@@ -53,7 +47,7 @@ def weil_pairing(z, zstar, L):
     val = cmath.exp(TWO_PI_I * duality_product(z, mu) / abs(D))
     # cross-check through real coordinates
     a1, a2 = real_coordinates(z, L)
-    ds = _dual_lattice_as_lattice(L)
+    ds = dual_lattice(L)
     b1, b2 = real_coordinates(zstar, ds)
     alt = cmath.exp(TWO_PI_I * (a1 * b2 - a2 * b1))
     if abs(val - alt) > 1e-8 * abs(val):
@@ -68,7 +62,7 @@ def torsion_weil_pairing(p, qstar, N, L):
     N = int(N)
     if N < 1:
         raise NotTorsion("N must be a positive integer")
-    ds = _dual_lattice_as_lattice(L)
+    ds = dual_lattice(L)
     a = real_coordinates(N * complex(p), L)
     b = real_coordinates(N * complex(qstar), ds)
     for c in (*a, *b):
@@ -82,7 +76,7 @@ def poincare_automorphy(lmbda, lmbdastar, z, zstar, L):
     exp(pi (conj(lambda) mu* + z conj(mu*) + conj(lambda) zeta*) / |Im(w1 conj(w2))|),
     with the dual-frame arguments pulled back by iota so that the
     integrality Im(conj(lambda) mu*)/|D| in Z holds on lattice pairs."""
-    ds = _dual_lattice_as_lattice(L)
+    ds = dual_lattice(L)
     lattice_coords(lmbda, L)
     lattice_coords(lmbdastar, ds)
     D = abs(L.covolume_factor())
@@ -146,7 +140,7 @@ def ratio_f_tilde(z, zstar, L):
 def hodge_weil(lmbda, lmbdastar, L):
     """eta(lambda) mu - eta(mu) lambda with mu = iota(lambda*), on
     Lambda x Lambda*; the value lies in 2 pi i Z (Legendre relation)."""
-    ds = _dual_lattice_as_lattice(L)
+    ds = dual_lattice(L)
     lattice_coords(lmbda, L)
     lattice_coords(lmbdastar, ds)
     lmbda = complex(lmbda)

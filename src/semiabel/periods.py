@@ -25,6 +25,7 @@ from .elliptic import (
 from .errors import (
     ConvergenceFailure,
     NotOnCurve,
+    SemiabelError,
     SingularCurve,
 )
 from .lattice import make_lattice, reduce_centered, reduce_to_fundamental
@@ -95,7 +96,7 @@ def periods_from_invariants(c):
             w2 = 2.0 * carlson_rf(0j, e3 - e1, e3 - e2)
             L = make_lattice(w1, w2)
             inv = eisenstein_invariants(L)
-        except Exception:
+        except (SemiabelError, ArithmeticError):
             continue
         scale = max(abs(g2), abs(g3), 1.0)
         resid = (abs(inv.g2 - g2) + abs(inv.g3 - g3)) / scale

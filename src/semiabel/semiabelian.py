@@ -51,20 +51,6 @@ class SemiAbelianPoint:
     fiber: complex
 
 
-@dataclass(frozen=True)
-class PeriodMatrixG:
-    omega_A: np.ndarray  # rows (omega_j, eta_j)
-    third_kind_column: tuple  # (eta_j q - omega_j zeta(q)) per j
-
-    def as_matrix(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[:2, :2] = self.omega_A
-        m[0, 2] = self.third_kind_column[0]
-        m[1, 2] = self.third_kind_column[1]
-        m[2, 2] = TWO_PI_I
-        return m
-
-
 def serre_fq(z, q, L):
     """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)).
 
@@ -145,39 +131,36 @@ def kernel_generators(q, L):
 
 
 def period_matrix_A(L):
-    e = quasi_periods(L)
-    return np.array(
-        [[L.omega1, e.eta1], [L.omega2, e.eta2]], dtype=complex
-    )
+    """The curve's period matrix, rows (omega_j, eta_j): the n = s = 0
+    case of period_matrix_M."""
+    return period_matrix_M((), (), L)
 
 
 def period_matrix_G(q, L):
-    return PeriodMatrixG(period_matrix_A(L), quasi_quasi_periods(q, L))
+    """The extension's period matrix: period_matrix_A bordered by the
+    third-kind column (g1, g2, 2 pi i); the n = 0, s = 1 case of
+    period_matrix_M."""
+    return period_matrix_M((), (q,), L)
 
 
 def period_matrix_M(points, qs, L):
-    """(n+2+s)-square block matrix: Id_n, generalized-log rows, and the
-    extension period matrix in the lower-right corner."""
+    """(n+2+s)-square period matrix of the 1-motive [Z^n -> G]: Id_n,
+    one generalized-log row (z, zeta(z), t_1..t_s) per point, the curve
+    block (omega_j, eta_j), and one third-kind column per parameter."""
     n = len(points)
     s = len(qs)
     dim = n + 2 + s
     m = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        m[i, i] = 1.0
-    omega_A = period_matrix_A(L)
-    m[n : n + 2, n : n + 2] = omega_A
+    e = quasi_periods(L)
+    m[n : n + 2, n : n + 2] = [[L.omega1, e.eta1], [L.omega2, e.eta2]]
     for k, q in enumerate(qs):
-        g1, g2 = quasi_quasi_periods(q, L)
-        m[n, n + 2 + k] = g1
-        m[n + 1, n + 2 + k] = g2
+        m[n : n + 2, n + 2 + k] = quasi_quasi_periods(q, L)
         m[n + 2 + k, n + 2 + k] = TWO_PI_I
     for i, R in enumerate(points):
-        glog = None
-        for k, q in enumerate(qs):
-            glog, tb = generalized_log_G(R, q, L)
-            m[i, n + 2 + k] = tb.value
-        if glog is None:  # s = 0: plain generalized abelian logarithm
-            glog = generalized_elliptic_log(R.base, L)
+        glog = generalized_elliptic_log(R.base, L)
+        m[i, i] = 1.0
         m[i, n] = glog.z
         m[i, n + 1] = 0j if glog.is_identity else glog.w
+        for k, q in enumerate(qs):
+            m[i, n + 2 + k] = _fiber_log(R, glog.z, q, L)
     return m

@@ -85,7 +85,7 @@ def _check_eta_linear(rng):
     worst = 0.0
     for L in _suite_lattices(rng):
         Lr, _, _, _, D = rotate_real_frame(L)
-        piA = theta_normalization(L).piA
+        piA = theta_normalization(L)
         for _ in range(20):
             zr = _sample_z(rng, Lr)
             closed = (math.pi * zr.conjugate() + piA * zr) / D

@@ -116,7 +116,7 @@ def test_criterion_03_quasi_period_linear_form():
     worst = 0.0
     for L in _lattices():
         Lr, _, _, _, D = rotate_real_frame(L)
-        piA = theta_normalization(L).piA
+        piA = theta_normalization(L)
         for _ in range(20):
             zr = _sample(rng, Lr)
             closed = (math.pi * zr.conjugate() + piA * zr) / D

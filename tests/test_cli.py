@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import semiabel.cli as cli
 import semiabel.verify as verify
 from semiabel.classifier import motivic_galois_dims
-from semiabel.cli import JobConfig, emit_json, main, parse_config, run_job
+from semiabel.cli import JobConfig, _cplx, emit_json, main, parse_config, run_job
 from semiabel.errors import (
     ConflictingCurveSpec,
     InternalInconsistency,
@@ -237,9 +238,37 @@ def test_table_reports_match_golden_bytes():
     """The classify report of each table instance, byte for byte."""
     golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
     got = [
-        emit_json(cli._report_doc(motivic_galois_dims(m)))
+        emit_json(asdict(motivic_galois_dims(m)))
         for m, *_ in verify._table_instances()
     ]
+    assert got == golden.splitlines()
+
+
+def _motive_config(m):
+    """The classify config a user writes for a motive with n = s = 1 on a
+    lattice-given curve."""
+    (q,), (R,) = m.extension_params, m.points
+    base = "O" if R.base.is_identity else {"x": _cplx(R.base.x), "y": _cplx(R.base.y)}
+    return {
+        "curve": {"lattice": {"w1": _cplx(m.lattice.omega1), "w2": _cplx(m.lattice.omega2)}},
+        "motive": {
+            "extension_params": [{"log_dual": _cplx(q.q_log_dual)}],
+            "points": [{"base": base, "fiber": _cplx(R.fiber)}],
+        },
+    }
+
+
+def test_classify_json_of_table_configs_matches_golden_bytes(tmp_path, capsys):
+    """`classify --json` on a config written from each table instance
+    prints the golden report plus its task and seed."""
+    golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
+    got = []
+    for m, *_ in verify._table_instances():
+        path = _write(tmp_path, _motive_config(m))
+        assert main(["classify", "--config", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc.pop("task"), doc.pop("seed")) == ("classify", 0)
+        got.append(emit_json(doc))
     assert got == golden.splitlines()
 
 

@@ -302,7 +302,7 @@ def test_eta_linear_closed_form(L):
     """R-linear quasi-period form equals pi*(conj(z) + A*z)/D in the
     rotated clockwise frame."""
     Lr, _, _, _, D = rotate_real_frame(L)
-    piA = theta_normalization(L).piA
+    piA = theta_normalization(L)
     for frac in (0.12 + 0.31j, -0.27 + 0.09j, 0.41 - 0.18j):
         zr = frac.real * Lr.omega1 + frac.imag * Lr.omega2
         closed = (math.pi * zr.conjugate() + piA * zr) / D

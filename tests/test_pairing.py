@@ -48,7 +48,7 @@ def test_weil_pairing_lattice_pairs_trivial(L):
     D = L.covolume_factor()
     ds = dual_lattice(L)
     for lam in (L.omega1, L.omega2, L.omega1 + 2 * L.omega2):
-        for lams in (ds.omega1_star, ds.omega2_star):
+        for lams in (ds.omega1, ds.omega2):
             assert abs(weil_pairing(lam, lams, L).value - 1.0) < 1e-9
 
 
@@ -56,7 +56,7 @@ def test_weil_pairing_half_period_example():
     """W(w1/2, w2*/2) is a primitive 4th root of unity (+-i)."""
     for L in lattices_for_sweep():
         ds = dual_lattice(L)
-        val = weil_pairing(L.omega1 / 2, ds.omega2_star / 2, L).value
+        val = weil_pairing(L.omega1 / 2, ds.omega2 / 2, L).value
         assert abs(val - 1j) < 1e-9 or abs(val + 1j) < 1e-9
 
 
@@ -65,16 +65,16 @@ def test_torsion_weil_roots_of_unity(L):
     ds = dual_lattice(L)
     for N in (2, 3, 4, 5):
         val = torsion_weil_pairing(
-            L.omega1 / N, ds.omega2_star / N, N, L
+            L.omega1 / N, ds.omega2 / N, N, L
         ).value
         assert abs(val**N - 1.0) < 1e-8
         # representative independence
         alt = torsion_weil_pairing(
-            L.omega1 / N + L.omega2, ds.omega2_star / N + ds.omega1_star, N, L
+            L.omega1 / N + L.omega2, ds.omega2 / N + ds.omega1, N, L
         ).value
         assert abs(val - alt) < 1e-8
     # basis pair at level N is a primitive root
-    val = torsion_weil_pairing(L.omega1 / 3, ds.omega2_star / 3, 3, L).value
+    val = torsion_weil_pairing(L.omega1 / 3, ds.omega2 / 3, 3, L).value
     assert abs(val - 1.0) > 0.5
 
 
@@ -82,9 +82,9 @@ def test_torsion_weil_rejects_non_torsion(generic_lattice):
     L = generic_lattice
     ds = dual_lattice(L)
     with pytest.raises(NotTorsion):
-        torsion_weil_pairing(0.2371 * L.omega1, ds.omega2_star / 2, 2, L)
+        torsion_weil_pairing(0.2371 * L.omega1, ds.omega2 / 2, 2, L)
     with pytest.raises(NotTorsion):
-        torsion_weil_pairing(L.omega1 / 2, ds.omega2_star / 2, 0, L)
+        torsion_weil_pairing(L.omega1 / 2, ds.omega2 / 2, 0, L)
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
@@ -117,7 +117,7 @@ def test_hodge_weil_integrality(L):
         ((2, -1), (1, 3)),
     ):
         lam = m * L.omega1 + n * L.omega2
-        lams = ms * ds.omega1_star + ns * ds.omega2_star
+        lams = ms * ds.omega1 + ns * ds.omega2
         val = hodge_weil(lam, lams, L)
         k = val / TWO_PI_I
         assert abs(k - round(k.real)) < 1e-8
@@ -130,7 +130,7 @@ def test_hodge_weil_integrality(L):
 def test_poincare_automorphy_unitarized(L):
     ds = dual_lattice(L)
     lam = L.omega1 + 2 * L.omega2
-    lams = ds.omega1_star - ds.omega2_star
+    lams = ds.omega1 - ds.omega2
     z = 0.21 * L.omega1 + 0.13 * L.omega2
     zs = (0.17 * L.omega1 - 0.23 * L.omega2) / L.covolume_factor()
     a = poincare_automorphy(lam, lams, z, zs, L)
@@ -145,8 +145,8 @@ def test_poincare_automorphy_cocycle(generic_lattice):
     ds = dual_lattice(L)
     z = 0.19 * L.omega1 + 0.23 * L.omega2
     zs = (0.29 * L.omega1 + 0.11 * L.omega2) / L.covolume_factor()
-    l1, l1s = L.omega1, ds.omega1_star
-    l2, l2s = L.omega2, ds.omega2_star
+    l1, l1s = L.omega1, ds.omega1
+    l2, l2s = L.omega2, ds.omega2
     lhs = poincare_automorphy(l1 + l2, l1s + l2s, z, zs, L)
     rhs = poincare_automorphy(
         l1, l1s, z + l2, zs + l2s, L

@@ -67,6 +67,19 @@ def test_singular_curve_rejected():
         periods_from_invariants(CurveInvariants(3.0, 1.0))  # g2^3 = 27 g3^2
 
 
+def test_defect_inside_a_root_ordering_propagates(monkeypatch):
+    """A programming error is a crash, not a root ordering that failed
+    (which the CLI would report as bad input)."""
+    import semiabel.periods as periods
+
+    def broken(L):
+        raise TypeError("defect")
+
+    monkeypatch.setattr(periods, "eisenstein_invariants", broken)
+    with pytest.raises(TypeError, match="defect"):
+        periods_from_invariants(CurveInvariants(4.0, 0.0))
+
+
 def test_check_on_curve():
     inv = CurveInvariants(4.0, 0.0)
     check_on_curve(EllipticPoint(1.0, 0.0), inv)

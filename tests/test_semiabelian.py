@@ -202,7 +202,7 @@ def test_period_matrix_A_determinant(L):
 def test_period_matrix_G_shape(generic_lattice):
     L = generic_lattice
     q = _q_of(L)
-    m = period_matrix_G(q, L).as_matrix()
+    m = period_matrix_G(q, L)
     g1, g2 = quasi_quasi_periods(q, L)
     assert m.shape == (3, 3)
     assert m[0, 2] == g1 and m[1, 2] == g2
@@ -210,22 +210,52 @@ def test_period_matrix_G_shape(generic_lattice):
     assert m[2, 0] == 0 and m[2, 1] == 0
 
 
-def test_period_matrix_M_structure(generic_lattice):
+@pytest.mark.parametrize(
+    "n, s, identity",
+    [(1, 1, False), (2, 0, False), (1, 2, False), (2, 2, True)],
+    ids=["n1-s1", "n2-s0", "n1-s2", "n2-s2-identity"],
+)
+def test_period_matrix_M_structure(generic_lattice, n, s, identity):
+    L = generic_lattice
+    qs = [_q_of(L), _q_of(L, 0.41 + 0.13j)][:s]
+    zs = [0.18 * L.omega1 + 0.27 * L.omega2, 0.33 * L.omega1 + 0.12 * L.omega2][:n]
+    points = [exp_G(z, 0.4, _q_of(L), L) for z in zs]
+    if identity:
+        points[-1] = SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(0.7))
+    m = period_matrix_M(points, qs, L)
+    dim = n + 2 + s
+    assert m.shape == (dim, dim)
+    # Id_n, and nothing below it
+    assert np.array_equal(m[:, :n], np.eye(dim, n))
+    for i, R in enumerate(points):
+        if R.base.is_identity:
+            assert m[i, n] == 0 and m[i, n + 1] == 0
+            for k in range(s):
+                assert m[i, n + 2 + k] == pytest.approx(0.7)
+            continue
+        # generalized-log row
+        resid, _, _ = reduce_centered(m[i, n] - zs[i], L)
+        assert abs(resid) < 1e-8
+        assert abs(m[i, n + 1] - zeta_w(m[i, n], L)) < 1e-10
+        # each fiber entry exponentiates back to the fiber coordinate
+        # divided by the factor-system value
+        for k, q in enumerate(qs):
+            assert cmath.exp(m[i, n + 2 + k]) * serre_fq(m[i, n], q, L) == (
+                pytest.approx(R.fiber)
+            )
+    # the curve block, then the extension block
+    assert np.array_equal(m[n : n + 2, n : n + 2], period_matrix_A(L))
+    assert np.array_equal(m[n + 2 :, : n + 2], np.zeros((s, n + 2)))
+    assert np.array_equal(m[n + 2 :, n + 2 :], TWO_PI_I * np.eye(s))
+    for k, q in enumerate(qs):
+        g1, g2 = quasi_quasi_periods(q, L)
+        assert m[n, n + 2 + k] == g1 and m[n + 1, n + 2 + k] == g2
+
+
+def test_period_matrices_A_and_G_are_blocks_of_M(generic_lattice):
     L = generic_lattice
     q = _q_of(L)
-    z = 0.18 * L.omega1 + 0.27 * L.omega2
-    R = exp_G(z, 0.4, q, L)
+    R = exp_G(0.18 * L.omega1 + 0.27 * L.omega2, 0.4, q, L)
     m = period_matrix_M([R], [q], L)
-    assert m.shape == (4, 4)
-    assert m[0, 0] == 1.0
-    # generalized-log row
-    resid, _, _ = reduce_centered(m[0, 1] - z, L)
-    assert abs(resid) < 1e-8
-    assert abs(m[0, 2] - zeta_w(m[0, 1], L)) < 1e-10
-    # extension block
-    g1, g2 = quasi_quasi_periods(q, L)
-    assert m[1, 3] == g1 and m[2, 3] == g2
-    assert m[3, 3] == TWO_PI_I
-    # fiber entry exponentiates back to the fiber coordinate divided by
-    # the factor-system value
-    assert cmath.exp(m[0, 3]) * serre_fq(m[0, 1], q, L) == pytest.approx(R.fiber)
+    assert np.array_equal(period_matrix_G(q, L), m[1:, 1:])
+    assert np.array_equal(period_matrix_A(L), m[1:3, 1:3])
