@@ -195,22 +195,6 @@ def _log_torsion_order(z, L, n_max):
     return None
 
 
-def _semiabelian_torsion_order(z, t, g, L, n_max):
-    """Smallest N <= n_max with N*(z, t) in the rank-3 kernel lattice
-    of exp_G, i.e. N*R = identity of G; None when no such N.  g holds
-    the quasi-quasi-periods (g1, g2) of the extension parameter."""
-    a1, a2 = real_coordinates(z, L)
-    g1, g2 = g
-    for N in range(1, n_max + 1):
-        if max(abs(N * a1 - round(N * a1)), abs(N * a2 - round(N * a2))) > TORSION_TOL:
-            continue
-        m, n = round(N * a1), round(N * a2)
-        k = (N * t + m * g1 + n * g2) / TWO_PI_I
-        if abs(k - round(k.real)) < TORSION_TOL * (1.0 + abs(k)):
-            return N
-    return None
-
-
 # ---------------------------------------------------------------------------
 # complex multiplication
 # ---------------------------------------------------------------------------
@@ -273,12 +257,11 @@ class _MotiveAnalysis:
     needs, and a malformed motive fails at the first quantity it reads.
     """
 
-    def __init__(self, motive, max_height, tol, n_max=DEFAULT_N_MAX):
+    def __init__(self, motive, max_height, tol):
         self.motive = motive
         self.L = motive.lattice
         self.max_height = max_height
         self.tol = tol
-        self.n_max = n_max
         self._spans = {}
 
     def in_span(self, v, basis):
@@ -402,11 +385,16 @@ class _MotiveAnalysis:
             raise NotApplicable("the classification table covers n = s = 1 only")
         (t,) = self.third_kind_values
         (mu,), (p,) = self.param_logs, self.point_logs
-        p_tor = self.is_torsion_log(p)
+        p_tor, cert = self.in_span(p, (self.L.omega1, self.L.omega2))
         q_tor = self.is_torsion_log(mu)
-        r_tor = p_tor and _semiabelian_torsion_order(
-            p, t, self.third_kind_periods[0], self.L, self.n_max
-        ) is not None
+        r_tor = False
+        if p_tor:
+            # p = a1*omega1 + a2*omega2 with a_j = -c_j/c0, and R is torsion
+            # exactly when t + a1*g1 + a2*g2 lies in Q*2*pi*i; the divided
+            # form keeps c0 out of the height of the 2*pi*i coefficient
+            c0, c1, c2 = cert.coefficients if cert is not None else (1, 0, 0)
+            g1, g2 = self.third_kind_periods[0]
+            r_tor = self.in_span(t - c1 / c0 * g1 - c2 / c0 * g2, (TWO_PI_I,))[0]
         if q_tor and r_tor:
             return "q-r-torsion"
         if p_tor and q_tor:
@@ -460,12 +448,11 @@ def dim_Z1(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     return _MotiveAnalysis(motive, max_height, tol).dim_Z1
 
 
-def classify_table_row(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
-                       n_max=DEFAULT_N_MAX):
+def classify_table_row(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """Exactly one of the eight classification rows (n = s = 1 only),
     evaluated torsion conditions first, then dependence with deficiency,
     then independence."""
-    return _MotiveAnalysis(motive, max_height, tol, n_max).table_row
+    return _MotiveAnalysis(motive, max_height, tol).table_row
 
 
 def _bounds_from_dims(dim_b, dim_b_q, dim_z1, cm):
@@ -485,12 +472,11 @@ def conjecture_bounds(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     return _bounds_from_dims(dim_b, dim_b_q, a.dim_Z1, a.cm[0] is not None)
 
 
-def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL,
-                        n_max=DEFAULT_N_MAX):
+def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """Full classification report; for n = s = 1 the dimension formulas
     are cross-checked against the matched table row and a mismatch
     raises InternalInconsistency."""
-    a = _MotiveAnalysis(motive, max_height, tol, n_max)
+    a = _MotiveAnalysis(motive, max_height, tol)
     disc = a.cm[0]
     cm = disc is not None
     dim_b, dim_b_vstar, dim_b_q, certs = a.dim_B

@@ -14,14 +14,13 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import verify
-from .classifier import DEFAULT_N_MAX, OneMotiveElliptic, motivic_galois_dims
+from .classifier import OneMotiveElliptic, motivic_galois_dims
 from .elliptic import (
     CurveInvariants,
     eisenstein_invariants,
     quasi_periods,
     sigma_w,
     weierstrass,
-    zeta_w,
 )
 from .errors import (
     ConflictingCurveSpec,
@@ -33,9 +32,7 @@ from .lattice import make_lattice
 from .pairing import torsion_weil_pairing, weil_pairing
 from .periods import EllipticPoint, elliptic_log, periods_from_invariants
 from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
-from .semiabelian import ExtensionParam, SemiAbelianPoint, exp_G, log_G
-
-TASKS = ("periods", "eval", "expg", "logg", "pairing", "classify", "bounds", "verify")
+from .semiabelian import ExtensionParam, SemiAbelianPoint, exp_G, generalized_log_G
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,6 @@ class JobConfig:
     payload: dict
     tol: float
     max_height: int
-    n_max: int
     seed: int
 
 
@@ -161,8 +157,7 @@ def _parse_extension_param(node, path, L, inv):
     if "log" in node:
         return ExtensionParam.from_primal(_parse_complex(node["log"], f"{path}/log"), L)
     point = _parse_point(node, path)
-    q = point if not point.is_identity else None
-    _expect(q is not None, path, "the identity cannot parametrize an extension")
+    _expect(not point.is_identity, path, "the identity cannot parametrize an extension")
     z = elliptic_log(point, L, inv).value
     return ExtensionParam.from_primal(z, L)
 
@@ -203,11 +198,11 @@ def parse_config(text, task=None, seed=None, tol=None):
     _expect(isinstance(doc, dict), "", "top-level document must be an object")
     cfg_task = doc.get("task")
     if cfg_task is not None:
-        _expect(cfg_task in TASKS, "/task", f"unknown task {cfg_task!r}")
+        _expect(cfg_task in _HANDLERS, "/task", f"unknown task {cfg_task!r}")
     if task is not None and cfg_task is not None and task != cfg_task:
         raise SchemaError("/task", f"config task {cfg_task!r} != CLI task {task!r}")
     task = task or cfg_task
-    _expect(task in TASKS, "/task", "no task given")
+    _expect(task in _HANDLERS, "/task", "no task given")
     _expect("curve" in doc, "/curve", "missing curve specification")
     curve, lattice = _resolve_curve(doc["curve"], "/curve")
     if tol is None:
@@ -219,15 +214,13 @@ def parse_config(text, task=None, seed=None, tol=None):
         "/max_height",
         "must be a positive integer",
     )
-    n_max = doc.get("n_max", DEFAULT_N_MAX)
-    _expect(isinstance(n_max, int) and n_max > 0, "/n_max", "must be a positive integer")
     if seed is None:
         seed = doc.get("seed", 0)
     _expect(isinstance(seed, int), "/seed", "seed must be an integer")
     payload = {
         k: v
         for k, v in doc.items()
-        if k not in ("task", "curve", "tol", "max_height", "n_max", "seed")
+        if k not in ("task", "curve", "tol", "max_height", "seed")
     }
     return JobConfig(
         task=task,
@@ -236,7 +229,6 @@ def parse_config(text, task=None, seed=None, tol=None):
         payload=payload,
         tol=float(tol),
         max_height=max_height,
-        n_max=n_max,
         seed=seed,
     )
 
@@ -326,16 +318,16 @@ def _job_logg(cfg):
     _expect(node is not None, "/point", "missing semi-abelian point")
     R = _parse_sa_point(node, "/point")
     q = _get_extension_param(cfg)
-    zb, tb = log_G(R, q, cfg.lattice, cfg.curve)
-    doc = {"z": _cplx(zb.value), "t": _cplx(tb.value)}
-    if not R.base.is_identity:
-        doc["zeta_z"] = _cplx(zeta_w(zb.value, cfg.lattice))
+    glog, tb = generalized_log_G(R, q, cfg.lattice, cfg.curve)
+    doc = {"z": _cplx(glog.z), "t": _cplx(tb.value)}
+    if not glog.is_identity:
+        doc["zeta_z"] = _cplx(glog.w)
     return doc
 
 
 def _job_pairing(cfg):
-    z = _parse_complex(cfg.payload.get("z"), "/z") if "z" in cfg.payload else None
-    _expect(z is not None, "/z", "missing primal argument")
+    _expect("z" in cfg.payload, "/z", "missing primal argument")
+    z = _parse_complex(cfg.payload["z"], "/z")
     _expect("zstar" in cfg.payload, "/zstar", "missing dual argument")
     zstar = _parse_complex(cfg.payload["zstar"], "/zstar")
     N = cfg.payload.get("N")
@@ -347,10 +339,7 @@ def _job_pairing(cfg):
 
 
 def _job_classify(cfg):
-    rep = motivic_galois_dims(
-        _parse_motive(cfg), cfg.max_height, cfg.tol, cfg.n_max
-    )
-    return asdict(rep)
+    return asdict(motivic_galois_dims(_parse_motive(cfg), cfg.max_height, cfg.tol))
 
 
 def _job_bounds(cfg):
@@ -411,7 +400,7 @@ def main(argv=None):
         "logarithms, the analytic Weil pairing, and motive-dimension "
         "classification.",
     )
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--seed", type=int, default=None)

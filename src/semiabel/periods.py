@@ -86,7 +86,7 @@ def periods_from_invariants(c):
     """
     g2, g3 = complex(c.g2), complex(c.g3)
     disc = g2**3 - 27 * g3**2
-    if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2, 1.0):
+    if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
         raise SingularCurve(f"discriminant {disc}")
     roots = _cubic_roots(g2, g3)
     best = None
@@ -165,7 +165,7 @@ def elliptic_log(P, L, inv=None):
 
 def generalized_elliptic_log(P, L, inv=None):
     """(z, zeta(z)) at the principal logarithm; the identity O gets the
-    distinguished (0, marker) pair used by the classifier."""
+    distinguished (0, marker) pair, which period_matrix_M enters as 0."""
     if P.is_identity:
         return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True)
     z = elliptic_log(P, L, inv).value

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,12 @@ from semiabel.errors import (
 from semiabel.lattice import make_lattice
 from semiabel.periods import CurveInvariants, EllipticPoint
 from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
-from semiabel.semiabelian import ExtensionParam, SemiAbelianPoint, exp_G
+from semiabel.semiabelian import (
+    ExtensionParam,
+    SemiAbelianPoint,
+    exp_G,
+    quasi_quasi_periods,
+)
 
 from conftest import VARPI
 
@@ -295,6 +301,49 @@ def test_q_r_torsion_with_root_of_unity_fiber():
     L = make_lattice(1, 1j)
     rep = motivic_galois_dims(_motive(L, L.omega1 / 2, None, 2j * math.pi / 3))
     assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == ("q-r-torsion", 0, 2)
+
+
+def _torsion_base_motive(L, j, k, N, fiber_frac=0.0, shift=0.0):
+    """R = exp_G(p, t) with torsion p = (j*omega1 + k*omega2)/N and t on
+    the torsion coset -(j*g1 + k*g2)/N + 2*pi*i*fiber_frac, moved off it
+    by a real shift."""
+    mu = _mu(L)
+    g1, g2 = quasi_quasi_periods(ExtensionParam.from_primal(mu, L), L)
+    t = -(j * g1 + k * g2) / N + 2j * math.pi * fiber_frac + shift
+    return _motive(L, mu, (j * L.omega1 + k * L.omega2) / N, t)
+
+
+@pytest.mark.parametrize("N", (3, 65, 67, 200))
+@pytest.mark.parametrize("cm", (True, False))
+def test_r_torsion_of_any_order_below_the_height_bound(cm, N):
+    """R = exp_G(omega1/N, -g1/N) is N-torsion; its torsion is decided by
+    relation searches, so only max_height bounds N."""
+    L = _sq() if cm else _noncm()
+    rep = motivic_galois_dims(_torsion_base_motive(L, 1, 0, N))
+    assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == ("r-torsion", 2, 4 if cm else 6)
+    off = motivic_galois_dims(_torsion_base_motive(L, 1, 0, N, shift=0.3))
+    assert (off.table_row, off.dim_UR, off.dim_Gal) == ("p-torsion", 3, 5 if cm else 7)
+
+
+def test_r_torsion_survey_on_and_off_the_torsion_coset():
+    """Seeded draws of P = (j*omega1 + k*omega2)/N with a fiber of order M
+    on the torsion coset, N*M <= max_height: on the coset the row is
+    r-torsion, moved off it by a real shift it is p-torsion."""
+    rng = random.Random(10)
+    for _ in range(60):
+        L = rng.choice((_sq, _hex, _noncm))()
+        N = rng.randrange(3, 101)
+        M = rng.randrange(1, DEFAULT_MAX_HEIGHT // N + 1)
+        j, k = 0, 0
+        # p off the lattice and off the 2-division points
+        while (2 * j) % N == 0 and (2 * k) % N == 0:
+            j, k = rng.randrange(N), rng.randrange(N)
+        frac = rng.randrange(M) / M
+        on = motivic_galois_dims(_torsion_base_motive(L, j, k, N, frac))
+        off = motivic_galois_dims(
+            _torsion_base_motive(L, j, k, N, frac, rng.uniform(0.2, 0.9))
+        )
+        assert (on.table_row, off.table_row) == ("r-torsion", "p-torsion"), (N, M, j, k)
 
 
 def test_classification_never_repeats_a_relation_search(monkeypatch):

@@ -8,15 +8,16 @@ import pytest
 
 import semiabel.cli as cli
 import semiabel.verify as verify
-from semiabel.classifier import motivic_galois_dims
+from semiabel.classifier import OneMotiveElliptic, motivic_galois_dims
 from semiabel.cli import JobConfig, _cplx, emit_json, main, parse_config, run_job
+from semiabel.elliptic import eisenstein_invariants
 from semiabel.errors import (
     ConflictingCurveSpec,
     InternalInconsistency,
     SchemaError,
 )
 from semiabel.lattice import make_lattice
-from semiabel.semiabelian import quasi_quasi_periods
+from semiabel.semiabelian import ExtensionParam, exp_G, quasi_quasi_periods
 
 from conftest import VARPI
 
@@ -67,7 +68,6 @@ def test_parse_config_defaults():
     assert cfg.task == "periods"
     assert cfg.tol == 1e-9
     assert cfg.max_height == 1000
-    assert cfg.n_max == 64
     assert cfg.seed == 0
     assert cfg.curve.g2 == 4.0
     # the resolved lattice is the lemniscatic one
@@ -89,7 +89,7 @@ def test_parse_config_lattice_form_and_overrides():
         "n_max": 10,
     }
     cfg = _cfg(doc, "periods")
-    assert (cfg.tol, cfg.seed, cfg.max_height, cfg.n_max) == (1e-6, 11, 50, 10)
+    assert (cfg.tol, cfg.seed, cfg.max_height) == (1e-6, 11, 50)
     # CLI flags beat the document
     cfg = _cfg(doc, "periods", seed=3, tol=1e-4)
     assert (cfg.tol, cfg.seed) == (1e-4, 3)
@@ -300,6 +300,25 @@ def test_main_schema_error_exit_1(tmp_path, capsys):
     path = _write(tmp_path, {"curve": {"g2": 4.0}})
     assert main(["periods", "--config", path]) == 1
     assert "/curve" in capsys.readouterr().err
+
+
+def test_main_periods_of_a_curve_with_small_invariants_exit_0(tmp_path, capsys):
+    # the square lattice scaled by 20: g2 = 4/20^4, a smooth curve
+    path = _write(tmp_path, {"curve": {"g2": 2.5e-5, "g3": 0.0}})
+    assert main(["periods", "--config", path]) == 0
+
+
+def test_main_classify_of_a_67_torsion_point_exit_0(tmp_path, capsys):
+    """R = exp_G(omega1/67, -g1/67) is torsion of order 67: a valid
+    input classified as r-torsion, not an identity failure."""
+    L = make_lattice(1.0, 1j)
+    q = ExtensionParam.from_primal(complex(0.2 * math.sqrt(5), 0.11 * math.sqrt(7)), L)
+    g1, _ = quasi_quasi_periods(q, L)
+    R = exp_G(L.omega1 / 67, -g1 / 67, q, L)
+    m = OneMotiveElliptic(eisenstein_invariants(L), L, (q,), (R,))
+    path = _write(tmp_path, _motive_config(m))
+    assert main(["classify", "--config", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["table_row"] == "r-torsion"
 
 
 def test_main_domain_error_exit_1(tmp_path, capsys):

@@ -65,6 +65,16 @@ def test_periods_round_trip(L):
 def test_singular_curve_rejected():
     with pytest.raises(SingularCurve):
         periods_from_invariants(CurveInvariants(3.0, 1.0))  # g2^3 = 27 g3^2
+    with pytest.raises(SingularCurve):
+        periods_from_invariants(CurveInvariants(0.0, 0.0))
+
+
+@pytest.mark.parametrize("lam", (20.0, 1e3))
+def test_periods_of_a_rescaled_square_lattice(lam):
+    """The singularity test is homogeneous in (g2, g3): small invariants
+    of a large lattice are not read as a zero discriminant."""
+    L = make_lattice(lam * VARPI, lam * VARPI * 1j)
+    assert _same_lattice(L, periods_from_invariants(eisenstein_invariants(L)))
 
 
 def test_defect_inside_a_root_ordering_propagates(monkeypatch):
