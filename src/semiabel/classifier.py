@@ -12,8 +12,9 @@ and assembles the dimension invariants
 together with the matched row of the eight-row classification table for
 n = s = 1 and the conjectural transcendence-degree lower bounds.  All
 dimension outputs from floating-point inputs are heuristic: every
-detected linear relation ships as a re-verified certificate, and each
-report carries a confidence flag.
+detected linear relation ships as a certificate, with its residual and
+the height cap it was searched under, and each report carries a
+confidence flag.
 """
 
 import math
@@ -239,10 +240,16 @@ def detect_cm(L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, cm_override=Non
 
 
 def _in_rational_span(v, basis, max_height, tol):
-    """(in_span, certificate) for v in Q-span(basis)."""
-    if abs(v) < tol:
+    """(in_span, certificate) for v in Q-span(basis).
+
+    The search runs on v and the basis divided by the largest basis
+    modulus, so the decision does not depend on the scale of the input
+    and the certificate residual is in units of that modulus.
+    """
+    scale = max(abs(b) for b in basis)
+    if abs(v) < tol * scale:
         return True, None
-    cert = detect_integer_relation([v] + list(basis), max_height, tol)
+    cert = detect_integer_relation([x / scale for x in [v, *basis]], max_height, tol)
     if cert is not None and cert.coefficients[0] != 0:
         return True, cert
     return False, None
@@ -357,13 +364,32 @@ class _MotiveAnalysis:
         return not inside
 
     @cached_property
+    def reduced_third_kind_values(self):
+        """The third-kind values, each t of a torsion point p = a1*omega1 +
+        a2*omega2 moved to t + a1*g1 + a2*g2.  The move is rational in the
+        quasi-quasi-periods, so the Q-span modulo them is unchanged, and
+        R's torsion relation with 2*pi*i drops from height N*M to M."""
+        values = iter(self.third_kind_values)
+        out = []
+        for p in self.point_logs:
+            # c0*p + c1*omega1 + c2*omega2 = 0; a non-torsion p, or one
+            # short-circuited on |p| < tol, has no certificate and moves nothing
+            cert = self.in_span(p, (self.L.omega1, self.L.omega2))[1]
+            c0, c1, c2 = cert.coefficients if cert is not None else (1, 0, 0)
+            out += [
+                next(values) - c1 / c0 * g1 - c2 / c0 * g2
+                for g1, g2 in self.third_kind_periods
+            ]
+        return out
+
+    @cached_property
     def dim_Z1(self):
         m = self.motive
         if m.s == 0:
             return 0
         # read before the bracket test: a pole or a zero fiber is reported
         # ahead of a CM override that disagrees with the detection
-        periods, values = self.third_kind_periods, self.third_kind_values
+        periods, values = self.third_kind_periods, self.reduced_third_kind_values
         # n = s = 1: the bracket torus Z'(1) is one-dimensional, forcing
         # dim Z(1) = 1, unless dim B = 0, or B is one-sided (P or Q
         # torsion), or the dependence coefficient is purely imaginary;
@@ -383,18 +409,11 @@ class _MotiveAnalysis:
         m = self.motive
         if m.n != 1 or m.s != 1:
             raise NotApplicable("the classification table covers n = s = 1 only")
-        (t,) = self.third_kind_values
         (mu,), (p,) = self.param_logs, self.point_logs
-        p_tor, cert = self.in_span(p, (self.L.omega1, self.L.omega2))
+        p_tor = self.is_torsion_log(p)
         q_tor = self.is_torsion_log(mu)
-        r_tor = False
-        if p_tor:
-            # p = a1*omega1 + a2*omega2 with a_j = -c_j/c0, and R is torsion
-            # exactly when t + a1*g1 + a2*g2 lies in Q*2*pi*i; the divided
-            # form keeps c0 out of the height of the 2*pi*i coefficient
-            c0, c1, c2 = cert.coefficients if cert is not None else (1, 0, 0)
-            g1, g2 = self.third_kind_periods[0]
-            r_tor = self.in_span(t - c1 / c0 * g1 - c2 / c0 * g2, (TWO_PI_I,))[0]
+        (t,) = self.reduced_third_kind_values
+        r_tor = p_tor and self.in_span(t, (TWO_PI_I,))[0]
         if q_tor and r_tor:
             return "q-r-torsion"
         if p_tor and q_tor:

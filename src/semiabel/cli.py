@@ -151,14 +151,13 @@ def _parse_extension_param(node, path, L, inv):
     """Extension parameter: a point {x, y} of the dual curve (identified
     with the curve via the polarization), a primal-frame logarithm
     {log: ...}, or a dual-frame logarithm {log_dual: ...}."""
+    _expect(node != "O", path, "the identity cannot parametrize an extension")
     _expect(isinstance(node, dict), path, "expected {x, y}, {log} or {log_dual}")
     if "log_dual" in node:
         return ExtensionParam(_parse_complex(node["log_dual"], f"{path}/log_dual"))
     if "log" in node:
         return ExtensionParam.from_primal(_parse_complex(node["log"], f"{path}/log"), L)
-    point = _parse_point(node, path)
-    _expect(not point.is_identity, path, "the identity cannot parametrize an extension")
-    z = elliptic_log(point, L, inv).value
+    z = elliptic_log(_parse_point(node, path), L, inv).value
     return ExtensionParam.from_primal(z, L)
 
 

@@ -3,8 +3,13 @@
 Rows of the search lattice are [e_i | round(S * Re(v_i)) | round(S * Im(v_i))]
 with a scale S chosen from the tolerance; after exact integer LLL
 reduction, short vectors whose embedded column is small yield candidate
-relations, which are re-verified by direct summation and re-detected at a
-sharper tolerance before being certified.
+relations, each checked by direct summation against the tolerance.
+
+Each question is one reduction under a height cap.  In double precision
+a search over k values of size about 1 finds spurious relations once
+(2H)^k * (tol/H)^2 >~ 1 (Ferguson, Bailey and Arno, Math. Comp. 68,
+1999), so the height is capped where that count stays below
+SPURIOUS_BUDGET.
 """
 
 import cmath
@@ -13,6 +18,8 @@ from dataclasses import dataclass
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_HEIGHT = 1000
 MAX_VALUES = 12
+# expected number of spurious relations a search may admit
+SPURIOUS_BUDGET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -20,7 +27,7 @@ class RelationCertificate:
     coefficients: tuple
     residual: float
     height: int
-    verified_at_higher_precision: bool
+    height_cap: int
 
 
 def _round_half_even(num, den):
@@ -86,6 +93,15 @@ def lll_reduce(basis):
     return basis
 
 
+def height_cap(k, max_height, tol):
+    """The largest H <= max_height with (2H)^k * (tol/H)^2 <= SPURIOUS_BUDGET,
+    and at least 1; for k <= 2 the count does not grow with H."""
+    if k <= 2:
+        return max_height
+    h = int((SPURIOUS_BUDGET / (2**k * tol * tol)) ** (1 / (k - 2)))
+    return max(1, min(max_height, h))
+
+
 def _search(values, max_height, tol):
     k = len(values)
     scale = 1000.0 / tol
@@ -114,9 +130,10 @@ def _search(values, max_height, tol):
 def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """Integer relation sum(c_i v_i) ~ 0, or None.
 
-    Any candidate is re-verified by direct summation; a second detection
-    at tol/100 either confirms the same relation (certificate flag set)
-    or the certificate ships unconfirmed.
+    One lattice reduction, whose candidates count only up to the height
+    cap `height_cap(len(values), max_height, tol)` and only when their
+    direct sum is below tol; the lowest such (height, residual) wins.
+    The certificate records the cap it was searched under.
     """
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:
@@ -125,12 +142,9 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
         raise ValueError("values must be finite")
     if not values:
         return None
-    found = _search(values, max_height, tol)
+    cap = height_cap(len(values), max_height, tol)
+    found = _search(values, cap, tol)
     if found is None:
         return None
     coeffs, height, resid = found
-    refined = _search(values, max_height, tol / 100.0)
-    confirmed = refined is not None and (
-        list(refined[0]) == list(coeffs) or list(refined[0]) == [-c for c in coeffs]
-    )
-    return RelationCertificate(tuple(coeffs), resid, height, confirmed)
+    return RelationCertificate(tuple(coeffs), resid, height, cap)

@@ -19,13 +19,13 @@ from semiabel.classifier import (
     is_torsion,
     motivic_galois_dims,
 )
-from semiabel.elliptic import eisenstein_invariants
+from semiabel.elliptic import eisenstein_invariants, weierstrass
 from semiabel.errors import (
     InconsistentOverride,
     InternalInconsistency,
     NotApplicable,
 )
-from semiabel.lattice import make_lattice
+from semiabel.lattice import make_lattice, real_coordinates
 from semiabel.periods import CurveInvariants, EllipticPoint
 from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
 from semiabel.semiabelian import (
@@ -284,9 +284,11 @@ def test_table_reproduction(cm):
         assert rep.dim_B == rep.dim_B_vstar + rep.dim_B_Q
 
 
-@pytest.mark.parametrize("lam", (1e-3, 1e-2, 0.37, 7.0, 1e2, 1e4, 1e6))
+@pytest.mark.parametrize("lam", sorted({10.0**e for e in range(-8, 9)} | {0.37, 7.0}))
 def test_table_rows_invariant_under_scaling(lam):
-    """Lambda -> lam*Lambda keeps every row and its dimensions."""
+    """Lambda -> lam*Lambda keeps every row and its dimensions, at every
+    decade from 1e-8 to 1e8: each span question is asked relative to the
+    largest modulus of its basis."""
     for cm, (w1, w2) in ((True, (VARPI, VARPI * 1j)), (False, (1.0, _noncm().tau))):
         L = make_lattice(lam * w1, lam * w2)
         for row, mu, z, t in _cases(L, cm):
@@ -327,13 +329,13 @@ def test_r_torsion_of_any_order_below_the_height_bound(cm, N):
 
 def test_r_torsion_survey_on_and_off_the_torsion_coset():
     """Seeded draws of P = (j*omega1 + k*omega2)/N with a fiber of order M
-    on the torsion coset, N*M <= max_height: on the coset the row is
-    r-torsion, moved off it by a real shift it is p-torsion."""
+    on the torsion coset, N*M up to 10^4, past max_height: on the coset
+    the row is r-torsion, moved off it by a real shift it is p-torsion."""
     rng = random.Random(10)
     for _ in range(60):
         L = rng.choice((_sq, _hex, _noncm))()
         N = rng.randrange(3, 101)
-        M = rng.randrange(1, DEFAULT_MAX_HEIGHT // N + 1)
+        M = rng.randrange(1, 101)
         j, k = 0, 0
         # p off the lattice and off the 2-division points
         while (2 * j) % N == 0 and (2 * k) % N == 0:
@@ -344,6 +346,106 @@ def test_r_torsion_survey_on_and_off_the_torsion_coset():
             _torsion_base_motive(L, j, k, N, frac, rng.uniform(0.2, 0.9))
         )
         assert (on.table_row, off.table_row) == ("r-torsion", "p-torsion"), (N, M, j, k)
+
+
+@pytest.mark.parametrize("tau", (1j, complex(0.31, 1.23)), ids=("square", "non-cm"))
+def test_generic_two_point_two_parameter_motives_read_full_rank(tau):
+    """100 seeded generic n = s = 2 motives: logs uniform in the cell,
+    each fiber exp of a uniform draw.  Nothing is planted, so dim B =
+    dim Z(1) = 4.  The last questions search 9 values, where heights up
+    to 1000 admit spurious relations; the height cap keeps them out."""
+    L = make_lattice(1.0, tau)
+    inv = eisenstein_invariants(L)
+    rng = random.Random(2)
+
+    def cell():
+        return rng.random() * L.omega1 + rng.random() * L.omega2
+
+    counts = Counter()
+    for _ in range(100):
+        qs = (ExtensionParam.from_primal(cell(), L), ExtensionParam.from_primal(cell(), L))
+        points = []
+        for _ in range(2):
+            wp, dwp, _ = weierstrass(cell(), L)
+            fiber = cmath.exp(complex(rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)))
+            points.append(SemiAbelianPoint(EllipticPoint(wp, dwp), fiber))
+        rep = motivic_galois_dims(OneMotiveElliptic(inv, L, qs, tuple(points)))
+        counts[rep.dim_B, rep.dim_Z1] += 1
+    assert counts == {(4, 4): 100}
+
+
+def _table_instances_at_30_digits():
+    """The defining numbers of `verify._table_instances()` at 30 digits,
+    in its order: (cm, row, omega1, omega2, mu, z), z None for O."""
+    from mpmath import e, gamma, mpc, mpf, pi, sqrt
+
+    varpi = gamma(mpf(1) / 4) ** 2 / (2 * sqrt(2 * pi))
+    out = []
+    for cm, (w1, w2) in (
+        (True, (mpc(varpi), mpc(0, varpi))),
+        (False, (mpc(1), mpc(mpf("0.3") * sqrt(2), mpf("0.5") * e))),
+    ):
+        p = mpc(mpf("0.1") * pi, mpf("0.07") * sqrt(3)) * abs(w1)
+        mu = mpc(mpf("0.2") * sqrt(5), mpf("0.11") * sqrt(7)) * abs(w1)
+        cases = [
+            ("q-r-torsion", w1 / 2, None),
+            ("p-q-torsion", w1 / 2, None),
+            ("r-torsion", mu, None),
+            ("q-torsion", w1 / 2, p),
+            ("p-torsion", mu, w1 / 2),
+            ("dependent-not-deficient", 2 * p, p),
+            ("independent", mu, p),
+        ]
+        if cm:
+            cases.append(("dependent-deficient", 1j * p, p))
+        out += [(cm, row, w1, w2, mu_i, z) for row, mu_i, z in cases]
+    return out
+
+
+def test_table_certificates_hold_at_30_digits():
+    """Each dim B certificate of the 15 table instances, a relation found
+    in double precision, is a true relation: rebuilt from the defining
+    numbers at 30 digits, its combination is below 1e-25."""
+    import semiabel.verify as verify
+    from mpmath import mpc, sqrt, workdps
+
+    checked = 0
+    with workdps(30):
+        for (m, row, *_), (cm, row_hp, w1, w2, mu, z) in zip(
+            verify._table_instances(), _table_instances_at_30_digits(), strict=True
+        ):
+            assert row == row_hp
+            L = m.lattice
+            assert abs(complex(w1) - L.omega1) + abs(complex(w2) - L.omega2) < 1e-15
+
+            def translate(x_hp, x):
+                """x_hp moved to the lattice translate of the double x."""
+                n1, n2 = real_coordinates(x - complex(x_hp), L)
+                x_hp = x_hp + round(n1) * w1 + round(n2) * w2
+                assert abs(complex(x_hp) - x) < 1e-12
+                return x_hp
+
+            a = classifier._MotiveAnalysis(m, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+            disc, delta = a.cm
+            assert (disc is not None) is cm
+            # delta = 2*a*tau + b is the square root of disc in the upper half plane
+            delta_hp = mpc(0, sqrt(-disc)) if cm else None
+            mu_hp = translate(mu, a.param_logs[0])
+            p_hp = translate(mpc(0) if z is None else z, a.point_logs[0])
+            gens, gens_hp = [L.omega1, L.omega2], [w1, w2]
+            certs = 0
+            for v, v_hp in zip(a.param_logs + a.point_logs, (mu_hp, p_hp)):
+                inside, cert = a.in_span(v, gens)
+                if cert is not None:
+                    combo = sum(c * x for c, x in zip(cert.coefficients, [v_hp, *gens_hp]))
+                    assert abs(combo) < 1e-25, (row, cm, cert)
+                    certs += 1
+                if not inside:
+                    gens += [v] if delta is None else [v, delta * v]
+                    gens_hp += [v_hp] if delta is None else [v_hp, delta_hp * v_hp]
+            assert certs == len(a.dim_B[3])
+            checked += certs
+    assert checked == 11
 
 
 def test_classification_never_repeats_a_relation_search(monkeypatch):

@@ -321,6 +321,24 @@ def test_main_classify_of_a_67_torsion_point_exit_0(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["table_row"] == "r-torsion"
 
 
+@pytest.mark.parametrize("N,M", ((67, 15), (31, 33), (101, 10)))
+def test_main_classify_of_r_torsion_of_order_above_max_height_exit_0(
+    tmp_path, capsys, N, M
+):
+    """R = exp_G(omega1/N, -g1/N + 2*pi*i/M) is torsion of order N*M >
+    max_height: dim Z(1) reads R's fiber after the move along P's torsion
+    certificate, where its relation with 2*pi*i has height M."""
+    L = make_lattice(1.0, 1j)
+    q = ExtensionParam.from_primal(complex(0.2 * math.sqrt(5), 0.11 * math.sqrt(7)), L)
+    g1, _ = quasi_quasi_periods(q, L)
+    R = exp_G(L.omega1 / N, -g1 / N + 2j * math.pi / M, q, L)
+    m = OneMotiveElliptic(eisenstein_invariants(L), L, (q,), (R,))
+    path = _write(tmp_path, _motive_config(m))
+    assert main(["classify", "--config", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["table_row"], doc["dim_Z1"], doc["dim_UR"]) == ("r-torsion", 0, 2)
+
+
 def test_main_domain_error_exit_1(tmp_path, capsys):
     # evaluating at a pole is an input error, not an identity failure
     path = _write(tmp_path, {**SQ, "z": 0.0})
@@ -382,6 +400,14 @@ def test_main_nonfinite_input_exit_1(tmp_path, capsys, task, doc, bad):
     assert main([task, "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_main_logg_with_the_identity_as_extension_parameter_exit_1(tmp_path, capsys):
+    """"q": "O" names the identity, which parametrizes no extension."""
+    path = _write(tmp_path, {**SQ, "q": "O", "point": {"base": "O", "fiber": 1.0}})
+    assert main(["logg", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: /q: the identity cannot parametrize an extension\n"
 
 
 def test_eval_sums_two_theta_series_per_point(monkeypatch):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semiabel.relations import DEFAULT_TOL, detect_integer_relation, lll_reduce
+from semiabel.relations import (
+    DEFAULT_MAX_HEIGHT,
+    DEFAULT_TOL,
+    SPURIOUS_BUDGET,
+    detect_integer_relation,
+    height_cap,
+    lll_reduce,
+)
 
 
 def test_trivial_relations():
@@ -68,8 +75,34 @@ def test_certificate_reverification_fields():
     cert = detect_integer_relation([1.0, 0.5, 0.25])
     assert cert is not None
     assert cert.residual < 1e-9
-    assert cert.height <= 1000
-    assert cert.verified_at_higher_precision  # exact relation re-detects
+    assert cert.height <= cert.height_cap == 1000  # three values: no budget cut
+
+
+def test_height_cap_is_the_largest_height_within_the_spurious_budget():
+    """(2H)^k * (tol/H)^2 <= SPURIOUS_BUDGET at the cap and not above it."""
+    caps = [height_cap(k, DEFAULT_MAX_HEIGHT, DEFAULT_TOL) for k in range(1, 10)]
+    assert caps == [1000] * 5 + [353, 95, 39, 21]
+    assert height_cap(7, 50, DEFAULT_TOL) == 50
+
+    def expected_spurious(k, h):
+        return (2 * h) ** k * (DEFAULT_TOL / h) ** 2
+
+    for k in range(5, 13):
+        h = height_cap(k, 10**9, DEFAULT_TOL)
+        assert expected_spurious(k, h) <= SPURIOUS_BUDGET < expected_spurious(k, h + 1)
+
+
+def test_relation_above_the_height_cap_is_not_reported():
+    """A planted relation of height 200 among five values is found; with
+    two more values the cap falls to 95, and the one search reports
+    nothing rather than a relation it cannot tell from a spurious one."""
+    rng = np.random.default_rng(7)
+    vals = [complex(rng.normal(), rng.normal()) for _ in range(6)]
+    coeffs = (-3, 5, 17, -1, 200)
+    vals.insert(4, -sum(c * v for c, v in zip(coeffs[:4], vals)) / 200)
+    cert = detect_integer_relation(vals[:5])
+    assert cert is not None and cert.coefficients in (coeffs, tuple(-c for c in coeffs))
+    assert detect_integer_relation(vals) is None
 
 
 def test_input_validation():
