@@ -2,7 +2,11 @@
 Eisenstein weight-4/6 series, plus Carlson's symmetric integral RF.
 
 All kernels are scalar complex routines in pure Python; each raises
-ConvergenceFailure when its series or iteration does not converge.
+ConvergenceFailure when its series or iteration does not converge.  The
+theta series takes its per-term weights from theta1_weights, which
+depend on tau alone: a caller builds them once per lattice (elliptic
+keeps them on the Lattice) and each evaluation then costs one sin and
+one cos per term.
 """
 
 import cmath
@@ -16,36 +20,56 @@ MAX_TERMS = 10_000
 _REL_EPS = 1e-16
 
 
-def theta1_bundle(v, tau):
+def theta1_weights(tau):
+    """Per-term weights of the theta1 series on Z + Z*tau, built once per tau.
+
+    Term n is (a, c, c*a, c*a*a, c*a*a*a, |c|) with a = (2n+1) pi and
+    c = 2 (-1)^n q^{(n+1/2)^2}, q = exp(i pi tau); the products associate
+    left, as theta1_bundle's sums use them.  The list runs to the first
+    n >= 2 whose c underflows to 0, where every argument's series stops,
+    or to MAX_TERMS.
+    """
+    ipitau = 1j * cmath.pi * tau
+    weights = []
+    for n in range(MAX_TERMS):
+        coeff = 2.0 * cmath.exp(ipitau * (n + 0.5) ** 2)
+        if n % 2 == 1:
+            coeff = -coeff
+        a = (2 * n + 1) * cmath.pi
+        ca = coeff * a
+        weights.append((a, coeff, ca, ca * a, ca * a * a, abs(coeff)))
+        if coeff == 0 and n >= 2:
+            break
+    return tuple(weights)
+
+
+def theta1_bundle(v, weights):
     """theta1 and its first three v-derivatives at argument v, lattice Z+Z*tau.
 
     theta1(v) = 2 * sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi v),
-    q = exp(i pi tau).  Derivatives are taken with respect to v.
-    Returns (t0, t1, t2, t3).
+    q = exp(i pi tau), summed with the weights theta1_weights(tau) until
+    the next term is below round-off.  Derivatives are taken with respect
+    to v.  Returns (t0, t1, t2, t3).
     """
-    ipitau = 1j * cmath.pi * tau
     t0 = 0j
     t1 = 0j
     t2 = 0j
     t3 = 0j
     scale = 0.0
-    for n in range(MAX_TERMS):
-        m = 2 * n + 1
-        coeff = 2.0 * cmath.exp(ipitau * (n + 0.5) ** 2)
-        if n % 2 == 1:
-            coeff = -coeff
-        a = m * cmath.pi
+    for n, (a, coeff, ca, caa, caaa, abs_coeff) in enumerate(weights):
         s = cmath.sin(a * v)
         c = cmath.cos(a * v)
         t0 += coeff * s
-        t1 += coeff * a * c
-        t2 -= coeff * a * a * s
-        t3 -= coeff * a * a * a * c
-        mag = abs(coeff) * (abs(s) + abs(c) + 1e-300) * a * a * a
+        t1 += ca * c
+        t2 -= caa * s
+        t3 -= caaa * c
+        mag = abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a
         scale = max(scale, abs(t3) + 1e-300)
         if mag < _REL_EPS * scale and n >= 2:
             return t0, t1, t2, t3
-    raise ConvergenceFailure(f"theta series did not converge at v={v}, tau={tau}")
+    raise ConvergenceFailure(
+        f"theta series did not converge at v={v} in {len(weights)} terms"
+    )
 
 
 def eisenstein_e4_e6(tau):

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._kernels import eisenstein_e4_e6, theta1_bundle
+from ._kernels import eisenstein_e4_e6, theta1_bundle, theta1_weights
 from .errors import PoleAtLatticePoint
 from .lattice import (
     Lattice,
@@ -41,25 +41,33 @@ class QuasiPeriods:
 
 
 def _reduced(L):
-    """(w1, w2, tau, eta1, eta2, theta1'(0)) for a reduced basis of L."""
+    """(Lr, tau, weights, eta1, eta2, theta1'(0)) for a reduced basis
+    (w1, w2) of L, computed once per Lattice object: Lr = Lattice(w1, w2),
+    tau = w2/w1, weights = theta1_weights(tau), and the quasi-periods of
+    the reduced basis."""
     if "elliptic" not in L._cache:
         w1, w2, _ = L.reduced_basis()
         tau = w2 / w1
-        _, d1, _, d3 = theta1_bundle(0j, tau)
+        weights = theta1_weights(tau)
+        _, d1, _, d3 = theta1_bundle(0j, weights)
         eta1r = -d3 / (3.0 * d1 * w1)
         eta2r = (eta1r * w2 - TWO_PI_I) / w1
-        L._cache["elliptic"] = (w1, w2, tau, eta1r, eta2r, d1)
+        L._cache["elliptic"] = (Lattice(w1, w2), tau, weights, eta1r, eta2r, d1)
     return L._cache["elliptic"]
 
 
 def eisenstein_invariants(L):
-    """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series."""
-    w1, _, tau, _, _, _ = _reduced(L)
-    e4, e6 = eisenstein_e4_e6(tau)
-    pi = math.pi
-    g2 = (4.0 * pi**4 / 3.0) * e4 / w1**4
-    g3 = (8.0 * pi**6 / 27.0) * e6 / w1**6
-    return CurveInvariants(g2, g3)
+    """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series;
+    computed once per Lattice object."""
+    if "invariants" not in L._cache:
+        Lr, tau, _, _, _, _ = _reduced(L)
+        w1 = Lr.omega1
+        e4, e6 = eisenstein_e4_e6(tau)
+        pi = math.pi
+        g2 = (4.0 * pi**4 / 3.0) * e4 / w1**4
+        g3 = (8.0 * pi**6 / 27.0) * e6 / w1**6
+        L._cache["invariants"] = CurveInvariants(g2, g3)
+    return L._cache["invariants"]
 
 
 def _psi(m, n):
@@ -69,9 +77,10 @@ def _psi(m, n):
 def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z.  Not
     in weierstrass(): it overflows at far translates where wp is finite."""
-    w1, w2, tau, eta1r, eta2r, d1_0 = _reduced(L)
-    z0, m, n = reduce_centered(z, Lattice(w1, w2))
-    t0, _, _, _ = theta1_bundle(z0 / w1, tau)
+    Lr, _, weights, eta1r, eta2r, d1_0 = _reduced(L)
+    w1, w2 = Lr.omega1, Lr.omega2
+    z0, m, n = reduce_centered(z, Lr)
+    t0, _, _, _ = theta1_bundle(z0 / w1, weights)
     s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
     if m == 0 and n == 0:
         return s0
@@ -84,11 +93,12 @@ def weierstrass(z, L):
     """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
     zeta is the principal value at the original z.  Raises
     PoleAtLatticePoint within the pole guard of Lambda."""
-    w1, w2, tau, eta1r, eta2r, _ = _reduced(L)
-    z0, m, n = reduce_centered(z, Lattice(w1, w2))
+    Lr, _, weights, eta1r, eta2r, _ = _reduced(L)
+    w1 = Lr.omega1
+    z0, m, n = reduce_centered(z, Lr)
     if in_pole_guard(z0, L):
         raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
-    t0, d1, d2, d3 = theta1_bundle(z0 / w1, tau)
+    t0, d1, d2, d3 = theta1_bundle(z0 / w1, weights)
     g = d1 / t0
     gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
     p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
@@ -112,13 +122,17 @@ def wp_prime(z, L):
 
 
 def quasi_periods(L):
-    """(eta1, eta2) = 2*zeta(omega_i/2) for the lattice's own basis."""
-    w1, w2, tau, eta1r, eta2r, _ = _reduced(L)
-    # user basis in reduced-basis integer coordinates
-    Lr = Lattice(w1, w2)
-    m1, n1 = lattice_coords(L.omega1, Lr)
-    m2, n2 = lattice_coords(L.omega2, Lr)
-    return QuasiPeriods(m1 * eta1r + n1 * eta2r, m2 * eta1r + n2 * eta2r)
+    """(eta1, eta2) = 2*zeta(omega_i/2) for the lattice's own basis;
+    computed once per Lattice object."""
+    if "quasi_periods" not in L._cache:
+        Lr, _, _, eta1r, eta2r, _ = _reduced(L)
+        # user basis in reduced-basis integer coordinates
+        m1, n1 = lattice_coords(L.omega1, Lr)
+        m2, n2 = lattice_coords(L.omega2, Lr)
+        L._cache["quasi_periods"] = QuasiPeriods(
+            m1 * eta1r + n1 * eta2r, m2 * eta1r + n2 * eta2r
+        )
+    return L._cache["quasi_periods"]
 
 
 def eta_linear(z, L):

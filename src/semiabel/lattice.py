@@ -89,12 +89,24 @@ def make_lattice(w1, w2):
     return Lattice(w1, w2)
 
 
+def _basis_determinant(L):
+    """w1.real*w2.imag - w2.real*w1.imag of L's basis, or None when the
+    basis is numerically collinear; computed once per Lattice object."""
+    if "det" not in L._cache:
+        w1, w2 = L.omega1, L.omega2
+        det = w1.real * w2.imag - w2.real * w1.imag
+        if abs(det) <= DEGENERACY_TOL * (abs(w1) * abs(w2)):
+            det = None
+        L._cache["det"] = det
+    return L._cache["det"]
+
+
 def real_coordinates(z, L):
     """(alpha1, alpha2) with z = alpha1*omega1 + alpha2*omega2, exact 2x2 solve."""
     z = complex(z)
     w1, w2 = L.omega1, L.omega2
-    det = w1.real * w2.imag - w2.real * w1.imag
-    if abs(det) <= DEGENERACY_TOL * (abs(w1) * abs(w2)):
+    det = _basis_determinant(L)
+    if det is None:
         raise DegenerateLattice("basis numerically collinear")
     a1 = (z.real * w2.imag - w2.real * z.imag) / det
     a2 = (w1.real * z.imag - z.real * w1.imag) / det

@@ -75,7 +75,7 @@ def check_on_curve(P, inv, tol=CURVE_TOL):
 def _cubic_roots(g2, g3):
     # roots of 4t^3 - g2 t - g3
     r = np.roots([4.0, 0.0, -complex(g2), -complex(g3)])
-    return [complex(v) for v in r]
+    return tuple(complex(v) for v in r)
 
 
 def periods_from_invariants(c):
@@ -112,15 +112,30 @@ def _principal(z, L):
     return z0
 
 
+def _log_roots(L, inv):
+    """The roots of 4t^3 - g2 t - g3 in _cubic_roots order, kept on L for
+    the last invariants object passed with it (by identity, so that
+    signed zeros and NaN never match a different curve)."""
+    kept = L._cache.get("roots")
+    if kept is None or kept[0] is not inv:
+        kept = L._cache["roots"] = (inv, _cubic_roots(inv.g2, inv.g3))
+    return kept[1]
+
+
 def elliptic_log(P, L, inv=None):
     """Principal elliptic logarithm: z in the fundamental domain with
-    wp(z) = x, wp'(z) = y."""
+    wp(z) = x, wp'(z) = y.
+
+    The branch points e_j are the roots of the cubic of inv (by default
+    the lattice's own invariants), found once per (lattice, invariants
+    object) and kept in their root-finder order: carlson_rf is symmetric
+    only up to rounding."""
     if inv is None:
         inv = eisenstein_invariants(L)
     if P.is_identity:
         return BranchedValue(0j)
     check_on_curve(P, inv)
-    e1, e2, e3 = _cubic_roots(inv.g2, inv.g3)
+    e1, e2, e3 = _log_roots(L, inv)
     z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
     # RF determines z up to sign and lattice; pick the sign matching y, using
     # wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd, cos even)

@@ -19,6 +19,7 @@ from semiabel.classifier import (
     is_torsion,
     motivic_galois_dims,
 )
+from semiabel import verify
 from semiabel.elliptic import eisenstein_invariants, weierstrass
 from semiabel.errors import (
     InconsistentOverride,
@@ -295,6 +296,73 @@ def test_table_rows_invariant_under_scaling(lam):
             rep = motivic_galois_dims(_motive(L, mu, z, t))
             want = (row, _EXPECTED[row], _EXPECTED[row] + (2 if cm else 4), cm)
             assert (rep.table_row, rep.dim_UR, rep.dim_Gal, rep.cm) == want
+
+
+def _rebased(m, a, b, c, d):
+    """The motive on the basis (a*omega1 + b*omega2, c*omega1 + d*omega2)
+    of its lattice, each extension parameter keeping its primal log."""
+    L = m.lattice
+    L2 = make_lattice(a * L.omega1 + b * L.omega2, c * L.omega1 + d * L.omega2)
+    qs = [ExtensionParam.from_primal(q.primal(L), L2) for q in m.extension_params]
+    return OneMotiveElliptic(m.curve, L2, qs, m.points)
+
+
+def _conjugated(m):
+    """The complex conjugate of the whole motive: curve, lattice,
+    extension parameters and marked points."""
+    L = m.lattice
+    L2 = make_lattice(L.omega1.conjugate(), L.omega2.conjugate())
+    qs = [
+        ExtensionParam.from_primal(q.primal(L).conjugate(), L2)
+        for q in m.extension_params
+    ]
+    points = [
+        SemiAbelianPoint(
+            R.base if R.base.is_identity
+            else EllipticPoint(R.base.x.conjugate(), R.base.y.conjugate()),
+            R.fiber.conjugate(),
+        )
+        for R in m.points
+    ]
+    curve = CurveInvariants(m.curve.g2.conjugate(), m.curve.g3.conjugate())
+    return OneMotiveElliptic(curve, L2, qs, points)
+
+
+_REBASINGS = ((1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, 0, 3, 1), (5, 2, 2, 1),
+              (3, -7, -2, 5))
+
+
+@pytest.mark.parametrize("matrix", _REBASINGS, ids=str)
+def test_table_rows_invariant_under_change_of_basis(matrix):
+    """An SL2(Z) change of basis of the lattice keeps every table row and
+    its dimensions; the new Lattice object computes its own constants."""
+    for m, row, ur, gal, cm in verify._table_instances():
+        rep = motivic_galois_dims(_rebased(m, *matrix))
+        assert (rep.table_row, rep.dim_UR, rep.dim_Gal, rep.cm) == (row, ur, gal, cm), row
+
+
+def test_table_rows_invariant_under_complex_conjugation():
+    for m, row, ur, gal, cm in verify._table_instances():
+        rep = motivic_galois_dims(_conjugated(m))
+        assert (rep.table_row, rep.dim_UR, rep.dim_Gal, rep.cm) == (row, ur, gal, cm), row
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="serre_fq evaluates sigma at a far translate without reducing z "
+    "modulo Lambda first (CHANGES.md FOUND, ROADMAP item 8)",
+)
+def test_non_cm_table_rows_on_a_long_thin_basis():
+    """In the long, thin cell of the bases (13, 8; 8, 5) and (21, 13; 13, 8)
+    the principal log of the point is a far translate of the one on the
+    reduced basis, and the q-torsion, dependent-not-deficient and
+    independent rows overflow."""
+    for matrix in ((13, 8, 8, 5), (21, 13, 13, 8)):
+        for m, row, ur, gal, cm in verify._table_instances():
+            if not cm:
+                rep = motivic_galois_dims(_rebased(m, *matrix))
+                assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == (row, ur, gal), row
 
 
 def test_q_r_torsion_with_root_of_unity_fiber():

@@ -417,9 +417,9 @@ def test_eval_sums_two_theta_series_per_point(monkeypatch):
     cfg = _cfg({**SQ, "z": {"re": 0.9, "im": 0.4}}, "eval")
     theta, calls = elliptic.theta1_bundle, []
 
-    def counted(v, tau):
+    def counted(v, weights):
         calls.append(v)
-        return theta(v, tau)
+        return theta(v, weights)
 
     monkeypatch.setattr(elliptic, "theta1_bundle", counted)
     run_job(cfg)

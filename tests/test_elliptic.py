@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle
+from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle, theta1_weights
 from semiabel.elliptic import (
     eisenstein_invariants,
     eta_linear,
@@ -47,10 +47,82 @@ def test_theta1_bundle_matches_mpmath():
     for tau in (1j, 0.1 + 1.3j, -0.4 + 0.9j):
         q = mpmath.exp(1j * mpmath.pi * tau)
         for v in (0.0, 0.23 + 0.11j, -0.4 + 0.37j):
-            t0, t1, t2, t3 = theta1_bundle(complex(v), complex(tau))
+            t0, t1, t2, t3 = theta1_bundle(complex(v), theta1_weights(complex(tau)))
             for k, ours in enumerate((t0, t1, t2, t3)):
                 ref = mpmath.pi**k * mpmath.jtheta(1, mpmath.pi * v, q, derivative=k)
                 assert abs(ours - complex(ref)) < 1e-11 * (1 + abs(complex(ref)))
+
+
+def _theta1_per_term(v, tau):
+    """The theta1 bundle with each weight formed inside the loop, as the
+    series reads: the reference for the weights built once per tau."""
+    ipitau = 1j * cmath.pi * tau
+    t0 = t1 = t2 = t3 = 0j
+    scale = 0.0
+    for n in range(10_000):
+        coeff = 2.0 * cmath.exp(ipitau * (n + 0.5) ** 2)
+        if n % 2 == 1:
+            coeff = -coeff
+        a = (2 * n + 1) * cmath.pi
+        s, c = cmath.sin(a * v), cmath.cos(a * v)
+        t0 += coeff * s
+        t1 += coeff * a * c
+        t2 -= coeff * a * a * s
+        t3 -= coeff * a * a * a * c
+        mag = abs(coeff) * (abs(s) + abs(c) + 1e-300) * a * a * a
+        scale = max(scale, abs(t3) + 1e-300)
+        if mag < 1e-16 * scale and n >= 2:
+            return t0, t1, t2, t3
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_theta1_weights_cached_on_the_lattice_give_the_same_bits(L):
+    """The weights _reduced keeps on the lattice, after the lattice has
+    served other evaluations, give every theta value bit for bit as a
+    fresh build of the weights and as the per-term series."""
+    from semiabel.elliptic import _reduced
+
+    weierstrass(0.3 + 0.2j, L)
+    sigma_w(-0.7 + 0.4j, L)
+    Lr, tau, cached, _, _, _ = _reduced(L)
+    assert _reduced(L)[2] is cached
+    fresh = theta1_weights(tau)
+    assert cached == fresh
+    for v in (0j, 0.23 + 0.11j, -0.4 + 0.37j, 0.5 + 0.5 * tau, -0.5 - 0.5 * tau,
+              0.49 - 0.02j, 1e-9 + 0j):
+        got = theta1_bundle(v, cached)
+        assert got == theta1_bundle(v, fresh) == _theta1_per_term(v, tau)
+
+
+def test_lattice_constants_are_computed_once_per_lattice(monkeypatch):
+    """Invariants, theta weights and quasi-periods are kept on the Lattice
+    object: repeated calls, log_G included, compute E4/E6 and the weights
+    once; an equal but distinct Lattice object computes them afresh."""
+    import semiabel.elliptic as elliptic
+    from semiabel.semiabelian import ExtensionParam, exp_G, log_G
+
+    e4e6, weights, counts = elliptic.eisenstein_e4_e6, elliptic.theta1_weights, []
+
+    def counted_e4e6(tau):
+        counts.append("e4e6")
+        return e4e6(tau)
+
+    def counted_weights(tau):
+        counts.append("weights")
+        return weights(tau)
+
+    monkeypatch.setattr(elliptic, "eisenstein_e4_e6", counted_e4e6)
+    monkeypatch.setattr(elliptic, "theta1_weights", counted_weights)
+    for _ in range(2):
+        L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+        q = ExtensionParam.from_primal(0.31 + 0.47j, L)
+        inv = eisenstein_invariants(L)
+        for z in (0.3 + 0.2j, -0.55 + 0.8j, 1.9 - 0.4j):
+            assert eisenstein_invariants(L) is inv
+            assert quasi_periods(L) is quasi_periods(L)
+            log_G(exp_G(z, 0.5, q, L), q, L)
+    assert counts == ["weights", "e4e6"] * 2
 
 
 def test_eisenstein_series_match_theta_constants():
@@ -81,7 +153,7 @@ def test_carlson_rf_matches_mpmath():
 def test_theta1_bundle_raises_when_the_series_does_not_converge():
     # |nome| = exp(-1e-9 pi): far more terms than MAX_TERMS are needed
     with pytest.raises(ConvergenceFailure):
-        theta1_bundle(0.1 + 0j, 1e-9j)
+        theta1_bundle(0.1 + 0j, theta1_weights(1e-9j))
 
 
 def test_eisenstein_e4_e6_raises_when_the_nome_is_near_one():

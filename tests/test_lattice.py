@@ -10,6 +10,7 @@ from semiabel.errors import (
     NotALatticePoint,
 )
 from semiabel.lattice import (
+    Lattice,
     dual_lattice,
     dual_to_primal,
     duality_product,
@@ -39,6 +40,15 @@ def test_degenerate_lattice_rejected():
         make_lattice(1.0, 2.0)
     with pytest.raises(DegenerateLattice):
         make_lattice(1.0 + 1j, 2.0 + 2j)
+
+
+def test_real_coordinates_of_a_degenerate_basis_raise_on_every_call():
+    """The determinant is kept on the lattice, and so is the verdict that
+    the basis is collinear: each call raises again."""
+    L = Lattice(1.0 + 1j, 2.0 + 2j)
+    for _ in range(3):
+        with pytest.raises(DegenerateLattice):
+            real_coordinates(0.5 + 0.1j, L)
 
 
 def test_reduced_basis_fundamental_domain():

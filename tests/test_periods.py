@@ -110,6 +110,33 @@ def test_elliptic_log_round_trip(L):
         assert abs(resid) < 1e-8 * abs(L.omega1)
 
 
+def test_cubic_roots_found_once_per_lattice_and_invariants(monkeypatch):
+    """elliptic_log keeps the branch points on the lattice for the
+    invariants object it was given: repeated calls find them once, and a
+    second invariants object of the same curve finds them again."""
+    import semiabel.periods as periods
+
+    roots, calls = periods._cubic_roots, []
+
+    def counted(g2, g3):
+        calls.append((g2, g3))
+        return roots(g2, g3)
+
+    monkeypatch.setattr(periods, "_cubic_roots", counted)
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    inv = eisenstein_invariants(L)
+    points = [
+        EllipticPoint(wp(z, L), wp_prime(z, L)) for z in (0.3 + 0.2j, -0.5 + 0.9j)
+    ]
+    logs = [elliptic_log(P, L).value for P in points * 3]
+    assert len(calls) == 1
+    assert [elliptic_log(P, L, inv).value for P in points] == logs[:2]
+    assert len(calls) == 1
+    own = CurveInvariants(inv.g2, inv.g3)
+    assert [elliptic_log(P, L, own).value for P in points * 2] == logs[:4]
+    assert len(calls) == 2
+
+
 def test_elliptic_log_identity_and_two_torsion():
     L = make_lattice(VARPI, VARPI * 1j)
     inv = eisenstein_invariants(L)
