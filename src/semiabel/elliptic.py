@@ -74,13 +74,19 @@ def _psi(m, n):
     return 1.0 if (m % 2 == 0 and n % 2 == 0) else -1.0
 
 
-def sigma_w(z, L):
-    """Weierstrass sigma; entire, principal value at the original z.  Not
-    in weierstrass(): it overflows at far translates where wp is finite."""
-    Lr, _, weights, eta1r, eta2r, d1_0 = _reduced(L)
-    w1, w2 = Lr.omega1, Lr.omega2
+def _point(z, L):
+    """(z0, m, n, bundle): the one reduction z = z0 + m*w1 + n*w2 on the
+    reduced basis (w1, w2), z0 centred, and theta1_bundle at z0/w1."""
+    Lr, _, weights, _, _, _ = _reduced(L)
     z0, m, n = reduce_centered(z, Lr)
-    t0, _, _, _ = theta1_bundle(z0 / w1, weights)
+    return z0, m, n, theta1_bundle(z0 / Lr.omega1, weights)
+
+
+def _sigma(point, L):
+    """sigma at the argument of point = _point(z, L)."""
+    Lr, _, _, eta1r, eta2r, d1_0 = _reduced(L)
+    w1, w2 = Lr.omega1, Lr.omega2
+    z0, m, n, (t0, _, _, _) = point
     s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
     if m == 0 and n == 0:
         return s0
@@ -89,21 +95,32 @@ def sigma_w(z, L):
     return _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s0
 
 
-def weierstrass(z, L):
-    """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
-    zeta is the principal value at the original z.  Raises
-    PoleAtLatticePoint within the pole guard of Lambda."""
-    Lr, _, weights, eta1r, eta2r, _ = _reduced(L)
+def _weierstrass(point, L):
+    """(wp, wp', zeta) at the argument of point = _point(z, L)."""
+    Lr, _, _, eta1r, eta2r, _ = _reduced(L)
     w1 = Lr.omega1
-    z0, m, n = reduce_centered(z, Lr)
+    z0, m, n, (t0, d1, d2, d3) = point
     if in_pole_guard(z0, L):
         raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
-    t0, d1, d2, d3 = theta1_bundle(z0 / w1, weights)
     g = d1 / t0
     gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
     p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
     zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
     return p, -gpp / w1**3, zeta
+
+
+def sigma_w(z, L):
+    """Weierstrass sigma; entire, principal value at the original z, from
+    one reduction and one theta series.  Its quasi-periodicity factor is
+    not in weierstrass(): it overflows at far translates where wp is finite."""
+    return _sigma(_point(z, L), L)
+
+
+def weierstrass(z, L):
+    """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
+    zeta is the principal value at the original z.  Raises
+    PoleAtLatticePoint within the pole guard of Lambda."""
+    return _weierstrass(_point(z, L), L)
 
 
 def zeta_w(z, L):

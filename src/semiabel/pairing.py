@@ -107,14 +107,18 @@ def poincare_automorphy_a0(lmbda, lmbdastar, z, zstar, L):
     return val
 
 
+def _check_poles(z, w, L):
+    for u in (z, w, z + w):
+        if near_lattice(u, L):
+            raise PoleAtLatticePoint(f"argument {u} on Lambda")
+
+
 def f_tilde(z, w, L):
     """sigma(z + w) / (sigma(z) sigma(w)) * exp(-eta(w) z), with the
     R-linear quasi-period form eta; both arguments in the primal frame."""
     z = complex(z)
     w = complex(w)
-    for u in (z, w, z + w):
-        if near_lattice(u, L):
-            raise PoleAtLatticePoint(f"argument {u} on Lambda")
+    _check_poles(z, w, L)
     return (
         sigma_w(z + w, L)
         / (sigma_w(z, L) * sigma_w(w, L))
@@ -125,13 +129,18 @@ def f_tilde(z, w, L):
 def ratio_f_tilde(z, zstar, L):
     """f~_{z*}(z) / f~_z(z*) with the dual argument pulled back by iota.
 
-    Evaluates the sigma-quotient ratio directly, asserts agreement with
-    the closed form exp(eta(z) mu - eta(mu) z) (mu = iota(z*)), and
-    returns the value, which equals the Weil pairing of (z, z*)."""
+    The direct side reads sigma(z + mu), sigma(z), sigma(mu) once each
+    (mu = iota(z*)); both factors share them, so sigma cancels (CHANGES.md
+    FOUND).  It asserts agreement with the closed form exp(eta(z) mu -
+    eta(mu) z) and returns the value, the Weil pairing of (z, z*)."""
     z = complex(z)
     mu = dual_to_primal(zstar, L)
-    direct = f_tilde(z, mu, L) / f_tilde(mu, z, L)
-    closed = cmath.exp(eta_linear(z, L) * mu - eta_linear(mu, L) * z)
+    _check_poles(z, mu, L)
+    s_sum, s_z, s_mu = sigma_w(z + mu, L), sigma_w(z, L), sigma_w(mu, L)
+    eta_z, eta_mu = eta_linear(z, L), eta_linear(mu, L)
+    f_z = s_sum / (s_z * s_mu) * cmath.exp(-eta_mu * z)
+    direct = f_z / (s_sum / (s_mu * s_z) * cmath.exp(-eta_z * mu))
+    closed = cmath.exp(eta_z * mu - eta_mu * z)
     if abs(direct - closed) > 1e-8 * max(1.0, abs(closed)):
         raise InternalInconsistency("f-tilde ratio disagrees with its closed form")
     return direct

@@ -139,15 +139,17 @@ def elliptic_log(P, L, inv=None):
     z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
     # RF determines z up to sign and lattice; pick the sign matching y, using
     # wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd, cos even)
-    dp = weierstrass(z, L)[1]
-    if abs(dp - P.y) > abs(-dp - P.y):
+    p, d, _ = weierstrass(z, L)
+    if abs(d - P.y) > abs(-d - P.y):
         z = -z
-    # Newton refinement on wp(z) - x.  A step that increased the residual
-    # is undone: near 2-torsion wp' is round-off sized, and one such step
-    # throws an already accurate z off the root.
-    z_prev, r_prev = z, cmath.inf
-    for _ in range(8):
         p, d, _ = weierstrass(z, L)
+    # Newton on wp(z) - x from the evaluation above.  A step that increased
+    # the residual is undone: near 2-torsion wp' is round-off sized, and
+    # one such step throws an already accurate z off the root.
+    z_prev, r_prev = z, cmath.inf
+    for k in range(8):
+        if k:
+            p, d, _ = weierstrass(z, L)
         resid = p - P.x
         if abs(resid) > r_prev:
             z = z_prev

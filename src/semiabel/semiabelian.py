@@ -12,9 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .elliptic import quasi_periods, sigma_w, weierstrass, zeta_w
+from .elliptic import _point, _sigma, _weierstrass, quasi_periods, sigma_w, zeta_w
 from .errors import FiberZero, PoleAtLatticePoint
 from .lattice import dual_to_primal, near_lattice
 from .periods import (
@@ -51,23 +49,36 @@ class SemiAbelianPoint:
     fiber: complex
 
 
+def _primal_log(q, L):
+    """The primal log of q (an ExtensionParam or the log); not on Lambda."""
+    qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
+    if near_lattice(qp, L):
+        raise PoleAtLatticePoint("extension parameter log is a lattice point")
+    return qp
+
+
 def serre_fq(z, q, L):
-    """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)).
+    """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)), from one
+    reduction and one theta series at each of z + q, q and z.
 
     Returns exactly 0 at the zero z = -q (mod Lambda) of the section.
     """
     z = complex(z)
-    qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if near_lattice(qp, L):
-        raise PoleAtLatticePoint("extension parameter log is a lattice point")
+    qp = _primal_log(q, L)
     if near_lattice(z, L):
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
+    return _fq(z, qp, L)
+
+
+def _fq(z, qp, L, z_point=None):
+    """serre_fq off its poles; sigma(z) from z_point = _point(z, L) if given."""
     if near_lattice(z + qp, L):
         return 0j
+    q_point = _point(qp, L)
     return (
         sigma_w(z + qp, L)
-        * cmath.exp(-zeta_w(qp, L) * z)
-        / (sigma_w(z, L) * sigma_w(qp, L))
+        * cmath.exp(-_weierstrass(q_point, L)[2] * z)
+        / (_sigma(z_point or _point(z, L), L) * _sigma(q_point, L))
     )
 
 
@@ -77,10 +88,11 @@ def exp_G(z, t, q, L):
     t = complex(t)
     if near_lattice(z, L):
         return SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
-    f = serre_fq(z, q, L)
+    z_point = _point(z, L)
+    f = _fq(z, _primal_log(q, L), L, z_point)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
-    p, dp, _ = weierstrass(z, L)
+    p, dp, _ = _weierstrass(z_point, L)
     base = EllipticPoint(p, dp)
     return SemiAbelianPoint(base, cmath.exp(t) * f)
 
@@ -113,9 +125,7 @@ def generalized_log_G(R, q, L, inv=None):
 
 def quasi_quasi_periods(q, L):
     """Third-kind periods (eta_j q - omega_j zeta(q)) for j = 1, 2."""
-    qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if near_lattice(qp, L):
-        raise PoleAtLatticePoint("extension parameter log is a lattice point")
+    qp = _primal_log(q, L)
     e = quasi_periods(L)
     zq = zeta_w(qp, L)
     return (
@@ -147,6 +157,8 @@ def period_matrix_M(points, qs, L):
     """(n+2+s)-square period matrix of the 1-motive [Z^n -> G]: Id_n,
     one generalized-log row (z, zeta(z), t_1..t_s) per point, the curve
     block (omega_j, eta_j), and one third-kind column per parameter."""
+    import numpy as np
+
     n = len(points)
     s = len(qs)
     dim = n + 2 + s

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from semiabel.errors import NotTorsion, PoleAtLatticePoint
-from semiabel.lattice import dual_lattice
+import numpy as np
+
+from semiabel import pairing
+from semiabel.errors import InternalInconsistency, NotTorsion, PoleAtLatticePoint
+from semiabel.lattice import dual_lattice, dual_to_primal
 from semiabel.pairing import (
     UnitCircleValue,
     f_tilde,
@@ -104,6 +107,48 @@ def test_f_tilde_pole_guard(generic_lattice):
     z = 0.3 * L.omega1 + 0.1 * L.omega2
     with pytest.raises(PoleAtLatticePoint):
         f_tilde(z, -z, L)  # z + w on the lattice
+
+
+@pytest.mark.parametrize("name", ("square_lattice", "hexagonal_lattice", "noncm_lattice"))
+def test_ratio_f_tilde_is_the_quotient_of_f_tilde_bit_for_bit(name, request):
+    L = request.getfixturevalue(name)
+    D = L.covolume_factor()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        a, b, c, d = rng.uniform(-1.4, 1.4, size=4)
+        z = a * L.omega1 + b * L.omega2
+        zs = (c * L.omega1 + d * L.omega2) / D
+        mu = dual_to_primal(zs, L)
+        assert ratio_f_tilde(z, zs, L) == f_tilde(z, mu, L) / f_tilde(mu, z, L)
+
+
+def test_ratio_f_tilde_pole_guard(generic_lattice):
+    L = generic_lattice
+    D = L.covolume_factor()
+    z = 0.3 * L.omega1 + 0.1 * L.omega2
+    for u, mu in ((L.omega1, 0.2 * L.omega1 + 0.35 * L.omega2), (z, L.omega2), (z, -z)):
+        with pytest.raises(PoleAtLatticePoint):
+            ratio_f_tilde(u, mu / D, L)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the two f-tilde factors of ratio_f_tilde share sigma(z + mu), "
+    "sigma(z) and sigma(mu), so sigma cancels (CHANGES.md FOUND, ROADMAP item 8)",
+)
+def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
+    """A wrong entire function in place of sigma must move the value or
+    be caught by the closed-form check."""
+    L = generic_lattice
+    z, zs = 0.3 + 0.2j, (0.45 + 0.61j) / L.covolume_factor()
+    right = ratio_f_tilde(z, zs, L)
+    monkeypatch.setattr(pairing, "sigma_w", lambda u, L: 7.0 + 3j * u)
+    try:
+        moved = abs(ratio_f_tilde(z, zs, L) - right) > 1e-6
+    except InternalInconsistency:
+        moved = True
+    assert moved
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())

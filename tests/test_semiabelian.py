@@ -4,10 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from semiabel.elliptic import eisenstein_invariants, quasi_periods, wp, zeta_w
+from semiabel import elliptic
+from semiabel.elliptic import (
+    eisenstein_invariants,
+    quasi_periods,
+    weierstrass,
+    wp,
+    wp_prime,
+    zeta_w,
+)
 from semiabel.errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
 from semiabel.lattice import reduce_centered
-from semiabel.periods import EllipticPoint
+from semiabel.pairing import ratio_f_tilde
+from semiabel.periods import EllipticPoint, elliptic_log
 from semiabel.semiabelian import (
     ExtensionParam,
     SemiAbelianPoint,
@@ -78,6 +87,74 @@ def test_serre_fq_cocycle(generic_lattice):
         / (sigma_w(z, L) * sigma_w(qp, L))
     )
     assert abs(direct - ref) < 1e-12 * (1 + abs(ref))
+
+
+def _theta_arguments(monkeypatch):
+    """The list that every later theta series appends its argument to."""
+    bundle, args = elliptic.theta1_bundle, []
+
+    def counted(v, weights):
+        args.append(v)
+        return bundle(v, weights)
+
+    monkeypatch.setattr(elliptic, "theta1_bundle", counted)
+    return args
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_one_theta_series_per_distinct_argument(L, monkeypatch):
+    """exp_G and serre_fq need sigma, wp and zeta at z, q and z + q, and
+    ratio_f_tilde needs sigma at z, mu and z + mu: one series each."""
+    eisenstein_invariants(L)  # the lattice's constants, built once
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    q = _q_of(L)
+    zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
+    args = _theta_arguments(monkeypatch)
+    for f, a in (
+        (exp_G, (z, 0.1 - 0.2j, q, L)),
+        (serre_fq, (z, q, L)),
+        (ratio_f_tilde, (z, zstar, L)),
+    ):
+        args.clear()
+        f(*a)
+        assert len(args) == len(set(args)) == 3, f.__name__
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
+    """The sign test's evaluation is Newton's first step, and only a
+    negated z is evaluated again.  From -z every Newton iterate is the
+    exact negative of the one from z (wp even, wp' odd bit for bit), so
+    the branch that negates runs exactly one series more and returns
+    the negated branch."""
+    inv = eisenstein_invariants(L)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    p, dp, _ = weierstrass(z, L)
+    args = _theta_arguments(monkeypatch)
+    runs = []
+    for y in (dp, -dp):
+        args.clear()
+        value = elliptic_log(EllipticPoint(p, y), L, inv).value
+        runs.append((len(args), value))
+    (n_kept, z_kept), (n_negated, z_negated) = sorted(runs, key=lambda r: r[0])
+    assert n_negated == n_kept + 1
+    resid, _, _ = reduce_centered(z_kept + z_negated, L)
+    assert abs(resid) < 1e-12 * abs(L.omega1)
+    assert wp_prime(z_negated, L) == pytest.approx(-wp_prime(z_kept, L), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ("square_lattice", "hexagonal_lattice", "noncm_lattice"))
+def test_exp_G_is_its_base_point_and_serre_fq_bit_for_bit(name, request):
+    L = request.getfixturevalue(name)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        a, b, c, d = rng.uniform(-1.4, 1.4, size=4)
+        z = a * L.omega1 + b * L.omega2
+        q = ExtensionParam.from_primal(c * L.omega1 + d * L.omega2, L)
+        t = complex(rng.normal(), rng.normal())
+        assert exp_G(z, t, q, L) == SemiAbelianPoint(
+            EllipticPoint(*weierstrass(z, L)[:2]), cmath.exp(t) * serre_fq(z, q, L)
+        )
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
