@@ -50,6 +50,9 @@ def theta1_bundle(v, weights):
     q = exp(i pi tau), summed with the weights theta1_weights(tau) until
     the next term is below round-off.  Derivatives are taken with respect
     to v.  Returns (t0, t1, t2, t3).
+
+    Every term updates the running max |t3|; from n = 2 on, the series stops
+    once |c| (|sin| + |cos|) a^3 falls below round-off of it (never at NaN v).
     """
     t0 = 0j
     t1 = 0j
@@ -63,9 +66,13 @@ def theta1_bundle(v, weights):
         t1 += ca * c
         t2 -= caa * s
         t3 -= caaa * c
-        mag = abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a
-        scale = max(scale, abs(t3) + 1e-300)
-        if mag < _REL_EPS * scale and n >= 2:
+        x = abs(t3) + 1e-300
+        if x > scale:
+            scale = x
+        if (
+            n >= 2
+            and abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a < _REL_EPS * scale
+        ):
             return t0, t1, t2, t3
     raise ConvergenceFailure(
         f"theta series did not converge at v={v} in {len(weights)} terms"

@@ -206,16 +206,17 @@ def parse_config(text, task=None, seed=None, tol=None):
     curve, lattice = _resolve_curve(doc["curve"], "/curve")
     if tol is None:
         tol = doc.get("tol", DEFAULT_TOL)
-    _expect(isinstance(tol, (int, float)) and tol > 0, "/tol", "tolerance must be positive")
+    _parse_real(tol, "/tol", "tolerance must be a number")
+    _expect(tol > 0, "/tol", "tolerance must be positive")
     max_height = doc.get("max_height", DEFAULT_MAX_HEIGHT)
     _expect(
-        isinstance(max_height, int) and max_height > 0,
+        type(max_height) is int and max_height > 0,
         "/max_height",
         "must be a positive integer",
     )
     if seed is None:
         seed = doc.get("seed", 0)
-    _expect(isinstance(seed, int), "/seed", "seed must be an integer")
+    _expect(type(seed) is int and seed >= 0, "/seed", "must be a non-negative integer")
     payload = {
         k: v
         for k, v in doc.items()

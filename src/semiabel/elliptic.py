@@ -74,16 +74,20 @@ def _psi(m, n):
     return 1.0 if (m % 2 == 0 and n % 2 == 0) else -1.0
 
 
-def _point(z, L):
-    """(z0, m, n, bundle): the one reduction z = z0 + m*w1 + n*w2 on the
-    reduced basis (w1, w2), z0 centred, and theta1_bundle at z0/w1."""
+def _reduce(z, L):
+    """(z0, m, n): z = z0 + m*w1 + n*w2 on the reduced basis, z0 centred."""
+    return reduce_centered(z, _reduced(L)[0])
+
+
+def _point(red, L):
+    """(z0, m, n, bundle): red = _reduce(z, L) and theta1_bundle at z0/w1."""
     Lr, _, weights, _, _, _ = _reduced(L)
-    z0, m, n = reduce_centered(z, Lr)
+    z0, m, n = red
     return z0, m, n, theta1_bundle(z0 / Lr.omega1, weights)
 
 
 def _sigma(point, L):
-    """sigma at the argument of point = _point(z, L)."""
+    """sigma at the argument of point = _point(_reduce(z, L), L)."""
     Lr, _, _, eta1r, eta2r, d1_0 = _reduced(L)
     w1, w2 = Lr.omega1, Lr.omega2
     z0, m, n, (t0, _, _, _) = point
@@ -96,7 +100,7 @@ def _sigma(point, L):
 
 
 def _weierstrass(point, L):
-    """(wp, wp', zeta) at the argument of point = _point(z, L)."""
+    """(wp, wp', zeta) at the argument of point = _point(_reduce(z, L), L)."""
     Lr, _, _, eta1r, eta2r, _ = _reduced(L)
     w1 = Lr.omega1
     z0, m, n, (t0, d1, d2, d3) = point
@@ -113,14 +117,14 @@ def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z, from
     one reduction and one theta series.  Its quasi-periodicity factor is
     not in weierstrass(): it overflows at far translates where wp is finite."""
-    return _sigma(_point(z, L), L)
+    return _sigma(_point(_reduce(z, L), L), L)
 
 
 def weierstrass(z, L):
     """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
     zeta is the principal value at the original z.  Raises
     PoleAtLatticePoint within the pole guard of Lambda."""
-    return _weierstrass(_point(z, L), L)
+    return _weierstrass(_point(_reduce(z, L), L), L)
 
 
 def zeta_w(z, L):

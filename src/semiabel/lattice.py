@@ -157,7 +157,9 @@ def in_pole_guard(z0, L):
 
 
 def near_lattice(z, L):
-    """Whether z lies within the pole guard of Lambda."""
+    """Whether z lies within the pole guard of Lambda, reduced on L's own
+    basis: a test reference for the library's pole checks, which read each
+    argument's one reduction on the reduced basis (elliptic._reduce)."""
     return in_pole_guard(reduce_centered(z, L)[0], L)
 
 

@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import eta_linear, sigma_w
+from .elliptic import _point, _reduce, _sigma, eta_linear
 from .errors import (
     InternalInconsistency,
     NotTorsion,
@@ -17,8 +17,8 @@ from .lattice import (
     dual_lattice,
     dual_to_primal,
     duality_product,
+    in_pole_guard,
     lattice_coords,
-    near_lattice,
     real_coordinates,
 )
 
@@ -107,10 +107,17 @@ def poincare_automorphy_a0(lmbda, lmbdastar, z, zstar, L):
     return val
 
 
-def _check_poles(z, w, L):
+def _sigmas(z, w, L):
+    """[sigma(z), sigma(w), sigma(z + w)] from one reduction and one theta
+    series each; raises PoleAtLatticePoint when z, w or z + w (checked in
+    that order, before any series) is on Lambda."""
+    reductions = []
     for u in (z, w, z + w):
-        if near_lattice(u, L):
+        red = _reduce(u, L)
+        if in_pole_guard(red[0], L):
             raise PoleAtLatticePoint(f"argument {u} on Lambda")
+        reductions.append(red)
+    return [_sigma(_point(red, L), L) for red in reductions]
 
 
 def f_tilde(z, w, L):
@@ -118,12 +125,8 @@ def f_tilde(z, w, L):
     R-linear quasi-period form eta; both arguments in the primal frame."""
     z = complex(z)
     w = complex(w)
-    _check_poles(z, w, L)
-    return (
-        sigma_w(z + w, L)
-        / (sigma_w(z, L) * sigma_w(w, L))
-        * cmath.exp(-eta_linear(w, L) * z)
-    )
+    s_z, s_w, s_sum = _sigmas(z, w, L)
+    return s_sum / (s_z * s_w) * cmath.exp(-eta_linear(w, L) * z)
 
 
 def ratio_f_tilde(z, zstar, L):
@@ -135,8 +138,7 @@ def ratio_f_tilde(z, zstar, L):
     eta(mu) z) and returns the value, the Weil pairing of (z, z*)."""
     z = complex(z)
     mu = dual_to_primal(zstar, L)
-    _check_poles(z, mu, L)
-    s_sum, s_z, s_mu = sigma_w(z + mu, L), sigma_w(z, L), sigma_w(mu, L)
+    s_z, s_mu, s_sum = _sigmas(z, mu, L)
     eta_z, eta_mu = eta_linear(z, L), eta_linear(mu, L)
     f_z = s_sum / (s_z * s_mu) * cmath.exp(-eta_mu * z)
     direct = f_z / (s_sum / (s_mu * s_z) * cmath.exp(-eta_z * mu))

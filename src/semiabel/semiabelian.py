@@ -12,9 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _point, _sigma, _weierstrass, quasi_periods, sigma_w, zeta_w
+from .elliptic import _point, _reduce, _sigma, _weierstrass, quasi_periods, zeta_w
 from .errors import FiberZero, PoleAtLatticePoint
-from .lattice import dual_to_primal, near_lattice
+from .lattice import dual_to_primal, in_pole_guard
 from .periods import (
     BranchedValue,
     EllipticPoint,
@@ -50,35 +50,42 @@ class SemiAbelianPoint:
 
 
 def _primal_log(q, L):
-    """The primal log of q (an ExtensionParam or the log); not on Lambda."""
+    """(qp, _reduce(qp, L)) for the primal log qp of q (an ExtensionParam
+    or the log); raises PoleAtLatticePoint when qp is on Lambda."""
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if near_lattice(qp, L):
+    q_red = _reduce(qp, L)
+    if in_pole_guard(q_red[0], L):
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
-    return qp
+    return qp, q_red
 
 
 def serre_fq(z, q, L):
     """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)), from one
-    reduction and one theta series at each of z + q, q and z.
+    reduction and one theta series at each of q, z and z + q; the pole
+    checks (q, then z, on Lambda) and the zero check read the reductions
+    before any series is summed.
 
     Returns exactly 0 at the zero z = -q (mod Lambda) of the section.
     """
     z = complex(z)
-    qp = _primal_log(q, L)
-    if near_lattice(z, L):
+    qp, q_red = _primal_log(q, L)
+    z_red = _reduce(z, L)
+    if in_pole_guard(z_red[0], L):
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    return _fq(z, qp, L)
+    return _fq(z, z_red, qp, q_red, L)
 
 
-def _fq(z, qp, L, z_point=None):
-    """serre_fq off its poles; sigma(z) from z_point = _point(z, L) if given."""
-    if near_lattice(z + qp, L):
+def _fq(z, z_red, qp, q_red, L, z_point=None):
+    """serre_fq off its poles, from z_red = _reduce(z, L) and (qp, q_red) =
+    _primal_log(q, L); sigma(z) from z_point = _point(z_red, L) if given."""
+    sum_red = _reduce(z + qp, L)
+    if in_pole_guard(sum_red[0], L):
         return 0j
-    q_point = _point(qp, L)
+    q_point = _point(q_red, L)
     return (
-        sigma_w(z + qp, L)
+        _sigma(_point(sum_red, L), L)
         * cmath.exp(-_weierstrass(q_point, L)[2] * z)
-        / (_sigma(z_point or _point(z, L), L) * _sigma(q_point, L))
+        / (_sigma(z_point or _point(z_red, L), L) * _sigma(q_point, L))
     )
 
 
@@ -86,10 +93,11 @@ def exp_G(z, t, q, L):
     """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t)."""
     z = complex(z)
     t = complex(t)
-    if near_lattice(z, L):
+    z_red = _reduce(z, L)
+    if in_pole_guard(z_red[0], L):
         return SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
-    z_point = _point(z, L)
-    f = _fq(z, _primal_log(q, L), L, z_point)
+    z_point = _point(z_red, L)
+    f = _fq(z, z_red, *_primal_log(q, L), L, z_point)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
     p, dp, _ = _weierstrass(z_point, L)
@@ -125,9 +133,9 @@ def generalized_log_G(R, q, L, inv=None):
 
 def quasi_quasi_periods(q, L):
     """Third-kind periods (eta_j q - omega_j zeta(q)) for j = 1, 2."""
-    qp = _primal_log(q, L)
+    qp, q_red = _primal_log(q, L)
     e = quasi_periods(L)
-    zq = zeta_w(qp, L)
+    zq = _weierstrass(_point(q_red, L), L)[2]
     return (
         e.eta1 * qp - L.omega1 * zq,
         e.eta2 * qp - L.omega2 * zq,

@@ -106,6 +106,11 @@ def test_parse_config_lattice_form_and_overrides():
         ({**SQ, "tol": -1.0}, "periods", "/tol"),
         ({**SQ, "max_height": 0}, "periods", "/max_height"),
         ({**SQ, "seed": "x"}, "periods", "/seed"),
+        ({**SQ, "tol": float("inf")}, "periods", "/tol"),
+        ({**SQ, "tol": True}, "periods", "/tol"),
+        ({**SQ, "max_height": True}, "periods", "/max_height"),
+        ({**SQ, "seed": True}, "periods", "/seed"),
+        ({**SQ, "seed": -1}, "periods", "/seed"),
     ),
 )
 def test_parse_config_schema_errors(doc, task, path):
@@ -300,6 +305,33 @@ def test_main_schema_error_exit_1(tmp_path, capsys):
     path = _write(tmp_path, {"curve": {"g2": 4.0}})
     assert main(["periods", "--config", path]) == 1
     assert "/curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, extra, flags, key",
+    (
+        ("classify", ', "tol": 1e400', (), "tol"),  # JSON reads 1e400 as inf
+        ("classify", "", ("--tol", "inf"), "tol"),
+        ("classify", ', "tol": true', (), "tol"),
+        ("classify", ', "max_height": true', (), "max_height"),
+        ("verify", ', "seed": true', (), "seed"),
+        ("verify", "", ("--seed", "-1"), "seed"),
+    ),
+)
+def test_main_rejects_infinite_bool_and_negative_config_scalars_exit_1(
+    tmp_path, capsys, task, extra, flags, key
+):
+    """tol is a finite positive number, max_height a positive int and seed
+    a non-negative int, and a bool is none of them.  An infinite tol would
+    classify this p-torsion motive as q-r-torsion, true would be read as
+    max_height 1 or echoed as the seed, and numpy refuses a negative seed."""
+    m = next(m for m, row, *_ in verify._table_instances() if row == "p-torsion")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_motive_config(m))[:-1] + extra + "}")
+    assert main([task, "--config", str(path), "--json", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: /{key}: ")
 
 
 def test_main_periods_of_a_curve_with_small_invariants_exit_0(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -93,6 +94,46 @@ def test_theta1_weights_cached_on_the_lattice_give_the_same_bits(L):
               0.49 - 0.02j, 1e-9 + 0j):
         got = theta1_bundle(v, cached)
         assert got == theta1_bundle(v, fresh) == _theta1_per_term(v, tau)
+
+
+def _theta1_stop_test_on_every_term(v, weights):
+    """theta1_bundle with the stop test's bound and running max formed at
+    every term, n = 0 and 1 included: the reference for the kernel that
+    forms the bound only where the series can stop."""
+    t0 = t1 = t2 = t3 = 0j
+    scale = 0.0
+    for n, (a, coeff, ca, caa, caaa, abs_coeff) in enumerate(weights):
+        s, c = cmath.sin(a * v), cmath.cos(a * v)
+        t0 += coeff * s
+        t1 += ca * c
+        t2 -= caa * s
+        t3 -= caaa * c
+        mag = abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a
+        scale = max(scale, abs(t3) + 1e-300)
+        if mag < 1e-16 * scale and n >= 2:
+            return t0, t1, t2, t3
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_theta1_bundle_stop_test_from_term_two_gives_the_same_bits(L):
+    """Every bit, signed zeros included, matches the reference over seeded
+    v = a + b*tau in the centred cell, at v = 0 and on the edges |b| = 1/2;
+    a NaN argument still never stops."""
+    from semiabel.elliptic import _reduced
+
+    _, tau, weights, _, _, _ = _reduced(L)
+    rng = random.Random(14)
+    vs = [0j, -0j, complex(0.0, -0.0)]
+    vs += [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau for _ in range(400)]
+    vs += [rng.uniform(-0.5, 0.5) + b * tau for b in (0.5, -0.5) for _ in range(50)]
+    vs += [a + b * tau for a in (0.5, -0.5) for b in (0.5, -0.5)]
+    for v in vs:
+        want = _theta1_stop_test_on_every_term(v, weights)
+        assert repr(theta1_bundle(v, weights)) == repr(want), v
+    for v in (complex(math.nan, 0.0), complex(0.1, math.nan)):
+        with pytest.raises(ConvergenceFailure):
+            theta1_bundle(v, weights)
 
 
 def test_lattice_constants_are_computed_once_per_lattice(monkeypatch):

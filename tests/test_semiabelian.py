@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiabel import elliptic
+from semiabel import elliptic, lattice
 from semiabel.elliptic import (
     eisenstein_invariants,
     quasi_periods,
@@ -14,8 +14,14 @@ from semiabel.elliptic import (
     zeta_w,
 )
 from semiabel.errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
-from semiabel.lattice import reduce_centered
-from semiabel.pairing import ratio_f_tilde
+from semiabel.lattice import (
+    POLE_GUARD,
+    dual_to_primal,
+    make_lattice,
+    near_lattice,
+    reduce_centered,
+)
+from semiabel.pairing import f_tilde, ratio_f_tilde
 from semiabel.periods import EllipticPoint, elliptic_log
 from semiabel.semiabelian import (
     ExtensionParam,
@@ -104,20 +110,29 @@ def _theta_arguments(monkeypatch):
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_one_theta_series_per_distinct_argument(L, monkeypatch):
     """exp_G and serre_fq need sigma, wp and zeta at z, q and z + q, and
-    ratio_f_tilde needs sigma at z, mu and z + mu: one series each."""
+    ratio_f_tilde needs sigma at z, mu and z + mu: one series each, and
+    the pole and zero checks read the reduction each series is summed at."""
     eisenstein_invariants(L)  # the lattice's constants, built once
     z = 0.31 * L.omega1 + 0.22 * L.omega2
     q = _q_of(L)
     zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
-    args = _theta_arguments(monkeypatch)
+    args, reductions = _theta_arguments(monkeypatch), []
+
+    def counted(z, L):
+        reductions.append(z)
+        return reduce_centered(z, L)
+
+    monkeypatch.setattr(lattice, "reduce_centered", counted)
+    monkeypatch.setattr(elliptic, "reduce_centered", counted)
     for f, a in (
         (exp_G, (z, 0.1 - 0.2j, q, L)),
         (serre_fq, (z, q, L)),
         (ratio_f_tilde, (z, zstar, L)),
     ):
         args.clear()
+        reductions.clear()
         f(*a)
-        assert len(args) == len(set(args)) == 3, f.__name__
+        assert len(args) == len(set(args)) == len(reductions) == 3, f.__name__
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
@@ -141,6 +156,77 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
     resid, _, _ = reduce_centered(z_kept + z_negated, L)
     assert abs(resid) < 1e-12 * abs(L.omega1)
     assert wp_prime(z_negated, L) == pytest.approx(-wp_prime(z_kept, L), rel=1e-9)
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_answers_from_pole_and_zero_checks_sum_no_theta_series(L, monkeypatch):
+    """z on Lambda maps to the identity, z = -q gives f_q = 0, and a pole
+    raises, each from the arguments' reductions alone."""
+    eisenstein_invariants(L)
+    q = _q_of(L)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    args = _theta_arguments(monkeypatch)
+    assert exp_G(L.omega1, 0.3j, q, L).base.is_identity
+    assert serre_fq(-q.primal(L) + L.omega2, q, L) == 0
+    for f, a in (
+        (serre_fq, (z, L.omega1, L)),
+        (serre_fq, (L.omega2, q, L)),
+        (ratio_f_tilde, (z, -z / L.covolume_factor(), L)),
+        (quasi_quasi_periods, (L.omega1, L)),
+    ):
+        with pytest.raises(PoleAtLatticePoint):
+            f(*a)
+    assert args == []
+
+
+def _thin_rebasings():
+    """The long, thin bases (13, 8; 8, 5) and (21, 13; 13, 8) of the
+    non-CM table lattice."""
+    nc = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
+    return [
+        make_lattice(a * nc.omega1 + b * nc.omega2, c * nc.omega1 + d * nc.omega2)
+        for a, b, c, d in ((13, 8, 8, 5), (21, 13, 13, 8))
+    ]
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep() + _thin_rebasings())
+def test_pole_checks_agree_with_near_lattice(L):
+    """At lambda + eps with |eps| half and twice the pole guard, each pole
+    or zero check triggers exactly where the user-basis reference
+    near_lattice puts the argument on Lambda."""
+    guard = POLE_GUARD * abs(L.omega1)
+    q = _q_of(L)
+    qp = q.primal(L)
+    w = 0.45 * L.omega1 - 0.18 * L.omega2
+    cov = L.covolume_factor()
+    seen = set()
+    # lattice points near 0: sigma overflows at far translates (ROADMAP item 8)
+    w1, w2, _ = L.reduced_basis()
+    for lam in (0j, w1, w2, w1 - 3 * w2, -2 * w1 + w2):
+        for k in (0.5, 2.0):
+            for angle in (0.0, 0.3, 1.9, 4.0):
+                u = lam + k * guard * cmath.exp(1j * angle)
+                qu = ExtensionParam.from_primal(u, L)
+                on = near_lattice(u, L)
+                seen.add((k, on))
+                assert exp_G(u, 0.3j, q, L).base.is_identity == on
+                for f, a, reference in (
+                    (serre_fq, (u, q, L), u),
+                    (f_tilde, (u, w, L), u),
+                    (f_tilde, (w, u, L), u),
+                    (ratio_f_tilde, (u, w / cov, L), u),
+                    (ratio_f_tilde, (w, u / cov, L), dual_to_primal(u / cov, L)),
+                    (quasi_quasi_periods, (qu, L), qu.primal(L)),
+                ):
+                    try:
+                        f(*a)
+                        raised = False
+                    except PoleAtLatticePoint:
+                        raised = True
+                    assert raised == near_lattice(reference, L), (f.__name__, lam, k)
+                z = -qp + u
+                assert (serre_fq(z, q, L) == 0) == near_lattice(z + qp, L)
+    assert seen == {(0.5, True), (2.0, False)}
 
 
 @pytest.mark.parametrize("name", ("square_lattice", "hexagonal_lattice", "noncm_lattice"))
