@@ -10,9 +10,18 @@ a search over k values of size about 1 finds spurious relations once
 (2H)^k * (tol/H)^2 >~ 1 (Ferguson, Bailey and Arno, Math. Comp. 68,
 1999), so the height is capped where that count stays below
 SPURIOUS_BUDGET.
+
+A question about 2 or 3 values with no relation under the cap is
+answered by an exact bound, without a reduction: the smallest singular
+value of the last two values rules out relations among them, and
+Legendre's theorem on continued fractions settles those that involve
+the first.  The bound only ever answers "no relation", which is the
+answer the reduction would give, so every certificate still comes from
+the one LLL.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
@@ -20,6 +29,10 @@ DEFAULT_MAX_HEIGHT = 1000
 MAX_VALUES = 12
 # expected number of spurious relations a search may admit
 SPURIOUS_BUDGET = 1e-6
+# eight unit roundoffs of a double: a generous bound on float rounding
+_ULP = 2.0**-50
+# candidate multipliers the bound tests before it leaves the question to LLL
+_MAX_CANDIDATES = 16
 
 
 @dataclass(frozen=True)
@@ -127,13 +140,75 @@ def _search(values, max_height, tol):
     return best
 
 
+def _no_relation_below_cap(values, cap, tol):
+    """True when no integer c != 0 of height <= cap gives a direct sum
+    |sum(c_i v_i)| below tol, for 2 or 3 values; False when unsure.
+
+    sigma = |det(v1, v2)| / sqrt(|v1|^2 + |v2|^2) bounds the smallest
+    singular value of the real 2x2 matrix (v1 v2) from below, so c0 = 0
+    is ruled out when sigma exceeds tol plus rounding; with 2 values that
+    is the whole test.  With 3, v0 = a v1 + b v2 + e, and a relation with
+    c0 != 0 needs ||c0 a|| and ||c0 b|| below delta = (tol + rounding +
+    cap |e|) / sigma.  When delta < 1/(2 cap), every such c0 is a multiple
+    of a continued-fraction denominator of a (Legendre; Hardy and Wright,
+    Thm 184), and those are enumerated exactly from a.as_integer_ratio().
+    """
+    k = len(values)
+    if k not in (2, 3):
+        return False
+    # bound on |sum(c_i v_i)| wherever _search's rounded sum is below tol
+    slack = (tol + _ULP * k * cap * sum(abs(v) for v in values)) * (1 + _ULP)
+    v1, v2 = values[-2:]
+    det = v1.real * v2.imag - v1.imag * v2.real
+    det_err = _ULP * (abs(v1.real * v2.imag) + abs(v1.imag * v2.real))
+    norm = math.hypot(abs(v1), abs(v2))
+    lower = (abs(det) - det_err) * (1 - _ULP)
+    if not lower > slack * norm:
+        return False
+    if k == 2:
+        return True
+    sigma = lower / norm
+    v0 = values[0]
+    a = (v0.real * v2.imag - v0.imag * v2.real) / det
+    b = (v1.real * v0.imag - v1.imag * v0.real) / det
+    e = abs(v0 - a * v1 - b * v2) + _ULP * (abs(v0) + abs(a * v1) + abs(b * v2))
+    delta = (slack + cap * e) / sigma
+    if not 2 * cap * delta < 1:
+        return False
+    n_a, d_a = a.as_integer_ratio()
+    n_b, d_b = b.as_integer_ratio()
+    n_d, d_d = delta.as_integer_ratio()
+    # Euclid on n_a/d_a: q1 runs through the convergent denominators of a,
+    # and the remainder y is |q1 * n_a - p1 * d_a| for the numerator p1
+    q0, q1 = 0, 1
+    x, y = d_a, n_a % d_a
+    candidates = 0
+    while q1 <= cap:
+        # c0 = g*q1 has ||c0 a|| = g*y/d_a while that is below delta
+        g = 1
+        while g * q1 <= cap and g * y * d_d < n_d * d_a:
+            r = g * q1 * n_b % d_b
+            candidates += 1
+            if min(r, d_b - r) * d_d < n_d * d_b or candidates > _MAX_CANDIDATES:
+                return False
+            g += 1
+        if y == 0:
+            break
+        t, x, y = x // y, y, x % y
+        q0, q1 = q1, t * q1 + q0
+    return True
+
+
 def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """Integer relation sum(c_i v_i) ~ 0, or None.
 
     One lattice reduction, whose candidates count only up to the height
     cap `height_cap(len(values), max_height, tol)` and only when their
     direct sum is below tol; the lowest such (height, residual) wins.
-    The certificate records the cap it was searched under.
+    The certificate records the cap it was searched under.  For 2 or 3
+    values an exact bound first proves, where it can, that no relation
+    under the cap has a direct sum below tol, and then the answer is
+    None without a reduction.
     """
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:
@@ -143,6 +218,8 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     if not values:
         return None
     cap = height_cap(len(values), max_height, tol)
+    if _no_relation_below_cap(values, cap, tol):
+        return None
     found = _search(values, cap, tol)
     if found is None:
         return None

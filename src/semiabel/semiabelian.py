@@ -120,7 +120,10 @@ def _fiber_log(R, z, q, L):
         raise FiberZero("fiber coordinate must be nonzero")
     if R.base.is_identity:
         return cmath.log(R.fiber)
-    return cmath.log(R.fiber) - cmath.log(serre_fq(z, q, L))
+    f = serre_fq(z, q, L)
+    if f == 0:
+        raise FiberZero("base point is -Q: no fiber logarithm")
+    return cmath.log(R.fiber) - cmath.log(f)
 
 
 def generalized_log_G(R, q, L, inv=None):

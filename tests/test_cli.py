@@ -10,7 +10,7 @@ import semiabel.cli as cli
 import semiabel.verify as verify
 from semiabel.classifier import OneMotiveElliptic, motivic_galois_dims
 from semiabel.cli import JobConfig, _cplx, emit_json, main, parse_config, run_job
-from semiabel.elliptic import eisenstein_invariants
+from semiabel.elliptic import eisenstein_invariants, weierstrass
 from semiabel.errors import (
     ConflictingCurveSpec,
     InternalInconsistency,
@@ -440,6 +440,26 @@ def test_main_logg_with_the_identity_as_extension_parameter_exit_1(tmp_path, cap
     assert main(["logg", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err == "error: /q: the identity cannot parametrize an extension\n"
+
+
+def test_main_logg_and_classify_at_base_minus_q_exit_1(tmp_path, capsys):
+    """f_q vanishes at the base point -Q, which has no fiber logarithm:
+    exit 1 with an error line, as expg does there, not a traceback."""
+    q = 0.31 + 0.47j
+    curve = {"lattice": {"w1": 1.0, "w2": {"re": 0.0, "im": 1.0}}}
+    p, dp, _ = weierstrass(-q, make_lattice(1.0, 1j))
+    point = {"base": {"x": _cplx(p), "y": _cplx(dp)}, "fiber": 2.0}
+    docs = {
+        "logg": {"curve": curve, "q": {"log": _cplx(q)}, "point": point},
+        "classify": {
+            "curve": curve,
+            "motive": {"extension_params": [{"log": _cplx(q)}], "points": [point]},
+        },
+    }
+    for task, doc in docs.items():
+        assert main([task, "--config", _write(tmp_path, doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: base point is -Q: no fiber logarithm\n"
 
 
 def test_eval_sums_two_theta_series_per_point(monkeypatch):

@@ -1,13 +1,20 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import semiabel.relations as relations
+from semiabel.classifier import _in_rational_span
+from semiabel.lattice import make_lattice
 from semiabel.relations import (
     DEFAULT_MAX_HEIGHT,
     DEFAULT_TOL,
     SPURIOUS_BUDGET,
+    RelationCertificate,
+    _no_relation_below_cap,
+    _search,
     detect_integer_relation,
     height_cap,
     lll_reduce,
@@ -132,6 +139,83 @@ def test_rational_relation_with_moderate_denominator():
     cert = detect_integer_relation([x, 1.0])
     assert cert is not None
     assert tuple(map(abs, cert.coefficients)) == (113, 355)
+
+
+# ---------------------------------------------------------------------------
+# the continued-fraction bound ahead of the reduction
+# ---------------------------------------------------------------------------
+
+
+def _near_relation_question(rng):
+    """(values, cap, tol): 2 or 3 seeded values, the last two nearly
+    collinear in one draw of five, and in most draws a planted relation
+    sum(c_i v_i) = eps of height 1 to cap + 3 with |eps| a multiple of tol
+    near the acceptance edge."""
+    tol = 10 ** rng.uniform(-12, -5)
+    k = 2 if rng.random() < 0.25 else 3
+    cap = height_cap(k, int(rng.choice([10, 100, 1000])), tol)
+    v = [complex(rng.normal(), rng.normal()) for _ in range(k)]
+    if rng.random() < 0.2:
+        off = complex(rng.normal(), rng.normal()) * 10 ** rng.uniform(-14, -3)
+        v[-1] = v[-2] * rng.normal() + off
+    if rng.random() < 0.85:
+        h = int(rng.integers(1, cap + 4))
+        c = [int(x) for x in rng.integers(-h, h + 1, size=k)]
+        c[int(rng.integers(k))] = h * int(rng.choice([-1, 1]))
+        size = float(rng.choice([0, 0.5, 0.99, 1.01, 2, 10])) * tol
+        eps = size * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        i = int(rng.choice([j for j in range(k) if c[j]]))
+        v[i] = (eps - sum(c[j] * v[j] for j in range(k) if j != i)) / c[i]
+    return v, cap, tol
+
+
+def test_no_relation_bound_agrees_with_the_reduction():
+    """Whenever the bound answers "no relation", the reduction finds no
+    candidate of height <= cap with a direct sum below tol either."""
+    rng = np.random.default_rng(20251018)
+    settled = 0
+    for _ in range(4000):
+        values, cap, tol = _near_relation_question(rng)
+        if _no_relation_below_cap(values, cap, tol):
+            settled += 1
+            assert _search(values, cap, tol) is None, (values, cap, tol)
+    assert settled > 800
+
+
+def _certificate_from_search(values):
+    """The certificate of the one reduction, without the bound."""
+    cap = height_cap(len(values), DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+    coeffs, height, resid = _search(values, cap, DEFAULT_TOL)
+    return RelationCertificate(tuple(coeffs), resid, height, cap)
+
+
+def test_no_relation_questions_of_three_values_make_no_reduction(monkeypatch):
+    """[1, tau, tau^2] of a non-CM tau and the torsion question of a
+    generic point are answered by the bound alone; a CM tau and a
+    3-division point still reduce once, to the same certificate."""
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    basis = (L.omega1, L.omega2)
+    generic = (math.sqrt(2) - 1) * L.omega1 + (1 / math.pi) * L.omega2
+    division = (L.omega1 + 2 * L.omega2) / 3
+    tau = 0.31 + 1.23j
+    cm_values = [1.0, 1j, -1.0]
+    scale = max(map(abs, basis))
+    cm_cert = _certificate_from_search(cm_values)
+    division_cert = _certificate_from_search([x / scale for x in (division, *basis)])
+    calls = []  # the size of each reduced basis
+    monkeypatch.setattr(
+        relations, "lll_reduce", lambda basis: calls.append(len(basis)) or lll_reduce(basis)
+    )
+    assert detect_integer_relation([1.0, tau, tau * tau]) is None
+    answer = _in_rational_span(generic, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+    assert answer == (False, None)
+    assert calls == []
+
+    assert detect_integer_relation(cm_values) == cm_cert
+    assert cm_cert.coefficients == (1, 0, 1) and calls == [3]
+    inside, cert = _in_rational_span(division, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+    assert inside and cert == division_cert and calls == [3, 3]
+    assert abs(cert.coefficients[0]) == 3
 
 
 # ---------------------------------------------------------------------------

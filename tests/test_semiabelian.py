@@ -333,6 +333,21 @@ def test_fiber_zero_at_minus_q(generic_lattice):
         exp_G(-q.primal(L), 0.0, q, L)
 
 
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_log_G_at_base_minus_q_raises_fiber_zero(L):
+    """f_q vanishes at -Q, so no fiber logarithm exists there: log_G,
+    generalized_log_G and period_matrix_M raise FiberZero, as exp_G does,
+    rather than take the log of 0."""
+    q = _q_of(L)
+    p, dp, _ = weierstrass(-q.primal(L), L)
+    R = SemiAbelianPoint(EllipticPoint(p, dp), 2.0)
+    for call in (log_G, generalized_log_G):
+        with pytest.raises(FiberZero, match="-Q"):
+            call(R, q, L)
+    with pytest.raises(FiberZero, match="-Q"):
+        period_matrix_M((R,), (q,), L)
+
+
 def test_exp_G_rejects_arguments_beyond_working_precision(generic_lattice):
     # reduced to a cell, 1e200 is the lattice point 0, whose image would
     # be the identity
