@@ -56,6 +56,7 @@ from .errors import (
     SchemaError,
     SemiabelError,
     SingularCurve,
+    TooManyValues,
 )
 from .lattice import (
     Lattice,

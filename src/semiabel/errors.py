@@ -54,6 +54,10 @@ class InconsistentOverride(SemiabelError):
     """A declared override contradicts a high-confidence detection."""
 
 
+class TooManyValues(SemiabelError, ValueError):
+    """A relation question has more values than the search supports."""
+
+
 class SchemaError(SemiabelError):
     """Invalid job configuration; carries a JSON-pointer-style path."""
 

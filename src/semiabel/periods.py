@@ -66,8 +66,10 @@ def check_on_curve(P, inv, tol=CURVE_TOL):
         return
     lhs = P.y * P.y
     rhs = 4 * P.x**3 - inv.g2 * P.x - inv.g3
-    # the size of each term, not of the right-hand side after cancellation
-    scale = 1.0 + abs(lhs) + 4 * abs(P.x) ** 3 + abs(inv.g2 * P.x) + abs(inv.g3)
+    # the size of each term, not of the right-hand side after cancellation,
+    # and the curve's own weight-6 size: all of weight 6, so scale-free
+    scale = abs(lhs) + 4 * abs(P.x) ** 3 + abs(inv.g2 * P.x) + abs(inv.g3)
+    scale += abs(inv.g2) ** 1.5
     if abs(lhs - rhs) > tol * scale:
         raise NotOnCurve(f"y^2 - (4x^3 - g2 x - g3) = {lhs - rhs}")
 

@@ -24,6 +24,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import TooManyValues
+
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_HEIGHT = 1000
 MAX_VALUES = 12
@@ -212,7 +214,10 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     """
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:
-        raise ValueError(f"at most {MAX_VALUES} values supported")
+        raise TooManyValues(
+            f"a relation question of {len(values)} values; "
+            f"at most {MAX_VALUES} are supported"
+        )
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     if not values:

@@ -20,15 +20,16 @@ from semiabel.classifier import (
     motivic_galois_dims,
 )
 from semiabel import verify
-from semiabel.elliptic import eisenstein_invariants, weierstrass
+from semiabel.elliptic import eisenstein_invariants, weierstrass, wp, wp_prime
 from semiabel.errors import (
+    ConvergenceFailure,
     InconsistentOverride,
     InternalInconsistency,
     NotApplicable,
 )
 from semiabel.lattice import make_lattice, real_coordinates
-from semiabel.periods import CurveInvariants, EllipticPoint
-from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
+from semiabel.periods import CurveInvariants, EllipticPoint, periods_from_invariants
+from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, height_cap
 from semiabel.semiabelian import (
     ExtensionParam,
     SemiAbelianPoint,
@@ -88,20 +89,102 @@ def test_is_torsion_exact_generic_rational_point_not_torsion():
     # y^2 = 4x^3 - 4x + 4 contains (1, 2); generic rank-1 generator
     curve = CurveInvariants(Fraction(4), Fraction(-4))
     P = EllipticPoint(Fraction(1), Fraction(2))
-    L = make_lattice(1.0, 0.5 + 1.5j)  # lattice unused on the exact path
-    assert is_torsion(P, L, n_max=20, curve=curve) is None
+    L = periods_from_invariants(curve)
+    assert is_torsion(P, L, curve=curve) is None
 
 
 def test_is_torsion_numeric():
-    from semiabel.elliptic import wp, wp_prime
-
     L = _sq()
     z = (L.omega1 + 2 * L.omega2) / 5
     P = EllipticPoint(wp(z, L), wp_prime(z, L))
     assert is_torsion(P, L) == 5
     zg = 0.2371 * L.omega1 + 0.1618 * L.omega2
     Pg = EllipticPoint(wp(zg, L), wp_prime(zg, L))
-    assert is_torsion(Pg, L, n_max=100) is None
+    assert is_torsion(Pg, L) is None
+
+
+_TORSION_LATTICES = {
+    "square": (1.0, 1j),
+    "hexagonal": (1.0, cmath.exp(1j * math.pi / 3)),
+    "non-CM": (1.0, 0.31 + 1.23j),
+}
+_ORDERS = (2, 3, 5, 7, 12, 64, 65, 97, 500, 1000)
+# elliptic_log's absolute 1.0 + ... scales in its 2-torsion snap and its
+# final residual check raise ConvergenceFailure at (omega1 + omega2)/2
+# on these (lattice, decade) pairs (CHANGES.md FOUND)
+_LOG_FAILS = {("square", e) for e in range(-8, -2)} | {("non-CM", -8)}
+
+
+def _primitive(rng, N):
+    """A seeded (a1, a2) with gcd(a1, a2, N) = 1."""
+    while True:
+        a1, a2 = rng.randrange(N), rng.randrange(N)
+        if math.gcd(a1, a2, N) == 1:
+            return a1, a2
+
+
+def _torsion_cases():
+    """(lattice, decade, order, a1, a2) for the point of log a1*omega1 +
+    a2*omega2: (omega1 + omega2)/2, a seeded primitive N-division point for
+    each other order, and five uniform points of order None."""
+    rng = random.Random(16)
+    cases = []
+    for name in _TORSION_LATTICES:
+        for e in range(-8, 9):
+            for N in _ORDERS:
+                a1, a2 = (1, 1) if N == 2 else _primitive(rng, N)
+                cases.append((name, e, N, a1 / N, a2 / N))
+            cases += [(name, e, None, rng.random(), rng.random()) for _ in range(5)]
+    return cases
+
+
+def _torsion_order(name, e, a1, a2, **kw):
+    w1, w2 = _TORSION_LATTICES[name]
+    L = make_lattice(10.0**e * w1, 10.0**e * w2)
+    z = a1 * L.omega1 + a2 * L.omega2
+    return is_torsion(EllipticPoint(wp(z, L), wp_prime(z, L)), L, **kw)
+
+
+def test_is_torsion_reads_every_order_up_to_the_cap_at_every_decade():
+    """The span certificate gives the order of N-division points up to
+    N = 1000 on three lattices at every decade 1e-8 ... 1e8, and None for
+    uniform points; the small-scale 2-division points are the xfail below."""
+    wrong = []
+    for name, e, N, a1, a2 in _torsion_cases():
+        if N == 2 and (name, e) in _LOG_FAILS:
+            continue
+        got = _torsion_order(name, e, a1, a2)
+        if got != N:
+            wrong.append((name, e, N, got))
+    assert wrong == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceFailure,
+    reason="elliptic_log's 2-torsion snap and residual check use absolute "
+    "1.0 + ... scales (CHANGES.md FOUND)",
+)
+def test_is_torsion_of_two_division_points_on_small_lattices():
+    for name, e in sorted(_LOG_FAILS):
+        assert _torsion_order(name, e, 0.5, 0.5) == 2, (name, e)
+
+
+def test_is_torsion_order_is_bounded_by_the_height_cap():
+    """At tol = 1e-4 the cap of the 3-value torsion question is 12: order
+    12 is found, order 13 reads as non-torsion."""
+    assert height_cap(3, DEFAULT_MAX_HEIGHT, 1e-4) == 12
+    for name in _TORSION_LATTICES:
+        assert _torsion_order(name, 0, 1 / 12, 5 / 12, tol=1e-4) == 12
+        assert _torsion_order(name, 0, 1 / 13, 5 / 13, tol=1e-4) is None
+
+
+def test_is_torsion_agrees_with_classify_on_the_table():
+    for m, row, *_ in verify._table_instances():
+        a = classifier._MotiveAnalysis(m, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+        (P,), (p,) = [R.base for R in m.points], a.point_logs
+        got = is_torsion(P, m.lattice, curve=m.curve)
+        assert (got is not None) == a.is_torsion_log(p), row
 
 
 # ---------------------------------------------------------------------------

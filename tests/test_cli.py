@@ -462,6 +462,34 @@ def test_main_logg_and_classify_at_base_minus_q_exit_1(tmp_path, capsys):
         assert out == "" and err == "error: base point is -Q: no fiber logarithm\n"
 
 
+def test_main_classify_past_max_values_exit_1(tmp_path, capsys):
+    """For n = 2, s = 3 the last dim Z(1) question has 1 + 2s + n*s = 13
+    values, one past MAX_VALUES: exit 1 with an error line naming both."""
+    rng = np.random.default_rng(16)
+    L = make_lattice(1.0, 1j)
+
+    def uniform():
+        a1, a2 = rng.random(2)
+        return complex(a1 * L.omega1 + a2 * L.omega2)
+
+    points = []
+    for _ in range(2):
+        p, dp, _ = weierstrass(uniform(), L)
+        base = {"x": _cplx(p), "y": _cplx(dp)}
+        points.append({"base": base, "fiber": _cplx(np.exp(uniform()))})
+    doc = {
+        "curve": {"lattice": {"w1": 1.0, "w2": {"re": 0.0, "im": 1.0}}},
+        "motive": {
+            "extension_params": [{"log": _cplx(uniform())} for _ in range(3)],
+            "points": points,
+        },
+    }
+    assert main(["classify", "--config", _write(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "error: a relation question of 13 values; at most 12 are supported\n"
+
+
 def test_eval_sums_two_theta_series_per_point(monkeypatch):
     """One series gives wp, wp' and zeta, the other sigma."""
     import semiabel.elliptic as elliptic

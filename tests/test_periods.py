@@ -98,6 +98,37 @@ def test_check_on_curve():
         check_on_curve(EllipticPoint(1.0, 1.0), inv)
 
 
+def _scaled_lattices():
+    """Z + Z*i, the hexagonal lattice and Z + (0.31 + 1.23i)Z at every
+    decade 1e-8 ... 1e8."""
+    for w1, w2 in ((1.0, 1j), (1.0, cmath.exp(1j * math.pi / 3)), (1.0, 0.31 + 1.23j)):
+        for e in range(-8, 9):
+            yield make_lattice(10.0**e * w1, 10.0**e * w2)
+
+
+def test_check_on_curve_rejects_a_wrong_y_at_every_scale():
+    """The tolerance is relative to weight-6 sizes only, so a point off
+    the curve is refused on a large lattice too."""
+    for L in _scaled_lattices():
+        inv = eisenstein_invariants(L)
+        for u1, u2 in ((0.37, 0.21), (0.13, 0.44)):
+            z = u1 * L.omega1 + u2 * L.omega2
+            x, y = wp(z, L), wp_prime(z, L)
+            check_on_curve(EllipticPoint(x, y), inv)
+            for f in (2.0, 1 + 1e-6):
+                with pytest.raises(NotOnCurve):
+                    check_on_curve(EllipticPoint(x, f * y), inv)
+
+
+def test_check_on_curve_accepts_the_half_periods_at_every_scale():
+    """On a small lattice x, y and g3 of a 2-division point are round-off
+    sized against the curve's |g2|^(3/2); the point is still on the curve."""
+    for L in _scaled_lattices():
+        inv = eisenstein_invariants(L)
+        for h in (L.omega1 / 2, L.omega2 / 2, (L.omega1 + L.omega2) / 2):
+            check_on_curve(EllipticPoint(wp(h, L), wp_prime(h, L)), inv)
+
+
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_elliptic_log_round_trip(L):
     inv = eisenstein_invariants(L)
