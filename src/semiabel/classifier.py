@@ -252,13 +252,15 @@ class _MotiveAnalysis:
         """(dim_B, dim_B_vstar, dim_B_Q, certificates): greedy F-span of
         the parameter logarithms, then the point logarithms, modulo the
         periods; in the CM case each independent value v adds the pair
-        {v, delta*v}."""
+        {v, delta*v}.  A torsion value's certificate is its torsion one."""
         delta = self.cm[1]
         gens = [self.L.omega1, self.L.omega2]
         certs = []
         independent = []
         for v in self.param_logs + self.point_logs:
-            inside, cert = self.in_span(v, gens)
+            inside, cert = self.in_span(v, gens[:2])
+            if not inside and len(gens) > 2:
+                inside, cert = self.in_span(v, gens)
             if cert is not None:
                 certs.append(cert)
             if not inside:
@@ -278,17 +280,14 @@ class _MotiveAnalysis:
         (mu,), (p,) = self.param_logs, self.point_logs
         if self.is_torsion_log(p) or self.is_torsion_log(mu):
             return None
-        disc, delta = self.cm
-        if disc is None:
-            return False
-        inside, cert = self.in_span(mu, (p, delta * p, self.L.omega1, self.L.omega2))
-        if not inside:
-            raise InternalInconsistency(
-                "dim B = 1 but no dependence relation q = beta*p was found"
-            )
-        # q = beta*p mod periods with beta = -(c1 + c2*delta)/c0; beta is
-        # purely imaginary exactly when the real component c1 vanishes
-        return cert.coefficients[1] == 0
+        # dim B's one certificate, of p: c0*p + c1*omega1 + c2*omega2 + c3*mu
+        # (+ c4*delta*mu under CM) = 0, so q = beta*p mod periods with
+        # beta = -c0/(c3 + c4*delta), purely imaginary exactly when c3 = 0
+        certs = self.dim_B[3]
+        c = certs[0].coefficients[3:] if certs else ()
+        if not any(c):
+            raise InternalInconsistency("dim B = 1 but no relation q = beta*p was found")
+        return c[0] == 0
 
     @cached_property
     def third_kind_periods(self):
@@ -345,8 +344,10 @@ class _MotiveAnalysis:
         # `deficient` is False exactly for the remaining dim B = 1 case
         if m.n == 1 and m.s == 1 and (self.dim_B[0] == 2 or self.deficient is False):
             return 1
-        # greedy: the quasi-quasi-periods of a torsion q are rational
-        # multiples of 2*pi*i and must not enter the basis
+        # greedy over Q: 2*pi*i, each g_j not yet in the span, then the values.
+        # Torsion q = a1*omega1 + a2*omega2 has g_j = +-2*pi*i*a_(3-j) - d*omega_j,
+        # d = zeta(q) - eta(q): d = 0 at order 2 keeps the g_j out, but from order
+        # 3 on they enter (q = omega1/3 on Z + Zi: g1/2*pi*i ~ 0.2919i)
         basis = [TWO_PI_I]
         for g in periods:
             for gj in g:
@@ -359,8 +360,7 @@ class _MotiveAnalysis:
         if m.n != 1 or m.s != 1:
             raise NotApplicable("the classification table covers n = s = 1 only")
         (mu,), (p,) = self.param_logs, self.point_logs
-        p_tor = self.is_torsion_log(p)
-        q_tor = self.is_torsion_log(mu)
+        p_tor, q_tor = self.is_torsion_log(p), self.is_torsion_log(mu)
         (t,) = self.reduced_third_kind_values
         r_tor = p_tor and self.in_span(t, (TWO_PI_I,))[0]
         if q_tor and r_tor:
@@ -400,7 +400,7 @@ def is_deficient(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     """Whether the dependence q = beta * p holds with beta a purely
     imaginary element of the CM field (the antisymmetric-morphism case);
     None when not applicable (needs n = s = 1 and dim B = 1 with both
-    P and Q non-torsion), False immediately for non-CM curves.
+    P and Q non-torsion), False for non-CM curves, where beta is rational.
     """
     return _MotiveAnalysis(motive, max_height, tol).deficient
 

@@ -13,7 +13,8 @@ from .errors import BeyondWorkingPrecision, DegenerateLattice, NotALatticePoint
 
 DEGENERACY_TOL = 1e-12
 
-# distance to Lambda, relative to |omega1|, that counts as a lattice point
+# distance to Lambda, relative to the shortest period, that counts as a
+# lattice point
 POLE_GUARD = 1e-10
 # past this a coordinate's rounding error |a| * 2^-52 exceeds the pole guard
 MAX_COORDINATE = POLE_GUARD * 2.0**52
@@ -152,8 +153,9 @@ def reduce_centered(z, L):
 
 def in_pole_guard(z0, L):
     """Whether z0 = z - lambda, for the lattice point lambda nearest in
-    coordinates, lies within the pole guard of Lambda."""
-    return abs(z0) < POLE_GUARD * abs(L.omega1)
+    coordinates, lies within the pole guard of Lambda; the guard scales
+    with the shortest period, so it does not depend on the basis."""
+    return abs(z0) < POLE_GUARD * abs(L.reduced_basis()[0])
 
 
 def near_lattice(z, L):

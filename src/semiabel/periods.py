@@ -163,19 +163,20 @@ def elliptic_log(P, L, inv=None):
         z -= step
         if abs(step) < 1e-14 * abs(L.omega1):
             break
+    # the curve's own sizes of weight 2 (x) and 3 (y), so that every check
+    # below compares like weights and does not depend on the lattice's size
+    w = abs(inv.g2) ** 0.25 + abs(inv.g3) ** (1 / 6)
+    x_size, y_size = w * w + abs(P.x), w**3 + abs(P.y)
     # 2-torsion (y = 0): Newton stalls at the critical point of wp, so
     # snap to the exact half-period if it reproduces x
-    if abs(P.y) < 1e-8 * (1.0 + abs(P.x) ** 1.5):
+    if abs(P.y) < 1e-8 * (w**3 + abs(P.x) ** 1.5):
         resid, _, _ = reduce_centered(2.0 * z, L)
         cand = z - resid / 2
-        if abs(resid) < 1e-4 * abs(L.omega1) and abs(wp(cand, L) - P.x) < 1e-9 * (
-            1.0 + abs(P.x)
-        ):
+        if abs(resid) < 1e-4 * abs(L.omega1) and abs(wp(cand, L) - P.x) < 1e-9 * x_size:
             z = cand
     z = _principal(z, L)
-    scale = 1.0 + abs(P.x) + abs(P.y)
     p, dp, _ = weierstrass(z, L)
-    if abs(p - P.x) > 1e-7 * scale or abs(dp - P.y) > 1e-6 * scale:
+    if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"
         )

@@ -30,6 +30,11 @@ def generic_lattice():
     return make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
 
 
+# SL2(Z) matrices (a, b, c, d): the basis (a*omega1 + b*omega2, c*omega1 + d*omega2)
+REBASINGS = ((1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, 0, 3, 1), (5, 2, 2, 1),
+             (3, -7, -2, 5))
+
+
 def lattices_for_sweep():
     return [
         make_lattice(VARPI, VARPI * 1j),

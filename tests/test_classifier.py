@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import semiabel.classifier as classifier
+import semiabel.relations as relations
 from semiabel.classifier import (
     ClassificationReport,
     OneMotiveElliptic,
@@ -22,7 +23,6 @@ from semiabel.classifier import (
 from semiabel import verify
 from semiabel.elliptic import eisenstein_invariants, weierstrass, wp, wp_prime
 from semiabel.errors import (
-    ConvergenceFailure,
     InconsistentOverride,
     InternalInconsistency,
     NotApplicable,
@@ -37,7 +37,7 @@ from semiabel.semiabelian import (
     quasi_quasi_periods,
 )
 
-from conftest import VARPI
+from conftest import REBASINGS, VARPI
 
 
 def _sq():
@@ -109,10 +109,10 @@ _TORSION_LATTICES = {
     "non-CM": (1.0, 0.31 + 1.23j),
 }
 _ORDERS = (2, 3, 5, 7, 12, 64, 65, 97, 500, 1000)
-# elliptic_log's absolute 1.0 + ... scales in its 2-torsion snap and its
-# final residual check raise ConvergenceFailure at (omega1 + omega2)/2
-# on these (lattice, decade) pairs (CHANGES.md FOUND)
-_LOG_FAILS = {("square", e) for e in range(-8, -2)} | {("non-CM", -8)}
+# small lattices, whose curve sizes of weight 2 and 3 are far above 1:
+# (omega1 + omega2)/2 reads order 2 only if elliptic_log's 2-torsion snap
+# and residual checks scale with those sizes
+_SMALL_TWO_DIVISION = {("square", e) for e in range(-8, -2)} | {("non-CM", -8)}
 
 
 def _primitive(rng, N):
@@ -148,25 +148,17 @@ def _torsion_order(name, e, a1, a2, **kw):
 def test_is_torsion_reads_every_order_up_to_the_cap_at_every_decade():
     """The span certificate gives the order of N-division points up to
     N = 1000 on three lattices at every decade 1e-8 ... 1e8, and None for
-    uniform points; the small-scale 2-division points are the xfail below."""
+    uniform points."""
     wrong = []
     for name, e, N, a1, a2 in _torsion_cases():
-        if N == 2 and (name, e) in _LOG_FAILS:
-            continue
         got = _torsion_order(name, e, a1, a2)
         if got != N:
             wrong.append((name, e, N, got))
     assert wrong == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ConvergenceFailure,
-    reason="elliptic_log's 2-torsion snap and residual check use absolute "
-    "1.0 + ... scales (CHANGES.md FOUND)",
-)
 def test_is_torsion_of_two_division_points_on_small_lattices():
-    for name, e in sorted(_LOG_FAILS):
+    for name, e in sorted(_SMALL_TWO_DIVISION):
         assert _torsion_order(name, e, 0.5, 0.5) == 2, (name, e)
 
 
@@ -262,9 +254,84 @@ def test_dim_B_monotone_in_points():
         assert dim_B_elliptic(m2)[0] >= dim_B_elliptic(m1)[0]
 
 
+def _general_motive(L, mu, point_logs):
+    """The motive with extension parameter log mu and one marked point of
+    fiber 1 over each point log."""
+    points = tuple(
+        SemiAbelianPoint(EllipticPoint(wp(z, L), wp_prime(z, L)), 1.0) for z in point_logs
+    )
+    q = ExtensionParam.from_primal(mu, L)
+    return OneMotiveElliptic(eisenstein_invariants(L), L, (q,), points)
+
+
+@pytest.mark.parametrize("tau", (1j, cmath.exp(1j * math.pi / 3)), ids=("square", "hexagonal"))
+def test_dim_B_reads_high_order_torsion_points_in_general_motives(tau):
+    """n = 2, s = 1 with p2 = (omega1 + 3*omega2)/N of order N: p2 adds
+    nothing to dim B.  Its membership is its torsion question, under the
+    cap of 3 values (1000) that is_torsion reads N under, not the 7-value
+    question's cap of 95."""
+    wrong = []
+    for lam in (1e-8, 1.0, 1e8):
+        L = make_lattice(lam, lam * tau)
+        w1, w2 = L.omega1, L.omega2
+        mu = (math.sqrt(2) - 1.1) * w1 + (math.sqrt(3) - 1.4) * w2
+        p1 = (math.sqrt(5) - 2) * w1 + (math.sqrt(7) - 2.2) * w2
+        for N in (97, 199, 499):
+            got = dim_B_elliptic(_general_motive(L, mu, (p1, (w1 + 3 * w2) / N)))
+            if got != (2, 1, 1):
+                wrong.append((lam, N, got))
+    assert wrong == []
+
+
+def test_table_instances_make_29_reductions(monkeypatch):
+    """A torsion value's dim B answer is its torsion question, and
+    deficiency reads dim B's certificate of p, so the 15 table instances
+    reduce 29 lattices: three of 5 values and four of 4."""
+    sizes = Counter()
+    reduce = relations.lll_reduce
+    monkeypatch.setattr(
+        relations, "lll_reduce", lambda basis: sizes.update([len(basis)]) or reduce(basis)
+    )
+    for m, *_ in verify._table_instances():
+        motivic_galois_dims(m)
+    assert sizes == {2: 6, 3: 16, 4: 4, 5: 3}
+
+
 # ---------------------------------------------------------------------------
 # deficiency
 # ---------------------------------------------------------------------------
+
+
+def test_deficiency_from_the_dim_B_certificate_matches_the_five_value_question():
+    """On seeded CM dependent motives, q = k*p and q = i*p on Z + Zi and
+    q = i*sqrt(3)*p on the hexagonal lattice, at every decade 1e-8 ... 1e8:
+    reading beta
+    from dim B's certificate of p (purely imaginary when its mu
+    coefficient is 0) agrees with the question [mu, p, delta*p, omega1,
+    omega2], whose beta is purely imaginary when its p coefficient is 0."""
+    rng = random.Random(17)
+    seen = Counter()
+    for tau, imaginary in ((1j, 1j), (cmath.exp(1j * math.pi / 3), 1j * math.sqrt(3))):
+        for e in range(-8, 9):
+            L = make_lattice(10.0**e, 10.0**e * tau)
+            for _ in range(2):
+                p = rng.uniform(0.06, 0.94) * L.omega1 + rng.uniform(0.06, 0.94) * L.omega2
+                k = rng.choice((2, 3, -2, -3))
+                for mu, want in ((k * p, False), (imaginary * p, True)):
+                    a = classifier._MotiveAnalysis(
+                        _general_motive(L, mu, (p,)), DEFAULT_MAX_HEIGHT, DEFAULT_TOL
+                    )
+                    (mu_log,), (p_log,) = a.param_logs, a.point_logs
+                    inside, cert = classifier._in_rational_span(
+                        mu_log,
+                        (p_log, a.cm[1] * p_log, L.omega1, L.omega2),
+                        DEFAULT_MAX_HEIGHT,
+                        DEFAULT_TOL,
+                    )
+                    assert inside
+                    assert a.deficient == (cert.coefficients[1] == 0) == want, (tau, e, k)
+                    seen[want] += 1
+    assert seen == {False: 68, True: 68}
 
 
 def test_deficiency_cm_imaginary_coefficient():
@@ -411,11 +478,7 @@ def _conjugated(m):
     return OneMotiveElliptic(curve, L2, qs, points)
 
 
-_REBASINGS = ((1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, 0, 3, 1), (5, 2, 2, 1),
-              (3, -7, -2, 5))
-
-
-@pytest.mark.parametrize("matrix", _REBASINGS, ids=str)
+@pytest.mark.parametrize("matrix", REBASINGS, ids=str)
 def test_table_rows_invariant_under_change_of_basis(matrix):
     """An SL2(Z) change of basis of the lattice keeps every table row and
     its dimensions; the new Lattice object computes its own constants."""
@@ -449,8 +512,8 @@ def test_non_cm_table_rows_on_a_long_thin_basis():
 
 
 def test_q_r_torsion_with_root_of_unity_fiber():
-    """For torsion q the quasi-quasi-periods are rational multiples of
-    2*pi*i, so they add nothing to the span the fiber is reduced in."""
+    """For a 2-division q the quasi-quasi-periods are rational multiples
+    of 2*pi*i, so they add nothing to the span the fiber is reduced in."""
     L = make_lattice(1, 1j)
     rep = motivic_galois_dims(_motive(L, L.omega1 / 2, None, 2j * math.pi / 3))
     assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == ("q-r-torsion", 0, 2)
@@ -584,18 +647,21 @@ def test_table_certificates_hold_at_30_digits():
             mu_hp = translate(mu, a.param_logs[0])
             p_hp = translate(mpc(0) if z is None else z, a.point_logs[0])
             gens, gens_hp = [L.omega1, L.omega2], [w1, w2]
-            certs = 0
+            certs = []
             for v, v_hp in zip(a.param_logs + a.point_logs, (mu_hp, p_hp)):
-                inside, cert = a.in_span(v, gens)
+                # dim B's chain: the torsion question, then the grown basis
+                inside, cert = a.in_span(v, gens[:2])
+                if not inside and len(gens) > 2:
+                    inside, cert = a.in_span(v, gens)
                 if cert is not None:
                     combo = sum(c * x for c, x in zip(cert.coefficients, [v_hp, *gens_hp]))
                     assert abs(combo) < 1e-25, (row, cm, cert)
-                    certs += 1
+                    certs.append(cert)
                 if not inside:
                     gens += [v] if delta is None else [v, delta * v]
                     gens_hp += [v_hp] if delta is None else [v_hp, delta_hp * v_hp]
-            assert certs == len(a.dim_B[3])
-            checked += certs
+            assert tuple(certs) == a.dim_B[3]
+            checked += len(certs)
     assert checked == 11
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from dataclasses import asdict
@@ -239,14 +241,19 @@ def test_job_classify_independent_bounds():
         run_job(_cfg({**SQ, **bad}, "classify"))
 
 
+def table_report_lines():
+    """The golden lines of golden_table_reports.jsonl: the classify report
+    of each table instance."""
+    return [
+        emit_json(asdict(motivic_galois_dims(m))) + "\n"
+        for m, *_ in verify._table_instances()
+    ]
+
+
 def test_table_reports_match_golden_bytes():
     """The classify report of each table instance, byte for byte."""
     golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
-    got = [
-        emit_json(asdict(motivic_galois_dims(m)))
-        for m, *_ in verify._table_instances()
-    ]
-    assert got == golden.splitlines()
+    assert table_report_lines() == golden.splitlines(keepends=True)
 
 
 def _motive_config(m):
@@ -553,13 +560,20 @@ def test_verify_reports_the_job_tolerance(tmp_path, capsys):
     assert capsys.readouterr().out.endswith('"tolerance":9.9999999999999995e-07}\n')
 
 
-@pytest.mark.parametrize("index, seed", enumerate((0, 5, 17)))
-def test_verify_report_matches_golden_bytes(tmp_path, capsys, index, seed):
-    """verify --json on y^2 = 4x^3 - 4x, byte for byte, one golden line per seed."""
+VERIFY_GOLDEN_SEEDS = (0, 5, 17)
+
+
+def verify_report_line(tmp_path, seed):
+    """The golden line of golden_verify_reports.jsonl for one seed:
+    verify --json on y^2 = 4x^3 - 4x."""
+    return _run_json(tmp_path, "verify", SQ, "--seed", str(seed))
+
+
+@pytest.mark.parametrize("index, seed", enumerate(VERIFY_GOLDEN_SEEDS))
+def test_verify_report_matches_golden_bytes(tmp_path, index, seed):
+    """verify --json, byte for byte, one golden line per seed."""
     golden = Path(__file__).with_name("golden_verify_reports.jsonl").read_text()
-    path = _write(tmp_path, SQ)
-    assert main(["verify", "--config", path, "--json", "--seed", str(seed)]) == 0
-    assert capsys.readouterr().out == golden.splitlines(keepends=True)[index]
+    assert verify_report_line(tmp_path, seed) == golden.splitlines(keepends=True)[index]
 
 
 @pytest.mark.parametrize("seed", (*range(40), 94, 163))
@@ -601,39 +615,43 @@ EVAL_CURVES = (
 EVAL_ZS = (0.37 + 0.21j, -0.8 + 0.45j, 2.9 - 1.7j, 11.3 + 7.9j)
 
 
-def _run_json(tmp_path, capsys, task, doc):
-    assert main([task, "--config", _write(tmp_path, doc), "--json"]) == 0
-    return capsys.readouterr().out
+def _run_json(tmp_path, task, doc, *args):
+    """The stdout of a successful `<task> --json` on the config doc."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([task, "--config", _write(tmp_path, doc), "--json", *args]) == 0
+    return out.getvalue()
 
 
-def _eval_expg_logg_lines(tmp_path, capsys):
-    """eval, expg and logg --json on both curves; each logg inverts the
-    expg output before it, and one expg takes its parameter as a point."""
+def eval_expg_logg_lines(tmp_path):
+    """The golden lines of golden_eval_reports.jsonl: eval, expg and logg
+    --json on both curves; each logg inverts the expg output before it,
+    and one expg takes its parameter as a point."""
     J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
     lines = []
     for curve in EVAL_CURVES:
         base = {"curve": curve}
-        out = _run_json(tmp_path, capsys, "eval", {**base, "z": [J(z) for z in EVAL_ZS]})
+        out = _run_json(tmp_path, "eval", {**base, "z": [J(z) for z in EVAL_ZS]})
         lines.append(out)
         v = json.loads(out)["values"][1]
         params = ({"log": J(0.41 + 0.27j)}, {"x": v["wp"], "y": v["wp_prime"]})
         for q in params:
             for z in EVAL_ZS:
                 out = _run_json(
-                    tmp_path, capsys, "expg", {**base, "q": q, "z": J(z), "t": J(0.3 - 0.2j)}
+                    tmp_path, "expg", {**base, "q": q, "z": J(z), "t": J(0.3 - 0.2j)}
                 )
                 lines.append(out)
                 R = json.loads(out)
                 point = {"base": R["base"], "fiber": R["fiber"]}
-                lines.append(_run_json(tmp_path, capsys, "logg", {**base, "q": q, "point": point}))
+                lines.append(_run_json(tmp_path, "logg", {**base, "q": q, "point": point}))
             point = {"base": "O", "fiber": 2.0}
-            lines.append(_run_json(tmp_path, capsys, "logg", {**base, "q": q, "point": point}))
+            lines.append(_run_json(tmp_path, "logg", {**base, "q": q, "point": point}))
     return lines
 
 
-def test_eval_expg_logg_match_golden_bytes(tmp_path, capsys):
+def test_eval_expg_logg_match_golden_bytes(tmp_path):
     golden = Path(__file__).with_name("golden_eval_reports.jsonl").read_text()
-    assert _eval_expg_logg_lines(tmp_path, capsys) == golden.splitlines(keepends=True)
+    assert eval_expg_logg_lines(tmp_path) == golden.splitlines(keepends=True)
 
 
 def test_main_verify_text_render(tmp_path, capsys):

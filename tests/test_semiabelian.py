@@ -37,7 +37,7 @@ from semiabel.semiabelian import (
     serre_fq,
 )
 
-from conftest import lattices_for_sweep
+from conftest import REBASINGS, lattices_for_sweep
 
 TWO_PI_I = 2j * math.pi
 
@@ -189,12 +189,37 @@ def _thin_rebasings():
     ]
 
 
+@pytest.mark.parametrize("matrix", REBASINGS + ((13, 8, 8, 5), (21, 13, 13, 8)), ids=str)
+def test_pole_guard_does_not_depend_on_the_basis(matrix):
+    """On another basis of the non-CM table lattice Z + Z*tau, the six
+    rebasings and the two long, thin ones, exp_G and wp put a small z on
+    Lambda exactly when they do on (1, tau): the guard scales with the
+    shortest period, not with the first basis vector."""
+    base = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
+    a, b, c, d = matrix
+    L = make_lattice(a * base.omega1 + b * base.omega2, c * base.omega1 + d * base.omega2)
+
+    def on_lattice(z, L):
+        identity = exp_G(z, 0.1, 0.27 + 0.31j, L).base.is_identity
+        try:
+            wp(z, L)
+            raised = False
+        except PoleAtLatticePoint:
+            raised = True
+        assert raised == identity
+        return identity
+
+    # the guard is 1e-10 on (1, tau); |a + b*tau| reaches 31.9 above
+    for z in (1e-9, 3e-10, 5e-11):
+        assert on_lattice(z, L) == on_lattice(z, base), z
+
+
 @pytest.mark.parametrize("L", lattices_for_sweep() + _thin_rebasings())
 def test_pole_checks_agree_with_near_lattice(L):
     """At lambda + eps with |eps| half and twice the pole guard, each pole
-    or zero check triggers exactly where the user-basis reference
-    near_lattice puts the argument on Lambda."""
-    guard = POLE_GUARD * abs(L.omega1)
+    or zero check triggers exactly where the reference near_lattice puts
+    the argument on Lambda."""
+    guard = POLE_GUARD * abs(L.reduced_basis()[0])
     q = _q_of(L)
     qp = q.primal(L)
     w = 0.45 * L.omega1 - 0.18 * L.omega2
