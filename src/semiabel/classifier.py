@@ -33,17 +33,6 @@ from .semiabelian import _fiber_log, quasi_quasi_periods
 
 TWO_PI_I = 2j * math.pi
 
-TABLE_ROWS = (
-    "q-r-torsion",
-    "p-q-torsion",
-    "r-torsion",
-    "q-torsion",
-    "p-torsion",
-    "dependent-deficient",
-    "dependent-not-deficient",
-    "independent",
-)
-
 # (dim UR, dim Gal for CM, dim Gal for non-CM); None marks the
 # unreachable non-CM deficient cell.
 _TABLE_DIMS = {

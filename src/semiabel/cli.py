@@ -248,7 +248,7 @@ def _parse_motive(cfg):
     override = node.get("cm_override")
     if override is not None:
         _expect(
-            isinstance(override, int), "/motive/cm_override", "expected an integer"
+            type(override) is int, "/motive/cm_override", "expected an integer"
         )
     return OneMotiveElliptic(cfg.curve, cfg.lattice, qs, pts, override)
 
@@ -332,7 +332,7 @@ def _job_pairing(cfg):
     zstar = _parse_complex(cfg.payload["zstar"], "/zstar")
     N = cfg.payload.get("N")
     if N is not None:
-        _expect(isinstance(N, int) and N >= 1, "/N", "expected a positive integer")
+        _expect(type(N) is int and N >= 1, "/N", "expected a positive integer")
         val = torsion_weil_pairing(z, zstar, N, cfg.lattice).value
         return {"weil_torsion": _cplx(val), "N": N}
     return {"weil": _cplx(weil_pairing(z, zstar, cfg.lattice).value)}

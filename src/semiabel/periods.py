@@ -12,15 +12,12 @@ import cmath
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
 from ._kernels import carlson_rf
 from .elliptic import (
     CurveInvariants,
     eisenstein_invariants,
     weierstrass,
     wp,
-    zeta_w,
 )
 from .errors import (
     ConvergenceFailure,
@@ -28,7 +25,7 @@ from .errors import (
     SemiabelError,
     SingularCurve,
 )
-from .lattice import make_lattice, reduce_centered, reduce_to_fundamental
+from .lattice import make_lattice, reduce_to_fundamental
 
 DISCRIMINANT_TOL = 1e-12
 CURVE_TOL = 1e-9
@@ -61,7 +58,7 @@ class GeneralizedAbelianLog:
     is_identity: bool = False
 
 
-def check_on_curve(P, inv, tol=CURVE_TOL):
+def check_on_curve(P, inv):
     if P.is_identity:
         return
     lhs = P.y * P.y
@@ -70,12 +67,14 @@ def check_on_curve(P, inv, tol=CURVE_TOL):
     # and the curve's own weight-6 size: all of weight 6, so scale-free
     scale = abs(lhs) + 4 * abs(P.x) ** 3 + abs(inv.g2 * P.x) + abs(inv.g3)
     scale += abs(inv.g2) ** 1.5
-    if abs(lhs - rhs) > tol * scale:
+    if abs(lhs - rhs) > CURVE_TOL * scale:
         raise NotOnCurve(f"y^2 - (4x^3 - g2 x - g3) = {lhs - rhs}")
 
 
 def _cubic_roots(g2, g3):
     # roots of 4t^3 - g2 t - g3
+    import numpy as np
+
     r = np.roots([4.0, 0.0, -complex(g2), -complex(g3)])
     return tuple(complex(v) for v in r)
 
@@ -114,79 +113,81 @@ def _principal(z, L):
     return z0
 
 
-def _log_roots(L, inv):
-    """The roots of 4t^3 - g2 t - g3 in _cubic_roots order, kept on L for
-    the last invariants object passed with it (by identity, so that
-    signed zeros and NaN never match a different curve)."""
-    kept = L._cache.get("roots")
-    if kept is None or kept[0] is not inv:
-        kept = L._cache["roots"] = (inv, _cubic_roots(inv.g2, inv.g3))
-    return kept[1]
+def _branch_points(L):
+    """((h, wp(h)) for the half-periods h = w1/2, w2/2, (w1 + w2)/2 of L's
+    reduced basis: the branch points e_j = wp(h_j) of the curve
+    (Whittaker-Watson §20.32), computed once per Lattice object."""
+    if "branch_points" not in L._cache:
+        w1, w2, _ = L.reduced_basis()
+        L._cache["branch_points"] = tuple(
+            (h, wp(h, L)) for h in (w1 / 2, w2 / 2, (w1 + w2) / 2)
+        )
+    return L._cache["branch_points"]
 
 
-def elliptic_log(P, L, inv=None):
-    """Principal elliptic logarithm: z in the fundamental domain with
-    wp(z) = x, wp'(z) = y.
+def generalized_elliptic_log(P, L, inv=None):
+    """Principal generalized elliptic logarithm (z, zeta(z)): z in the
+    fundamental domain with wp(z) = x, wp'(z) = y, and zeta(z) from the
+    evaluation that checks it.  The identity O gets the distinguished
+    (0, marker) pair, which period_matrix_M enters as 0.
 
-    The branch points e_j are the roots of the cubic of inv (by default
-    the lattice's own invariants), found once per (lattice, invariants
-    object) and kept in their root-finder order: carlson_rf is symmetric
-    only up to rounding."""
+    P must lie on the curve of inv (by default the lattice's own
+    invariants).  The branch points are wp at the half-periods of L; a
+    2-division point is its half-period, any other point is found by RF
+    and Newton."""
+    if P.is_identity:
+        return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True)
     if inv is None:
         inv = eisenstein_invariants(L)
-    if P.is_identity:
-        return BranchedValue(0j)
     check_on_curve(P, inv)
-    e1, e2, e3 = _log_roots(L, inv)
-    z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
-    # RF determines z up to sign and lattice; pick the sign matching y, using
-    # wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd, cos even)
-    p, d, _ = weierstrass(z, L)
-    if abs(d - P.y) > abs(-d - P.y):
-        z = -z
-        p, d, _ = weierstrass(z, L)
-    # Newton on wp(z) - x from the evaluation above.  A step that increased
-    # the residual is undone: near 2-torsion wp' is round-off sized, and
-    # one such step throws an already accurate z off the root.
-    z_prev, r_prev = z, cmath.inf
-    for k in range(8):
-        if k:
-            p, d, _ = weierstrass(z, L)
-        resid = p - P.x
-        if abs(resid) > r_prev:
-            z = z_prev
-            break
-        if d == 0:
-            break
-        step = resid / d
-        z_prev, r_prev = z, abs(resid)
-        z -= step
-        if abs(step) < 1e-14 * abs(L.omega1):
-            break
+    branch = _branch_points(L)
     # the curve's own sizes of weight 2 (x) and 3 (y), so that every check
     # below compares like weights and does not depend on the lattice's size
     w = abs(inv.g2) ** 0.25 + abs(inv.g3) ** (1 / 6)
     x_size, y_size = w * w + abs(P.x), w**3 + abs(P.y)
-    # 2-torsion (y = 0): Newton stalls at the critical point of wp, so
-    # snap to the exact half-period if it reproduces x
-    if abs(P.y) < 1e-8 * (w**3 + abs(P.x) ** 1.5):
-        resid, _, _ = reduce_centered(2.0 * z, L)
-        cand = z - resid / 2
-        if abs(resid) < 1e-4 * abs(L.omega1) and abs(wp(cand, L) - P.x) < 1e-9 * x_size:
-            z = cand
+    h, e = min(branch, key=lambda b: abs(P.x - b[1]))
+    # 2-torsion (y = 0) is its half-period: Newton stalls at the critical
+    # point of wp there
+    if abs(P.y) < 1e-8 * (w**3 + abs(P.x) ** 1.5) and abs(P.x - e) < 1e-9 * x_size:
+        z = h
+    else:
+        (_, e1), (_, e2), (_, e3) = branch
+        z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
+        # RF determines z up to sign and lattice; pick the sign matching y,
+        # using wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd,
+        # cos even)
+        p, d, _ = weierstrass(z, L)
+        if abs(d - P.y) > abs(-d - P.y):
+            z = -z
+            p, d, _ = weierstrass(z, L)
+        # Newton on wp(z) - x from the evaluation above.  A step that
+        # increased the residual is undone: near 2-torsion wp' is round-off
+        # sized, and one such step throws an already accurate z off the root.
+        z_prev, r_prev = z, cmath.inf
+        for k in range(8):
+            if k:
+                p, d, _ = weierstrass(z, L)
+            resid = p - P.x
+            if abs(resid) > r_prev:
+                z = z_prev
+                break
+            if d == 0:
+                break
+            step = resid / d
+            z_prev, r_prev = z, abs(resid)
+            z -= step
+            if abs(step) < 1e-14 * abs(L.omega1):
+                break
     z = _principal(z, L)
-    p, dp, _ = weierstrass(z, L)
+    p, dp, zeta = weierstrass(z, L)
     if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"
         )
-    return BranchedValue(z)
+    return GeneralizedAbelianLog(z, zeta)
 
 
-def generalized_elliptic_log(P, L, inv=None):
-    """(z, zeta(z)) at the principal logarithm; the identity O gets the
-    distinguished (0, marker) pair, which period_matrix_M enters as 0."""
-    if P.is_identity:
-        return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True)
-    z = elliptic_log(P, L, inv).value
-    return GeneralizedAbelianLog(z, zeta_w(z, L))
+def elliptic_log(P, L, inv=None):
+    """Principal elliptic logarithm: the first-kind component z of
+    generalized_elliptic_log, with wp(z) = x, wp'(z) = y; 0 at O."""
+    return BranchedValue(generalized_elliptic_log(P, L, inv).z)

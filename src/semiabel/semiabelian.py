@@ -12,14 +12,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _point, _reduce, _sigma, _weierstrass, quasi_periods, zeta_w
+from .elliptic import _point, _reduce, _sigma, _weierstrass, quasi_periods
 from .errors import FiberZero, PoleAtLatticePoint
 from .lattice import dual_to_primal, in_pole_guard
 from .periods import (
     BranchedValue,
     EllipticPoint,
-    GeneralizedAbelianLog,
-    elliptic_log,
     generalized_elliptic_log,
 )
 
@@ -107,10 +105,8 @@ def exp_G(z, t, q, L):
 
 def log_G(R, q, L, inv=None):
     """Principal (z, t) with exp_G(z, t) = R, modulo the rank-3 kernel."""
-    if R.fiber == 0:
-        raise FiberZero("fiber coordinate must be nonzero")
-    z = 0j if R.base.is_identity else elliptic_log(R.base, L, inv).value
-    return BranchedValue(z), BranchedValue(_fiber_log(R, z, q, L))
+    glog, tb = generalized_log_G(R, q, L, inv)
+    return BranchedValue(glog.z), tb
 
 
 def _fiber_log(R, z, q, L):
@@ -127,11 +123,12 @@ def _fiber_log(R, z, q, L):
 
 
 def generalized_log_G(R, q, L, inv=None):
-    """(z, zeta(z), t): first-, second-, third-kind components."""
-    zb, tb = log_G(R, q, L, inv)
-    if R.base.is_identity:
-        return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True), tb
-    return GeneralizedAbelianLog(zb.value, zeta_w(zb.value, L)), tb
+    """(z, zeta(z), t): first-, second-, third-kind components, with
+    zeta(z) from generalized_elliptic_log's own check."""
+    if R.fiber == 0:
+        raise FiberZero("fiber coordinate must be nonzero")
+    glog = generalized_elliptic_log(R.base, L, inv)
+    return glog, BranchedValue(_fiber_log(R, glog.z, q, L))
 
 
 def quasi_quasi_periods(q, L):

@@ -7,8 +7,10 @@ Usage:
 Each file is rebuilt from the line generator its golden test in
 test_cli.py calls, so the test and this script cannot disagree about how
 a line is made.  The diff names, for every changed line, each JSON field
-that moved (old -> new) and the largest relative change of a number.
-The golden tests themselves still compare byte for byte.
+that moved (old -> new), and the largest relative change of a number,
+kept apart for the residual fields (``residual``, ``max_residual``): a
+residual that moves from 2.2e-16 to 0 changes by 1 relative.  The golden
+tests themselves still compare byte for byte.
 """
 
 import argparse
@@ -23,6 +25,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 import test_cli  # noqa: E402
 
 MISSING = object()
+RESIDUAL_FIELDS = ("residual", "max_residual")
 
 
 def _build(tmp):
@@ -67,9 +70,10 @@ def _show(v):
 
 
 def diff_lines(old_lines, new_lines):
-    """(printable lines, number of changed lines, largest relative change
-    of a number or None)."""
-    out, changed, largest = [], 0, None
+    """(printable lines, number of changed lines, {"residual": r, "other":
+    r}) with r the largest relative change of a number in a residual
+    field, or in any other field, or None where no such number moved."""
+    out, changed, largest = [], 0, {"residual": None, "other": None}
     for i in range(max(len(old_lines), len(new_lines))):
         old = old_lines[i] if i < len(old_lines) else None
         new = new_lines[i] if i < len(new_lines) else None
@@ -86,8 +90,9 @@ def diff_lines(old_lines, new_lines):
             rel = relative_change(a, b)
             note = "" if rel is None else f"  (relative {rel:.3g})"
             out.append(f"  line {i + 1} {path}: {_show(a)} -> {_show(b)}{note}")
-            if rel is not None and (largest is None or rel > largest):
-                largest = rel
+            kind = "residual" if path.rsplit(".", 1)[-1] in RESIDUAL_FIELDS else "other"
+            if rel is not None and (largest[kind] is None or rel > largest[kind]):
+                largest[kind] = rel
     return out, changed, largest
 
 
@@ -103,8 +108,9 @@ def main(argv=None):
         new_lines = [line.rstrip("\n") for line in lines]
         out, changed, largest = diff_lines(old_lines, new_lines)
         summary = f"{name}: {changed} of {len(new_lines)} lines differ"
-        if largest is not None:
-            summary += f"; largest relative change of a number {largest:.3g}"
+        for kind, label in (("other", "a number"), ("residual", "a residual")):
+            if largest[kind] is not None:
+                summary += f"; largest relative change of {label} {largest[kind]:.3g}"
         print(summary)
         for line in out:
             print(line)

@@ -110,7 +110,7 @@ _TORSION_LATTICES = {
 }
 _ORDERS = (2, 3, 5, 7, 12, 64, 65, 97, 500, 1000)
 # small lattices, whose curve sizes of weight 2 and 3 are far above 1:
-# (omega1 + omega2)/2 reads order 2 only if elliptic_log's 2-torsion snap
+# (omega1 + omega2)/2 reads order 2 only if elliptic_log's 2-division test
 # and residual checks scale with those sizes
 _SMALL_TWO_DIVISION = {("square", e) for e in range(-8, -2)} | {("non-CM", -8)}
 

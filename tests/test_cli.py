@@ -341,6 +341,30 @@ def test_main_rejects_infinite_bool_and_negative_config_scalars_exit_1(
     assert captured.err.startswith(f"error: /{key}: ")
 
 
+@pytest.mark.parametrize(
+    "task, key, value",
+    (
+        ("pairing", "N", True),
+        ("classify", "motive/cm_override", True),
+        ("classify", "motive/cm_override", False),
+    ),
+)
+def test_main_rejects_bool_integer_fields_exit_1(tmp_path, capsys, task, key, value):
+    """N and cm_override are integers, and a bool is not one: true would
+    be echoed as N, and true or false compared with the detected CM
+    discriminant."""
+    if task == "pairing":
+        doc = {**SQ, "z": VARPI / 2, "zstar": {"re": 0.0, "im": 0.5 / VARPI}, "N": value}
+    else:
+        m = next(m for m, row, *_ in verify._table_instances() if row == "p-torsion")
+        doc = _motive_config(m)
+        doc["motive"]["cm_override"] = value
+    assert main([task, "--config", _write(tmp_path, doc), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: /{key}: expected ")
+
+
 def test_main_periods_of_a_curve_with_small_invariants_exit_0(tmp_path, capsys):
     # the square lattice scaled by 20: g2 = 4/20^4, a smooth curve
     path = _write(tmp_path, {"curve": {"g2": 2.5e-5, "g3": 0.0}})
@@ -558,6 +582,19 @@ def test_verify_reports_the_job_tolerance(tmp_path, capsys):
     path = _write(tmp_path, SQ)
     assert main(["verify", "--config", path, "--json", "--tol", "1e-6"]) == 0
     assert capsys.readouterr().out.endswith('"tolerance":9.9999999999999995e-07}\n')
+
+
+def test_formula_consistency_reads_every_table_instance():
+    """All fifteen instances are checked, the non-CM ones past the sixth
+    included: a tenth entry with dim UR != 2 dim B + dim Z(1) counts."""
+    from types import SimpleNamespace
+
+    ok = (SimpleNamespace(dim_UR=3, dim_B=1, dim_Z1=1, dim_Gal=7), "p-torsion", 3, 7, False)
+    broken = (SimpleNamespace(dim_UR=3, dim_B=1, dim_Z1=0, dim_Gal=7), "p-torsion", 3, 7, False)
+    table = [ok] * 15
+    assert verify._check_formula_consistency(table) == 0
+    table[9] = broken
+    assert verify._check_formula_consistency(table) >= 1
 
 
 VERIFY_GOLDEN_SEEDS = (0, 5, 17)

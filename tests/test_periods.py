@@ -1,5 +1,10 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -141,31 +146,65 @@ def test_elliptic_log_round_trip(L):
         assert abs(resid) < 1e-8 * abs(L.omega1)
 
 
-def test_cubic_roots_found_once_per_lattice_and_invariants(monkeypatch):
-    """elliptic_log keeps the branch points on the lattice for the
-    invariants object it was given: repeated calls find them once, and a
-    second invariants object of the same curve finds them again."""
+def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
+    """elliptic_log reads its branch points wp(h_j) at the half-periods of
+    the lattice: it never solves a cubic, it evaluates them once per
+    Lattice object whatever invariants object comes with the point, and a
+    lattice-given curve never loads numpy."""
     import semiabel.periods as periods
 
-    roots, calls = periods._cubic_roots, []
+    def refused(g2, g3):
+        raise AssertionError("elliptic_log solved a cubic")
 
-    def counted(g2, g3):
-        calls.append((g2, g3))
-        return roots(g2, g3)
+    wp_of_half_periods, calls = periods.wp, []
 
-    monkeypatch.setattr(periods, "_cubic_roots", counted)
-    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
-    inv = eisenstein_invariants(L)
-    points = [
-        EllipticPoint(wp(z, L), wp_prime(z, L)) for z in (0.3 + 0.2j, -0.5 + 0.9j)
-    ]
-    logs = [elliptic_log(P, L).value for P in points * 3]
-    assert len(calls) == 1
-    assert [elliptic_log(P, L, inv).value for P in points] == logs[:2]
-    assert len(calls) == 1
-    own = CurveInvariants(inv.g2, inv.g3)
-    assert [elliptic_log(P, L, own).value for P in points * 2] == logs[:4]
-    assert len(calls) == 2
+    def counted(z, L):
+        calls.append(z)
+        return wp_of_half_periods(z, L)
+
+    monkeypatch.setattr(periods, "_cubic_roots", refused)
+    monkeypatch.setattr(periods, "wp", counted)
+    zs = (0.3 + 0.2j, -0.5 + 0.9j)
+    logs = []
+    for _ in range(2):
+        L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+        inv = eisenstein_invariants(L)
+        own = CurveInvariants(inv.g2, inv.g3)
+        points = [EllipticPoint(wp(z, L), wp_prime(z, L)) for z in zs]
+        logs.append([elliptic_log(P, L, c).value for c in (None, inv, own) for P in points])
+    assert logs[0] == logs[1] == logs[0][:2] * 3
+    assert len(calls) == 6
+
+    L = make_lattice(1.3 + 0.8j, -0.5 + 1.9j)
+    z = 0.37 + 0.21j
+    point = {"x": wp(z, L), "y": wp_prime(z, L)}
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    curve = {"lattice": {"w1": J(L.omega1), "w2": J(L.omega2)}}
+    docs = {
+        "classify": {"motive": {
+            "extension_params": [{"x": J(point["x"]), "y": J(point["y"])}],
+            "points": [{"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}],
+        }},
+        "eval": {"z": [J(z)]},
+        "logg": {"q": {"log": J(0.41 + 0.27j)},
+                 "point": {"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}},
+    }
+    for task, doc in docs.items():
+        (tmp_path / f"{task}.json").write_text(json.dumps({"curve": curve, **doc}))
+    code = (
+        "import sys\n"
+        "from semiabel.cli import main\n"
+        f"for task in {list(docs)!r}:\n"
+        f"    assert main([task, '--config', {str(tmp_path)!r} + f'/{{task}}.json']) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(periods.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "False\n"
 
 
 def test_elliptic_log_identity_and_two_torsion():
