@@ -60,8 +60,9 @@ def theta1_bundle(v, weights):
     t3 = 0j
     scale = 0.0
     for n, (a, coeff, ca, caa, caaa, abs_coeff) in enumerate(weights):
-        s = cmath.sin(a * v)
-        c = cmath.cos(a * v)
+        av = a * v
+        s = cmath.sin(av)
+        c = cmath.cos(av)
         t0 += coeff * s
         t1 += ca * c
         t2 -= caa * s

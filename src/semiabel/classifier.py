@@ -27,7 +27,7 @@ from functools import cached_property
 from .elliptic import CurveInvariants
 from .errors import InconsistentOverride, InternalInconsistency, NotApplicable
 from .lattice import Lattice
-from .periods import check_on_curve, elliptic_log
+from .periods import check_on_curve, elliptic_log, generalized_elliptic_log
 from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, detect_integer_relation
 from .semiabelian import _fiber_log, quasi_quasi_periods
 
@@ -230,11 +230,15 @@ class _MotiveAnalysis:
         return [q.primal(self.L) for q in self.motive.extension_params]
 
     @cached_property
-    def point_logs(self):
+    def point_glogs(self):
         return [
-            elliptic_log(R.base, self.L, self.motive.curve).value
+            generalized_elliptic_log(R.base, self.L, self.motive.curve)
             for R in self.motive.points
         ]
+
+    @cached_property
+    def point_logs(self):
+        return [glog.z for glog in self.point_glogs]
 
     @cached_property
     def dim_B(self):
@@ -288,8 +292,8 @@ class _MotiveAnalysis:
         """The n*s integrals of the third kind: the fiber component t of
         log_G(R) for each point R and each parameter q."""
         return [
-            _fiber_log(R, z, q, self.L)
-            for R, z in zip(self.motive.points, self.point_logs)
+            _fiber_log(R, glog, q, self.L)
+            for R, glog in zip(self.motive.points, self.point_glogs)
             for q in self.motive.extension_params
         ]
 

@@ -17,10 +17,12 @@ from . import verify
 from .classifier import OneMotiveElliptic, motivic_galois_dims
 from .elliptic import (
     CurveInvariants,
+    _point,
+    _reduce,
+    _sigma,
+    _weierstrass,
     eisenstein_invariants,
     quasi_periods,
-    sigma_w,
-    weierstrass,
 )
 from .errors import (
     ConflictingCurveSpec,
@@ -286,14 +288,16 @@ def _job_eval(cfg):
     values = []
     for i, zn in enumerate(zs):
         z = _parse_complex(zn, f"/z/{i}")
-        p, dp, zeta = weierstrass(z, cfg.lattice)
+        # one reduction and one theta series for all four values
+        point = _point(_reduce(z, cfg.lattice), cfg.lattice)
+        p, dp, zeta = _weierstrass(point, cfg.lattice)
         values.append(
             {
                 "z": _cplx(z),
                 "wp": _cplx(p),
                 "wp_prime": _cplx(dp),
                 "zeta": _cplx(zeta),
-                "sigma": _cplx(sigma_w(z, cfg.lattice)),
+                "sigma": _cplx(_sigma(point, cfg.lattice)),
             }
         )
     return {"values": values}

@@ -44,16 +44,20 @@ def _reduced(L):
     """(Lr, tau, weights, eta1, eta2, theta1'(0)) for a reduced basis
     (w1, w2) of L, computed once per Lattice object: Lr = Lattice(w1, w2),
     tau = w2/w1, weights = theta1_weights(tau), and the quasi-periods of
-    the reduced basis."""
-    if "elliptic" not in L._cache:
+    the reduced basis.  Every evaluation reads these with one cache read;
+    its reduction on Lr reads Lr's basis determinant once, and its pole
+    check the radius kept on L (lattice.reduce_centered, in_pole_guard)."""
+    constants = L._cache.get("elliptic")
+    if constants is None:
         w1, w2, _ = L.reduced_basis()
         tau = w2 / w1
         weights = theta1_weights(tau)
         _, d1, _, d3 = theta1_bundle(0j, weights)
         eta1r = -d3 / (3.0 * d1 * w1)
         eta2r = (eta1r * w2 - TWO_PI_I) / w1
-        L._cache["elliptic"] = (Lattice(w1, w2), tau, weights, eta1r, eta2r, d1)
-    return L._cache["elliptic"]
+        constants = (Lattice(w1, w2), tau, weights, eta1r, eta2r, d1)
+        L._cache["elliptic"] = constants
+    return constants
 
 
 def eisenstein_invariants(L):

@@ -118,13 +118,17 @@ def from_real_coordinates(a1, a2, L):
     return a1 * L.omega1 + a2 * L.omega2
 
 
+def _beyond_precision(z, a1, a2):
+    return BeyondWorkingPrecision(
+        f"argument {z} is beyond working precision (coordinates {a1:.3g}, {a2:.3g})"
+    )
+
+
 def _cell_coordinates(z, L):
     """real_coordinates(z, L), refused past MAX_COORDINATE."""
     a1, a2 = real_coordinates(z, L)
     if not (abs(a1) <= MAX_COORDINATE and abs(a2) <= MAX_COORDINATE):
-        raise BeyondWorkingPrecision(
-            f"argument {z} is beyond working precision (coordinates {a1:.3g}, {a2:.3g})"
-        )
+        raise _beyond_precision(z, a1, a2)
     return a1, a2
 
 
@@ -143,19 +147,35 @@ def reduce_to_fundamental(z, L):
 
 
 def reduce_centered(z, L):
-    """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2)."""
-    a1, a2 = _cell_coordinates(z, L)
+    """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2).
+    Every evaluation reduces its argument here, so the solve of
+    real_coordinates and the refusal of _cell_coordinates are inlined,
+    reading the cached determinant once."""
+    zc = complex(z)
+    w1, w2 = L.omega1, L.omega2
+    # a basis determinant is never 0.0: a collinear basis caches None
+    det = L._cache.get("det") or _basis_determinant(L)
+    if det is None:
+        raise DegenerateLattice("basis numerically collinear")
+    a1 = (zc.real * w2.imag - w2.real * zc.imag) / det
+    a2 = (w1.real * zc.imag - zc.real * w1.imag) / det
+    if not (abs(a1) <= MAX_COORDINATE and abs(a2) <= MAX_COORDINATE):
+        raise _beyond_precision(z, a1, a2)
     m = round(a1)
     n = round(a2)
-    z0 = (a1 - m) * L.omega1 + (a2 - n) * L.omega2
-    return z0, m, n
+    return (a1 - m) * w1 + (a2 - n) * w2, m, n
 
 
 def in_pole_guard(z0, L):
     """Whether z0 = z - lambda, for the lattice point lambda nearest in
     coordinates, lies within the pole guard of Lambda; the guard scales
-    with the shortest period, so it does not depend on the basis."""
-    return abs(z0) < POLE_GUARD * abs(L.reduced_basis()[0])
+    with the shortest period, so it does not depend on the basis.  Its
+    radius, POLE_GUARD times the shortest period, is a lattice constant
+    kept on L with the reduced basis it is read from."""
+    radius = L._cache.get("pole_radius")
+    if radius is None:
+        radius = L._cache["pole_radius"] = POLE_GUARD * abs(L.reduced_basis()[0])
+    return abs(z0) < radius
 
 
 def near_lattice(z, L):

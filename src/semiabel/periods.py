@@ -9,12 +9,15 @@ an unambiguous principal-branch rule for complex arguments.
 """
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from ._kernels import carlson_rf
 from .elliptic import (
     CurveInvariants,
+    _point,
+    _reduce,
+    _weierstrass,
     eisenstein_invariants,
     weierstrass,
     wp,
@@ -56,6 +59,9 @@ class GeneralizedAbelianLog:
     z: complex
     w: complex  # second-kind integral: zeta at the principal logarithm
     is_identity: bool = False
+    # _point(_reduce(z, L), L) of the evaluation that checked z, from which
+    # the fiber logarithm reads sigma(z); not part of the value
+    _z_point: tuple = field(default=None, repr=False, compare=False)
 
 
 def check_on_curve(P, inv):
@@ -128,8 +134,10 @@ def _branch_points(L):
 def generalized_elliptic_log(P, L, inv=None):
     """Principal generalized elliptic logarithm (z, zeta(z)): z in the
     fundamental domain with wp(z) = x, wp'(z) = y, and zeta(z) from the
-    evaluation that checks it.  The identity O gets the distinguished
-    (0, marker) pair, which period_matrix_M enters as 0.
+    evaluation that checks it; that evaluation is kept on the result, so
+    the fiber logarithm of log_G reads sigma(z) from it.  The identity O
+    gets the distinguished (0, marker) pair, which period_matrix_M enters
+    as 0.
 
     P must lie on the curve of inv (by default the lattice's own
     invariants).  The branch points are wp at the half-periods of L; a
@@ -153,13 +161,12 @@ def generalized_elliptic_log(P, L, inv=None):
     else:
         (_, e1), (_, e2), (_, e3) = branch
         z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
-        # RF determines z up to sign and lattice; pick the sign matching y,
-        # using wp'(-z) = -wp'(z) bit for bit (symmetric rounding, sin odd,
-        # cos even)
+        # RF determines z up to sign and lattice; pick the sign matching y.
+        # wp(-z) = wp(z) and wp'(-z) = -wp'(z) hold bit for bit (symmetric
+        # rounding, sin odd, cos even), so -z needs no evaluation of its own
         p, d, _ = weierstrass(z, L)
         if abs(d - P.y) > abs(-d - P.y):
-            z = -z
-            p, d, _ = weierstrass(z, L)
+            z, d = -z, -d
         # Newton on wp(z) - x from the evaluation above.  A step that
         # increased the residual is undone: near 2-torsion wp' is round-off
         # sized, and one such step throws an already accurate z off the root.
@@ -179,12 +186,13 @@ def generalized_elliptic_log(P, L, inv=None):
             if abs(step) < 1e-14 * abs(L.omega1):
                 break
     z = _principal(z, L)
-    p, dp, zeta = weierstrass(z, L)
+    z_point = _point(_reduce(z, L), L)
+    p, dp, zeta = _weierstrass(z_point, L)
     if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"
         )
-    return GeneralizedAbelianLog(z, zeta)
+    return GeneralizedAbelianLog(z, zeta, _z_point=z_point)
 
 
 def elliptic_log(P, L, inv=None):

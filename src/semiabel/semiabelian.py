@@ -109,14 +109,18 @@ def log_G(R, q, L, inv=None):
     return BranchedValue(glog.z), tb
 
 
-def _fiber_log(R, z, q, L):
-    """The fiber component t of log_G(R), given the principal logarithm
-    z of the base point."""
+def _fiber_log(R, glog, q, L):
+    """The fiber component t of log_G(R), given the principal generalized
+    logarithm glog of the base point: serre_fq at glog.z, with sigma(z)
+    from the evaluation that checked glog.  That evaluation's pole check
+    has passed, so of serre_fq's checks only q on Lambda and the zero
+    remain."""
     if R.fiber == 0:
         raise FiberZero("fiber coordinate must be nonzero")
     if R.base.is_identity:
         return cmath.log(R.fiber)
-    f = serre_fq(z, q, L)
+    z_point = glog._z_point
+    f = _fq(glog.z, z_point[:3], *_primal_log(q, L), L, z_point)
     if f == 0:
         raise FiberZero("base point is -Q: no fiber logarithm")
     return cmath.log(R.fiber) - cmath.log(f)
@@ -124,11 +128,12 @@ def _fiber_log(R, z, q, L):
 
 def generalized_log_G(R, q, L, inv=None):
     """(z, zeta(z), t): first-, second-, third-kind components, with
-    zeta(z) from generalized_elliptic_log's own check."""
+    zeta(z), and sigma(z) for t, from generalized_elliptic_log's own
+    check."""
     if R.fiber == 0:
         raise FiberZero("fiber coordinate must be nonzero")
     glog = generalized_elliptic_log(R.base, L, inv)
-    return glog, BranchedValue(_fiber_log(R, glog.z, q, L))
+    return glog, BranchedValue(_fiber_log(R, glog, q, L))
 
 
 def quasi_quasi_periods(q, L):
@@ -182,5 +187,5 @@ def period_matrix_M(points, qs, L):
         m[i, n] = glog.z
         m[i, n + 1] = 0j if glog.is_identity else glog.w
         for k, q in enumerate(qs):
-            m[i, n + 2 + k] = _fiber_log(R, glog.z, q, L)
+            m[i, n + 2 + k] = _fiber_log(R, glog, q, L)
     return m

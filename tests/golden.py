@@ -4,6 +4,9 @@ Usage:
     python tests/golden.py            # print the field-wise diff only
     python tests/golden.py --write    # ... and overwrite the golden files
 
+Without --write the exit status is 1 when any golden line differs, so
+the script alone checks that a change keeps the reports byte for byte.
+
 Each file is rebuilt from the line generator its golden test in
 test_cli.py calls, so the test and this script cannot disagree about how
 a line is made.  The diff names, for every changed line, each JSON field
@@ -102,6 +105,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         built = _build(Path(tmp))
+    differs = False
     for name, lines in built.items():
         path = HERE / name
         old_lines = path.read_text().splitlines()
@@ -117,7 +121,8 @@ def main(argv=None):
         if changed and args.write:
             path.write_text("".join(lines))
             print(f"  written: {path.name}")
-    return 0
+        differs = differs or bool(changed)
+    return 1 if differs and not args.write else 0
 
 
 if __name__ == "__main__":

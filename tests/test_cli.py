@@ -521,11 +521,22 @@ def test_main_classify_past_max_values_exit_1(tmp_path, capsys):
     assert err == "error: a relation question of 13 values; at most 12 are supported\n"
 
 
-def test_eval_sums_two_theta_series_per_point(monkeypatch):
-    """One series gives wp, wp' and zeta, the other sigma."""
+def test_eval_sums_one_theta_series_per_point(monkeypatch):
+    """wp, wp', zeta and sigma at a point come from one series: a
+    two-point eval sums two, and its values are byte for byte those of
+    weierstrass and sigma_w called apart."""
     import semiabel.elliptic as elliptic
 
-    cfg = _cfg({**SQ, "z": {"re": 0.9, "im": 0.4}}, "eval")
+    zs = (0.9 + 0.4j, -1.3 + 2.7j)
+    cfg = _cfg({**SQ, "z": [_cplx(z) for z in zs]}, "eval")
+    expected = []
+    for z in zs:
+        p, dp, zeta = weierstrass(z, cfg.lattice)
+        sigma = elliptic.sigma_w(z, cfg.lattice)
+        expected.append(
+            {"z": _cplx(z), "wp": _cplx(p), "wp_prime": _cplx(dp),
+             "zeta": _cplx(zeta), "sigma": _cplx(sigma)}
+        )
     theta, calls = elliptic.theta1_bundle, []
 
     def counted(v, weights):
@@ -533,8 +544,9 @@ def test_eval_sums_two_theta_series_per_point(monkeypatch):
         return theta(v, weights)
 
     monkeypatch.setattr(elliptic, "theta1_bundle", counted)
-    run_job(cfg)
+    doc, _ = run_job(cfg)
     assert len(calls) == 2
+    assert emit_json(doc["values"]) == emit_json(expected)
 
 
 def test_main_identity_failure_exit_2(tmp_path, capsys, monkeypatch):

@@ -381,12 +381,16 @@ def test_sigma_oddness_and_pole_guard(generic_lattice):
 )
 def test_wp_prime_is_odd_bit_for_bit(phase, scale, tau_re, tau_im, a1, a2):
     """elliptic_log picks the sign of its logarithm from one wp' value,
-    which needs wp'(-z) = -wp'(z) exactly, not just to rounding."""
+    which needs wp'(-z) = -wp'(z) exactly, not just to rounding; and it
+    takes the negated branch without evaluating -z, which needs wp even
+    (and zeta odd) exactly too."""
     w1 = scale * cmath.exp(1j * phase)
     L = make_lattice(w1, w1 * complex(tau_re, tau_im))
     z = a1 * L.omega1 + a2 * L.omega2
     assume(not near_lattice(z, L))
     assert wp_prime(-z, L) == -wp_prime(z, L)
+    p, dp, zeta = weierstrass(z, L)
+    assert weierstrass(-z, L) == (p, -dp, -zeta)
 
 
 def test_sigma_overflows_where_the_weierstrass_bundle_does_not():

@@ -22,7 +22,12 @@ from semiabel.lattice import (
     reduce_centered,
 )
 from semiabel.pairing import f_tilde, ratio_f_tilde
-from semiabel.periods import EllipticPoint, _branch_points, elliptic_log
+from semiabel.periods import (
+    EllipticPoint,
+    _branch_points,
+    elliptic_log,
+    generalized_elliptic_log,
+)
 from semiabel.semiabelian import (
     ExtensionParam,
     SemiAbelianPoint,
@@ -135,13 +140,73 @@ def test_one_theta_series_per_distinct_argument(L, monkeypatch):
         assert len(args) == len(set(args)) == len(reductions) == 3, f.__name__
 
 
+def _reduction_arguments(monkeypatch):
+    """The list that every later reduction appends its argument to."""
+    reduce, args = reduce_centered, []
+
+    def counted(z, L):
+        args.append(z)
+        return reduce(z, L)
+
+    monkeypatch.setattr(lattice, "reduce_centered", counted)
+    monkeypatch.setattr(elliptic, "reduce_centered", counted)
+    return args
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_log_G_reads_sigma_z_from_the_logarithm(L, monkeypatch):
+    """log_G and generalized_log_G sum the logarithm's own series and
+    reductions plus one each at q and z + q: sigma(z) for f_q comes from
+    the evaluation that checks the logarithm."""
+    inv = eisenstein_invariants(L)
+    _branch_points(L)
+    q = _q_of(L)
+    R = exp_G(0.31 * L.omega1 + 0.22 * L.omega2, 0.1 - 0.2j, q, L)
+    qp = q.primal(L)
+    args, reductions = _theta_arguments(monkeypatch), _reduction_arguments(monkeypatch)
+    z = generalized_elliptic_log(R.base, L, inv).z
+    own_args, own_reductions = list(args), list(reductions)
+    for f in (log_G, generalized_log_G):
+        args.clear()
+        reductions.clear()
+        f(R, q, L, inv)
+        assert args[:-2] == own_args and len(args) == len(own_args) + 2, f.__name__
+        assert reductions == own_reductions + [qp, z + qp], f.__name__
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_period_matrix_M_reduces_each_point_once(L, monkeypatch):
+    """With s = 2 parameters, period_matrix_M reduces each point's z
+    only in its logarithm: beyond the logarithms' own reductions it
+    reduces q once per third-kind column and q, z + q per fiber entry,
+    and sums one series for each of those."""
+    eisenstein_invariants(L)
+    quasi_periods(L)
+    _branch_points(L)
+    qs = (_q_of(L), _q_of(L, 0.41 + 0.13j))
+    qps = [q.primal(L) for q in qs]
+    points = [
+        exp_G(a * L.omega1 + b * L.omega2, 0.4, qs[0], L)
+        for a, b in ((0.18, 0.27), (0.33, 0.12))
+    ]
+    args, reductions = _theta_arguments(monkeypatch), _reduction_arguments(monkeypatch)
+    zs = [generalized_elliptic_log(R.base, L).z for R in points]
+    own_args, own_reductions = len(args), list(reductions)
+    args.clear()
+    reductions.clear()
+    period_matrix_M(points, qs, L)
+    extra = qps + [u for z in zs for qp in qps for u in (qp, z + qp)]
+    assert sorted(reductions, key=repr) == sorted(own_reductions + extra, key=repr)
+    assert len(args) == own_args + len(extra)
+
+
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
-    """The sign test's evaluation is Newton's first step, and only a
-    negated z is evaluated again.  From -z every Newton iterate is the
-    exact negative of the one from z (wp even, wp' odd bit for bit), so
-    the branch that negates runs exactly one series more and returns
-    the negated branch."""
+    """The sign test's evaluation is Newton's first step, and a negated z
+    is not evaluated again: wp(-z) = wp(z) and wp'(-z) = -wp'(z) bit for
+    bit, so the branch that negates starts Newton from (p, -wp'(z)).  The
+    points (x, y) and (x, -y) sum the same series, the first one at the
+    same argument, and get logarithms that are negatives of each other."""
     inv = eisenstein_invariants(L)
     _branch_points(L)
     z = 0.31 * L.omega1 + 0.22 * L.omega2
@@ -151,12 +216,14 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
     for y in (dp, -dp):
         args.clear()
         value = elliptic_log(EllipticPoint(p, y), L, inv).value
-        runs.append((len(args), value))
-    (n_kept, z_kept), (n_negated, z_negated) = sorted(runs, key=lambda r: r[0])
-    assert n_negated == n_kept + 1
-    resid, _, _ = reduce_centered(z_kept + z_negated, L)
+        runs.append((list(args), value))
+    (args_y, z_y), (args_minus_y, z_minus_y) = runs
+    assert len(args_y) == len(args_minus_y)
+    assert args_y[0] == args_minus_y[0]
+    resid, _, _ = reduce_centered(z_y + z_minus_y, L)
     assert abs(resid) < 1e-12 * abs(L.omega1)
-    assert wp_prime(z_negated, L) == pytest.approx(-wp_prime(z_kept, L), rel=1e-9)
+    assert wp_prime(z_y, L) == pytest.approx(dp, rel=1e-9)
+    assert wp_prime(z_minus_y, L) == pytest.approx(-dp, rel=1e-9)
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
