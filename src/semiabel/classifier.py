@@ -139,8 +139,6 @@ def is_torsion(P, L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, curve=None)
     gives N = |c0| / gcd(c0, c1, c2), so N <= height_cap(3, max_height,
     tol): 1000 at the defaults, 12 at tol = 1e-4.
     """
-    if P.is_identity:
-        return 1
     z = elliptic_log(P, L, curve).value
     inside, cert = _in_rational_span(z, (L.omega1, L.omega2), max_height, tol)
     if not inside:

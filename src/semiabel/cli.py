@@ -33,7 +33,7 @@ from .errors import (
 from .lattice import make_lattice
 from .pairing import torsion_weil_pairing, weil_pairing
 from .periods import EllipticPoint, elliptic_log, periods_from_invariants
-from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL
+from .relations import _ULP, DEFAULT_MAX_HEIGHT, DEFAULT_TOL
 from .semiabelian import ExtensionParam, SemiAbelianPoint, exp_G, generalized_log_G
 
 
@@ -210,6 +210,7 @@ def parse_config(text, task=None, seed=None, tol=None):
         tol = doc.get("tol", DEFAULT_TOL)
     _parse_real(tol, "/tol", "tolerance must be a number")
     _expect(tol > 0, "/tol", "tolerance must be positive")
+    _expect(tol >= _ULP, "/tol", f"tolerance below the rounding floor {_ULP:.2g}")
     max_height = doc.get("max_height", DEFAULT_MAX_HEIGHT)
     _expect(
         type(max_height) is int and max_height > 0,
@@ -240,13 +241,16 @@ def _parse_motive(cfg):
     _expect(node is not None, "/motive", "missing motive payload")
     _expect(isinstance(node, dict), "/motive", "expected an object")
     _expect("points" in node, "/motive/points", "missing points")
+    points, params = node["points"], node.get("extension_params", [])
+    _expect(
+        isinstance(points, list) and points, "/motive/points", "expected a nonempty list"
+    )
+    _expect(isinstance(params, list), "/motive/extension_params", "expected a list")
     qs = tuple(
         _parse_extension_param(q, f"/motive/extension_params/{i}", cfg.lattice, cfg.curve)
-        for i, q in enumerate(node.get("extension_params", []))
+        for i, q in enumerate(params)
     )
-    pts = tuple(
-        _parse_sa_point(p, f"/motive/points/{i}") for i, p in enumerate(node["points"])
-    )
+    pts = tuple(_parse_sa_point(p, f"/motive/points/{i}") for i, p in enumerate(points))
     override = node.get("cm_override")
     if override is not None:
         _expect(

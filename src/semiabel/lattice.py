@@ -124,17 +124,12 @@ def _beyond_precision(z, a1, a2):
     )
 
 
-def _cell_coordinates(z, L):
-    """real_coordinates(z, L), refused past MAX_COORDINATE."""
+def reduce_to_fundamental(z, L):
+    """(z0, m, n) with z = z0 + m*omega1 + n*omega2 and coords of z0 in [0,1)^2;
+    refused past MAX_COORDINATE."""
     a1, a2 = real_coordinates(z, L)
     if not (abs(a1) <= MAX_COORDINATE and abs(a2) <= MAX_COORDINATE):
         raise _beyond_precision(z, a1, a2)
-    return a1, a2
-
-
-def reduce_to_fundamental(z, L):
-    """(z0, m, n) with z = z0 + m*omega1 + n*omega2 and coords of z0 in [0,1)^2."""
-    a1, a2 = _cell_coordinates(z, L)
     m = math.floor(a1)
     n = math.floor(a2)
     # guard against coordinates an ulp below an integer
@@ -149,8 +144,7 @@ def reduce_to_fundamental(z, L):
 def reduce_centered(z, L):
     """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2).
     Every evaluation reduces its argument here, so the solve of
-    real_coordinates and the refusal of _cell_coordinates are inlined,
-    reading the cached determinant once."""
+    real_coordinates is inlined, reading the cached determinant once."""
     zc = complex(z)
     w1, w2 = L.omega1, L.omega2
     # a basis determinant is never 0.0: a collinear basis caches None

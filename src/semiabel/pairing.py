@@ -45,10 +45,10 @@ def weil_pairing(z, zstar, L):
     D = L.covolume_factor()
     mu = dual_to_primal(zstar, L)
     val = cmath.exp(TWO_PI_I * duality_product(z, mu) / abs(D))
-    # cross-check through real coordinates
+    # cross-check through real coordinates; iota carries Lambda* onto Lambda,
+    # so z*'s coordinates on the dual basis are mu's on L's basis
     a1, a2 = real_coordinates(z, L)
-    ds = dual_lattice(L)
-    b1, b2 = real_coordinates(zstar, ds)
+    b1, b2 = real_coordinates(mu, L)
     alt = cmath.exp(TWO_PI_I * (a1 * b2 - a2 * b1))
     if abs(val - alt) > 1e-8 * abs(val):
         raise InternalInconsistency(

@@ -114,11 +114,6 @@ def periods_from_invariants(c):
     return best[1]
 
 
-def _principal(z, L):
-    z0, _, _ = reduce_to_fundamental(z, L)
-    return z0
-
-
 def _branch_points(L):
     """((h, wp(h)) for the half-periods h = w1/2, w2/2, (w1 + w2)/2 of L's
     reduced basis: the branch points e_j = wp(h_j) of the curve
@@ -185,7 +180,7 @@ def generalized_elliptic_log(P, L, inv=None):
             z -= step
             if abs(step) < 1e-14 * abs(L.omega1):
                 break
-    z = _principal(z, L)
+    z = reduce_to_fundamental(z, L)[0]
     z_point = _point(_reduce(z, L), L)
     p, dp, zeta = _weierstrass(z_point, L)
     if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:

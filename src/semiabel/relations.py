@@ -110,11 +110,13 @@ def lll_reduce(basis):
 
 def height_cap(k, max_height, tol):
     """The largest H <= max_height with (2H)^k * (tol/H)^2 <= SPURIOUS_BUDGET,
-    and at least 1; for k <= 2 the count does not grow with H."""
+    and at least 1; for k <= 2 the count does not grow with H, and where
+    2^k * tol^2 underflows to 0 it bounds no H."""
     if k <= 2:
         return max_height
-    h = int((SPURIOUS_BUDGET / (2**k * tol * tol)) ** (1 / (k - 2)))
-    return max(1, min(max_height, h))
+    count = 2**k * tol * tol
+    h = (SPURIOUS_BUDGET / count) ** (1 / (k - 2)) if count else math.inf
+    return max(1, int(min(h, max_height)))
 
 
 def _search(values, max_height, tol):
@@ -128,9 +130,8 @@ def _search(values, max_height, tol):
     reduced = lll_reduce(rows)
     best = None
     for row in reduced:
+        # rows of the unimodular transform: never zero
         coeffs = row[:k]
-        if all(c == 0 for c in coeffs):
-            continue
         height = max(abs(c) for c in coeffs)
         if height > max_height:
             continue

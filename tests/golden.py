@@ -6,6 +6,8 @@ Usage:
 
 Without --write the exit status is 1 when any golden line differs, so
 the script alone checks that a change keeps the reports byte for byte.
+Its first line is the line count of ``src/semiabel/*.py``, so the same
+run also gives the size that the byte-identical reports come from.
 
 Each file is rebuilt from the line generator its golden test in
 test_cli.py calls, so the test and this script cannot disagree about how
@@ -23,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src" / "semiabel"
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 import test_cli  # noqa: E402
@@ -39,6 +42,11 @@ def _build(tmp):
             test_cli.verify_report_line(tmp, seed) for seed in test_cli.VERIFY_GOLDEN_SEEDS
         ],
     }
+
+
+def source_lines():
+    """Lines of src/semiabel/*.py, counted as wc -l counts them."""
+    return sum(p.read_text().count("\n") for p in SRC.glob("*.py"))
 
 
 def field_changes(old, new, path=""):
@@ -103,6 +111,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help="overwrite the golden files")
     args = ap.parse_args(argv)
+    print(f"src/semiabel/*.py: {source_lines()} lines")
     with tempfile.TemporaryDirectory() as tmp:
         built = _build(Path(tmp))
     differs = False

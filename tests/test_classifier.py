@@ -511,6 +511,31 @@ def test_non_cm_table_rows_on_a_long_thin_basis():
                 assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == (row, ur, gal), row
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_in_rational_span's |v| < tol*scale short-circuit takes scale from "
+    "the largest generator, here the far representative of log q (CHANGES.md "
+    "FOUND, ROADMAP item 7)",
+)
+def test_dim_B_does_not_depend_on_the_parameter_log_representative():
+    """log q and log q + 1000*omega1 give the same extension, so the same
+    motive: dim B must not move.  With the far representative the tiny
+    point logarithm p reads as torsion, dim B drops from 2 to 1, and
+    is_deficient raises InternalInconsistency on this valid input."""
+    L = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
+    inv = eisenstein_invariants(L)
+    mu = complex(0.2 * math.sqrt(5.0), 0.11 * math.sqrt(7.0))
+    p = 3.1e-7 * complex(math.sqrt(2.0), math.sqrt(3.0))
+    R = exp_G(p, 0.3, ExtensionParam.from_primal(mu, L), L)
+    dims = [
+        dim_B_elliptic(OneMotiveElliptic(inv, L, (ExtensionParam.from_primal(m, L),), (R,)))
+        for m in (mu, mu + 1000 * L.omega1)
+    ]
+    assert dims[0] == (2, 1, 1)
+    assert dims[1] == dims[0]
+
+
 def test_q_r_torsion_with_root_of_unity_fiber():
     """For a 2-division q the quasi-quasi-periods are rational multiples
     of 2*pi*i, so they add nothing to the span the fiber is reduced in."""

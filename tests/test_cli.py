@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -237,7 +238,7 @@ def test_job_classify_independent_bounds():
     assert doc["bounds"]["SA"] == 7
     # a motive without marked points is rejected outright
     bad = {"motive": {"extension_params": [q], "points": []}}
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         run_job(_cfg({**SQ, **bad}, "classify"))
 
 
@@ -519,6 +520,69 @@ def test_main_classify_past_max_values_exit_1(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err == "error: a relation question of 13 values; at most 12 are supported\n"
+
+
+_O_POINT = {"base": "O", "fiber": 1.0}
+
+
+@pytest.mark.parametrize("task", ("classify", "bounds"))
+@pytest.mark.parametrize(
+    "key, motive",
+    (
+        ("points", {"points": []}),
+        ("points", {"points": None}),
+        ("points", {"points": 5}),
+        ("points", {"points": "x"}),
+        ("extension_params", {"points": [_O_POINT], "extension_params": None}),
+        ("extension_params", {"points": [_O_POINT], "extension_params": {"log": 1}}),
+    ),
+    ids=("empty", "null", "number", "string", "params-null", "params-object"),
+)
+def test_main_malformed_motive_list_exit_1(tmp_path, capsys, task, key, motive):
+    """points is a nonempty list and extension_params a list: anything
+    else is a schema error naming the list itself, not a traceback, and
+    a string or an object is not read item by item."""
+    doc = {**SQ, "motive": {"extension_params": [_Q_LOG], **motive}}
+    assert main([task, "--config", _write(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: /motive/{key}: ")
+
+
+@pytest.mark.parametrize(
+    "extra, flags", ((', "tol": 1e-16', ()), ("", ("--tol", "1e-200")))
+)
+def test_main_rejects_a_tolerance_below_the_rounding_floor_exit_1(
+    tmp_path, capsys, extra, flags
+):
+    """Below 2**-50, eight unit roundoffs, table rows classify wrong at
+    exit 0 (1e-16), or the height cap overflows (1e-160) and divides by
+    zero (1e-200); the tolerance is refused as input instead."""
+    m = next(m for m, row, *_ in verify._table_instances() if row == "p-torsion")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_motive_config(m))[:-1] + extra + "}")
+    assert main(["classify", "--config", str(path), "--json", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: /tol: ")
+
+
+def test_main_expg_at_a_lattice_point_prints_the_identity(tmp_path, capsys):
+    """exp_G maps z = omega1 + omega2 to (O, e^t): the base prints as "O"."""
+    L = _cfg(SQ, "periods").lattice
+    doc = {**SQ, "q": _Q_LOG, "z": _cplx(L.omega1 + L.omega2), "t": 0.3}
+    assert main(["expg", "--config", _write(tmp_path, doc), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["base"] == "O"
+    assert _c(out["fiber"]) == cmath.exp(0.3)
+
+
+def test_main_classify_of_a_zero_fiber_exit_1(tmp_path, capsys):
+    """A marked point with fiber 0 is not on the extension: the classifier
+    reaches its fiber logarithm and exits 1 with an error line."""
+    motive = {"extension_params": [_Q_LOG], "points": [{"base": "O", "fiber": 0.0}]}
+    assert main(["classify", "--config", _write(tmp_path, {**SQ, "motive": motive})]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: fiber coordinate must be nonzero\n"
 
 
 def test_eval_sums_one_theta_series_per_point(monkeypatch):

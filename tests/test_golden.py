@@ -16,3 +16,14 @@ def test_golden_exits_1_on_a_changed_line_unless_written(tmp_path, monkeypatch, 
     assert golden_file.read_text() == "".join(built)
     assert golden.main([]) == 0
     assert "0 of 2 lines differ" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_golden_prints_the_source_line_count_first(tmp_path, monkeypatch, capsys):
+    """The first line is the line count of src/semiabel/*.py, as wc -l
+    counts it, ahead of the per-file verdicts."""
+    monkeypatch.setattr(golden, "HERE", tmp_path)
+    monkeypatch.setattr(golden, "_build", lambda tmp: {})
+    assert golden.main([]) == 0
+    n = sum(len(p.read_bytes().split(b"\n")) - 1 for p in golden.SRC.glob("*.py"))
+    assert n > 0
+    assert capsys.readouterr().out.splitlines()[0] == f"src/semiabel/*.py: {n} lines"

@@ -219,6 +219,21 @@ def test_elliptic_log_identity_and_two_torsion():
     assert abs(wp(z, L) - 1.0) < 1e-9
 
 
+def test_elliptic_log_that_misses_the_point_raises(monkeypatch):
+    """The logarithm's closing evaluation catches a z that Newton cannot
+    carry to P: here RF's starting value is pinned to 0.05*omega1."""
+    import semiabel.periods as periods
+
+    L = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
+    inv = eisenstein_invariants(L)
+    z = 0.31 * L.omega1 + 0.43 * L.omega2
+    P = EllipticPoint(wp(z, L), wp_prime(z, L))
+    assert abs(elliptic_log(P, L, inv).value - z) < 1e-9
+    monkeypatch.setattr(periods, "carlson_rf", lambda *_: 0.05 * L.omega1)
+    with pytest.raises(ConvergenceFailure, match="logarithm failed to invert wp"):
+        elliptic_log(P, L, inv)
+
+
 def _half_periods(L):
     return (L.omega1 / 2, L.omega2 / 2, (L.omega1 + L.omega2) / 2)
 

@@ -99,6 +99,14 @@ def test_height_cap_is_the_largest_height_within_the_spurious_budget():
         assert expected_spurious(k, h) <= SPURIOUS_BUDGET < expected_spurious(k, h + 1)
 
 
+@pytest.mark.parametrize("k", (3, 5, 8))
+@pytest.mark.parametrize("tol", (1e-160, 1e-200))
+def test_height_cap_of_a_tolerance_past_the_float_range_is_max_height(k, tol):
+    """At tol = 1e-160, 2^k * tol^2 is subnormal and the budget ratio
+    overflows; from about 1e-170 it underflows to 0.  Neither bounds H."""
+    assert height_cap(k, 1000, tol) == 1000
+
+
 def test_relation_above_the_height_cap_is_not_reported():
     """A planted relation of height 200 among five values is found; with
     two more values the cap falls to 95, and the one search reports
