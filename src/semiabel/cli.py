@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error, 2 identity failure.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -436,5 +437,14 @@ def main(argv=None):
     return code
 
 
+def run(argv=None):
+    """The CLI process: main() with the cyclic collector off, and the heap
+    frozen before exit so interpreter shutdown skips its full sweep."""
+    gc.disable()
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

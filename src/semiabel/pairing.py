@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .elliptic import _point, _reduce, _sigma, eta_linear
 from .errors import (
+    BeyondWorkingPrecision,
     InternalInconsistency,
     NotTorsion,
     PoleAtLatticePoint,
@@ -30,7 +31,7 @@ class UnitCircleValue:
     value: complex
 
     def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-9:
+        if not (abs(abs(self.value) - 1.0) <= 1e-9):
             raise ValueError(f"not on the unit circle: {self.value}")
 
 
@@ -41,14 +42,23 @@ def weil_pairing(z, zstar, L):
     the self-duality map iota, and the covolume is taken positive (the
     orientation-normalized basis has Im(w1 conj(w2)) < 0, so this flips
     the sign of the coordinate closed form to exp(2 pi i (a1 b2 - a2 b1))).
+    Refused past the coordinates where the phase's rounding, about
+    2 pi 2^-50 (|a1| + |a2|)(|b1| + |b2|), reaches the cross-check's 1e-8.
     """
+    if not (cmath.isfinite(complex(z)) and cmath.isfinite(complex(zstar))):
+        raise ValueError(f"non-finite pairing argument: {z}, {zstar}")
     D = L.covolume_factor()
     mu = dual_to_primal(zstar, L)
-    val = cmath.exp(TWO_PI_I * duality_product(z, mu) / abs(D))
-    # cross-check through real coordinates; iota carries Lambda* onto Lambda,
-    # so z*'s coordinates on the dual basis are mu's on L's basis
+    # iota carries Lambda* onto Lambda, so z*'s coordinates on the dual
+    # basis are mu's on L's basis
     a1, a2 = real_coordinates(z, L)
     b1, b2 = real_coordinates(mu, L)
+    if 2 * math.pi * 2.0**-50 * (abs(a1) + abs(a2)) * (abs(b1) + abs(b2)) >= 1e-8:
+        raise BeyondWorkingPrecision(
+            f"pairing of {z} and {zstar} is beyond working precision "
+            f"(coordinates {a1:.3g}, {a2:.3g} and {b1:.3g}, {b2:.3g})"
+        )
+    val = cmath.exp(TWO_PI_I * duality_product(z, mu) / abs(D))
     alt = cmath.exp(TWO_PI_I * (a1 * b2 - a2 * b1))
     if abs(val - alt) > 1e-8 * abs(val):
         raise InternalInconsistency(

@@ -497,7 +497,7 @@ def test_table_rows_invariant_under_complex_conjugation():
     strict=True,
     raises=OverflowError,
     reason="serre_fq evaluates sigma at a far translate without reducing z "
-    "modulo Lambda first (CHANGES.md FOUND, ROADMAP item 8)",
+    "modulo Lambda first (CHANGES.md FOUND, ROADMAP item 7)",
 )
 def test_non_cm_table_rows_on_a_long_thin_basis():
     """In the long, thin cell of the bases (13, 8; 8, 5) and (21, 13; 13, 8)
@@ -516,7 +516,7 @@ def test_non_cm_table_rows_on_a_long_thin_basis():
     raises=AssertionError,
     reason="_in_rational_span's |v| < tol*scale short-circuit takes scale from "
     "the largest generator, here the far representative of log q (CHANGES.md "
-    "FOUND, ROADMAP item 7)",
+    "FOUND, ROADMAP item 11)",
 )
 def test_dim_B_does_not_depend_on_the_parameter_log_representative():
     """log q and log q + 1000*omega1 give the same extension, so the same

@@ -1,8 +1,12 @@
 import cmath
 import contextlib
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -427,6 +431,10 @@ def test_main_overflow_from_input_exit_1(tmp_path, capsys, task, doc):
     (
         ("eval", {**SQ, "z": 1e200}),
         ("expg", {**SQ, "q": {"log": {"re": 0.7, "im": 0.9}}, "z": 1e200, "t": 0.5}),
+        # the pairing's phase is rounding here; it used to exit 2
+        ("pairing", {"curve": {"lattice": {"w1": {"re": 1.3, "im": 0.2},
+                                           "w2": {"re": 0.4, "im": 1.7}}},
+                     "z": 1e9, "zstar": 0.3}),
     ),
 )
 def test_main_argument_beyond_working_precision_exit_1(tmp_path, capsys, task, doc):
@@ -687,6 +695,50 @@ def test_verify_report_matches_golden_bytes(tmp_path, index, seed):
     """verify --json, byte for byte, one golden line per seed."""
     golden = Path(__file__).with_name("golden_verify_reports.jsonl").read_text()
     assert verify_report_line(tmp_path, seed) == golden.splitlines(keepends=True)[index]
+
+
+def _python(*args):
+    """A Python process with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _cli_process(*args):
+    return _python("-m", "semiabel.cli", *args)
+
+
+def test_cli_process_verify_prints_the_golden_line(tmp_path):
+    proc = _cli_process("verify", "--config", _write(tmp_path, SQ), "--json", "--seed", "0")
+    golden = Path(__file__).with_name("golden_verify_reports.jsonl").read_text()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == golden.splitlines(keepends=True)[0]
+
+
+def test_cli_process_malformed_config_exit_1_as_main(tmp_path, capsys):
+    path = _write(tmp_path, {"curve": {"g2": 4.0}})
+    proc = _cli_process("periods", "--config", path)
+    assert main(["periods", "--config", path]) == 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == capsys.readouterr().err
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    state = (gc.isenabled(), gc.get_freeze_count())
+    assert main(["periods", "--config", _write(tmp_path, SQ)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def test_run_is_the_process_entry(tmp_path):
+    """run() returns main's code with the collector off and the heap
+    frozen; the installed script points at it."""
+    code = ("import gc; from semiabel.cli import run; "
+            f"c = run(['periods', '--config', {_write(tmp_path, SQ)!r}]); "
+            "print(c, gc.isenabled(), gc.get_freeze_count() > 0)")
+    proc = _python("-c", code)
+    assert proc.stdout.splitlines()[-1] == "0 False True"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'semiabel = "semiabel.cli:run"' in pyproject.read_text().splitlines()
 
 
 @pytest.mark.parametrize("seed", (*range(40), 94, 163))

@@ -6,8 +6,13 @@ import pytest
 import numpy as np
 
 from semiabel import pairing
-from semiabel.errors import InternalInconsistency, NotTorsion, PoleAtLatticePoint
-from semiabel.lattice import dual_lattice, dual_to_primal
+from semiabel.errors import (
+    BeyondWorkingPrecision,
+    InternalInconsistency,
+    NotTorsion,
+    PoleAtLatticePoint,
+)
+from semiabel.lattice import dual_lattice, dual_to_primal, duality_product
 from semiabel.pairing import (
     UnitCircleValue,
     f_tilde,
@@ -28,6 +33,38 @@ def test_unit_circle_value_guard():
     UnitCircleValue(1j)
     with pytest.raises(ValueError):
         UnitCircleValue(1.5 + 0j)
+    with pytest.raises(ValueError):
+        UnitCircleValue(complex(math.nan, math.nan))
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan, complex(0.0, math.inf)))
+def test_weil_pairing_refuses_nonfinite_arguments(generic_lattice, bad):
+    """A non-finite argument used to come back as UnitCircleValue(nan+nanj)."""
+    with pytest.raises(ValueError):
+        weil_pairing(bad, 0.3, generic_lattice)
+    with pytest.raises(ValueError):
+        weil_pairing(0.3, bad, generic_lattice)
+
+
+@pytest.mark.parametrize("z, zs", ((1e9, 0.3), (0.3, 1e9), (3e7j, 0.2 + 0.1j)))
+def test_weil_pairing_far_arguments_are_beyond_working_precision(generic_lattice, z, zs):
+    """Past 2 pi 2^-50 (|a1| + |a2|)(|b1| + |b2|) >= 1e-8 the phase is
+    rounding; (1e9, 0.3) failed the coordinate cross-check (exit 2)."""
+    with pytest.raises(BeyondWorkingPrecision):
+        weil_pairing(z, zs, generic_lattice)
+
+
+def test_weil_pairing_keeps_its_value_up_to_1e5(generic_lattice):
+    """Seeded pairs with |z| <= 1e5 and |z*| <= 1 pass the precision bound
+    and return the closed form exp(2 pi i Im(conj(z) mu) / |D|) bit for bit."""
+    L = generic_lattice
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        z = complex(*rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.uniform(-2.0, 5.0) / math.sqrt(2)
+        zs = complex(*rng.uniform(-1.0, 1.0, 2)) / math.sqrt(2)
+        mu = dual_to_primal(zs, L)
+        closed = cmath.exp(TWO_PI_I * duality_product(z, mu) / abs(L.covolume_factor()))
+        assert weil_pairing(z, zs, L).value == closed
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
@@ -135,7 +172,7 @@ def test_ratio_f_tilde_pole_guard(generic_lattice):
     strict=True,
     raises=AssertionError,
     reason="the two f-tilde factors of ratio_f_tilde share sigma(z + mu), "
-    "sigma(z) and sigma(mu), so sigma cancels (CHANGES.md FOUND, ROADMAP item 8)",
+    "sigma(z) and sigma(mu), so sigma cancels (CHANGES.md FOUND, ROADMAP item 13)",
 )
 def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
     """A wrong entire function in place of sigma must move the value or
