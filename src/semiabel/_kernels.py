@@ -54,6 +54,7 @@ def theta1_bundle(v, weights):
     Every term updates the running max |t3|; from n = 2 on, the series stops
     once |c| (|sin| + |cos|) a^3 falls below round-off of it (never at NaN v).
     """
+    sin, cos, rel_eps = cmath.sin, cmath.cos, _REL_EPS
     t0 = 0j
     t1 = 0j
     t2 = 0j
@@ -61,8 +62,8 @@ def theta1_bundle(v, weights):
     scale = 0.0
     for n, (a, coeff, ca, caa, caaa, abs_coeff) in enumerate(weights):
         av = a * v
-        s = cmath.sin(av)
-        c = cmath.cos(av)
+        s = sin(av)
+        c = cos(av)
         t0 += coeff * s
         t1 += ca * c
         t2 -= caa * s
@@ -72,7 +73,7 @@ def theta1_bundle(v, weights):
             scale = x
         if (
             n >= 2
-            and abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a < _REL_EPS * scale
+            and abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a < rel_eps * scale
         ):
             return t0, t1, t2, t3
     raise ConvergenceFailure(

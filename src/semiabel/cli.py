@@ -18,12 +18,10 @@ from . import verify
 from .classifier import OneMotiveElliptic, motivic_galois_dims
 from .elliptic import (
     CurveInvariants,
-    _point,
-    _reduce,
-    _sigma,
-    _weierstrass,
     eisenstein_invariants,
     quasi_periods,
+    sigma_w,
+    weierstrass,
 )
 from .errors import (
     ConflictingCurveSpec,
@@ -293,16 +291,15 @@ def _job_eval(cfg):
     values = []
     for i, zn in enumerate(zs):
         z = _parse_complex(zn, f"/z/{i}")
-        # one reduction and one theta series for all four values
-        point = _point(_reduce(z, cfg.lattice), cfg.lattice)
-        p, dp, zeta = _weierstrass(point, cfg.lattice)
+        # sigma reads the reduction and theta series weierstrass summed
+        p, dp, zeta = weierstrass(z, cfg.lattice)
         values.append(
             {
                 "z": _cplx(z),
                 "wp": _cplx(p),
                 "wp_prime": _cplx(dp),
                 "zeta": _cplx(zeta),
-                "sigma": _cplx(_sigma(point, cfg.lattice)),
+                "sigma": _cplx(sigma_w(z, cfg.lattice)),
             }
         )
     return {"values": values}

@@ -4,7 +4,10 @@ R-linear quasi-period form, and the normalized theta function.
 Everything is evaluated through the odd Jacobi theta series on a
 modular-reduced basis of the lattice; values at arbitrary arguments are
 recovered from the quasi-periodicity laws, so sigma and zeta return the
-principal-branch value at the original argument.
+principal-branch value at the original argument.  Each Lattice keeps its
+last MEMO_SIZE evaluations (an argument's reduction and, once summed, its
+theta series), keyed by the argument's exact bits, so public calls at
+one argument share one series without changing a value.
 """
 
 import cmath
@@ -41,12 +44,13 @@ class QuasiPeriods:
 
 
 def _reduced(L):
-    """(Lr, tau, weights, eta1, eta2, theta1'(0)) for a reduced basis
+    """(Lr, tau, weights, eta1, eta2, theta1'(0), memo) for a reduced basis
     (w1, w2) of L, computed once per Lattice object: Lr = Lattice(w1, w2),
-    tau = w2/w1, weights = theta1_weights(tau), and the quasi-periods of
-    the reduced basis.  Every evaluation reads these with one cache read;
-    its reduction on Lr reads Lr's basis determinant once, and its pole
-    check the radius kept on L (lattice.reduce_centered, in_pole_guard)."""
+    tau = w2/w1, weights = theta1_weights(tau), the quasi-periods of the
+    reduced basis, and the memo of evaluations (_entry).  Every evaluation
+    reads these with one cache read; its reduction on Lr reads Lr's basis
+    determinant once, and its pole check the radius kept on L
+    (lattice.reduce_centered, in_pole_guard)."""
     constants = L._cache.get("elliptic")
     if constants is None:
         w1, w2, _ = L.reduced_basis()
@@ -55,7 +59,7 @@ def _reduced(L):
         _, d1, _, d3 = theta1_bundle(0j, weights)
         eta1r = -d3 / (3.0 * d1 * w1)
         eta2r = (eta1r * w2 - TWO_PI_I) / w1
-        constants = (Lattice(w1, w2), tau, weights, eta1r, eta2r, d1)
+        constants = (Lattice(w1, w2), tau, weights, eta1r, eta2r, d1, {})
         L._cache["elliptic"] = constants
     return constants
 
@@ -64,7 +68,7 @@ def eisenstein_invariants(L):
     """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series;
     computed once per Lattice object."""
     if "invariants" not in L._cache:
-        Lr, tau, _, _, _, _ = _reduced(L)
+        Lr, tau, _, _, _, _, _ = _reduced(L)
         w1 = Lr.omega1
         e4, e6 = eisenstein_e4_e6(tau)
         pi = math.pi
@@ -78,57 +82,82 @@ def _psi(m, n):
     return 1.0 if (m % 2 == 0 and n % 2 == 0) else -1.0
 
 
+# evaluations kept per lattice: the four values, exp_G, log_G and
+# ratio_f_tilde at one point read eight distinct arguments
+MEMO_SIZE = 16
+
+
+def _entry(z, constants):
+    """The memo's [z0, m, n, bundle] for z on the lattice of constants =
+    _reduced(L): z = z0 + m*w1 + n*w2 on the reduced basis with z0
+    centred, and bundle = theta1_bundle(z0/w1) once _series has summed it,
+    else None.  Keyed by the bits of complex(z), so it never changes a
+    value; the oldest of MEMO_SIZE entries makes way for a new one, and a
+    reduction that raises stores nothing."""
+    memo = constants[6]
+    zc = complex(z)
+    # -0.0 == 0.0 as a key, so a zero part keys with its sign
+    key = zc if zc.real and zc.imag else (
+        zc, math.copysign(1.0, zc.real), math.copysign(1.0, zc.imag)
+    )
+    entry = memo.get(key)
+    if entry is None:
+        z0, m, n = reduce_centered(z, constants[0])
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        entry = memo[key] = [z0, m, n, None]
+    return entry
+
+
+def _series(entry, constants):
+    """The theta bundle of entry = _entry(z, constants), summed once."""
+    bundle = entry[3]
+    if bundle is None:
+        bundle = entry[3] = theta1_bundle(entry[0] / constants[0].omega1, constants[2])
+    return bundle
+
+
 def _reduce(z, L):
-    """(z0, m, n): z = z0 + m*w1 + n*w2 on the reduced basis, z0 centred."""
-    return reduce_centered(z, _reduced(L)[0])
-
-
-def _point(red, L):
-    """(z0, m, n, bundle): red = _reduce(z, L) and theta1_bundle at z0/w1."""
-    Lr, _, weights, _, _, _ = _reduced(L)
-    z0, m, n = red
-    return z0, m, n, theta1_bundle(z0 / Lr.omega1, weights)
-
-
-def _sigma(point, L):
-    """sigma at the argument of point = _point(_reduce(z, L), L)."""
-    Lr, _, _, eta1r, eta2r, d1_0 = _reduced(L)
-    w1, w2 = Lr.omega1, Lr.omega2
-    z0, m, n, (t0, _, _, _) = point
-    s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
-    if m == 0 and n == 0:
-        return s0
-    lam = m * w1 + n * w2
-    eta_lam = m * eta1r + n * eta2r
-    return _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s0
-
-
-def _weierstrass(point, L):
-    """(wp, wp', zeta) at the argument of point = _point(_reduce(z, L), L)."""
-    Lr, _, _, eta1r, eta2r, _ = _reduced(L)
-    w1 = Lr.omega1
-    z0, m, n, (t0, d1, d2, d3) = point
-    if in_pole_guard(z0, L):
-        raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
-    g = d1 / t0
-    gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
-    p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
-    zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
-    return p, -gpp / w1**3, zeta
+    """_entry(z, _reduced(L)), whose z0 the pole and zero checks read
+    before any series is summed."""
+    return _entry(z, _reduced(L))
 
 
 def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z, from
     one reduction and one theta series.  Its quasi-periodicity factor is
     not in weierstrass(): it overflows at far translates where wp is finite."""
-    return _sigma(_point(_reduce(z, L), L), L)
+    constants = _reduced(L)
+    Lr, _, _, eta1r, eta2r, d1_0, _ = constants
+    entry = _entry(z, constants)
+    z0, m, n, _ = entry
+    t0 = _series(entry, constants)[0]
+    w1 = Lr.omega1
+    s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
+    if m == 0 and n == 0:
+        return s0
+    lam = m * w1 + n * Lr.omega2
+    eta_lam = m * eta1r + n * eta2r
+    return _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s0
 
 
 def weierstrass(z, L):
     """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
     zeta is the principal value at the original z.  Raises
-    PoleAtLatticePoint within the pole guard of Lambda."""
-    return _weierstrass(_point(_reduce(z, L), L), L)
+    PoleAtLatticePoint within the pole guard of Lambda, before the series."""
+    constants = _reduced(L)
+    Lr, _, _, eta1r, eta2r, _, _ = constants
+    entry = _entry(z, constants)
+    z0, m, n, _ = entry
+    if in_pole_guard(z0, L):
+        raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
+    t0, d1, d2, d3 = _series(entry, constants)
+    w1 = Lr.omega1
+    g = d1 / t0
+    gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
+    p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
+    zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
+    return p, -gpp / w1**3, zeta
 
 
 def zeta_w(z, L):
@@ -150,7 +179,7 @@ def quasi_periods(L):
     """(eta1, eta2) = 2*zeta(omega_i/2) for the lattice's own basis;
     computed once per Lattice object."""
     if "quasi_periods" not in L._cache:
-        Lr, _, _, eta1r, eta2r, _ = _reduced(L)
+        Lr, _, _, eta1r, eta2r, _, _ = _reduced(L)
         # user basis in reduced-basis integer coordinates
         m1, n1 = lattice_coords(L.omega1, Lr)
         m2, n2 = lattice_coords(L.omega2, Lr)

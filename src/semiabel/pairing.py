@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _point, _reduce, _sigma, eta_linear
+from .elliptic import _reduce, eta_linear, sigma_w
 from .errors import (
     BeyondWorkingPrecision,
     InternalInconsistency,
@@ -121,13 +121,11 @@ def _sigmas(z, w, L):
     """[sigma(z), sigma(w), sigma(z + w)] from one reduction and one theta
     series each; raises PoleAtLatticePoint when z, w or z + w (checked in
     that order, before any series) is on Lambda."""
-    reductions = []
-    for u in (z, w, z + w):
-        red = _reduce(u, L)
-        if in_pole_guard(red[0], L):
+    args = (z, w, z + w)
+    for u in args:
+        if in_pole_guard(_reduce(u, L)[0], L):
             raise PoleAtLatticePoint(f"argument {u} on Lambda")
-        reductions.append(red)
-    return [_sigma(_point(red, L), L) for red in reductions]
+    return [sigma_w(u, L) for u in args]
 
 
 def f_tilde(z, w, L):

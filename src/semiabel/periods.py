@@ -9,19 +9,11 @@ an unambiguous principal-branch rule for complex arguments.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from ._kernels import carlson_rf
-from .elliptic import (
-    CurveInvariants,
-    _point,
-    _reduce,
-    _weierstrass,
-    eisenstein_invariants,
-    weierstrass,
-    wp,
-)
+from .elliptic import CurveInvariants, eisenstein_invariants, weierstrass, wp
 from .errors import (
     ConvergenceFailure,
     NotOnCurve,
@@ -59,9 +51,6 @@ class GeneralizedAbelianLog:
     z: complex
     w: complex  # second-kind integral: zeta at the principal logarithm
     is_identity: bool = False
-    # _point(_reduce(z, L), L) of the evaluation that checked z, from which
-    # the fiber logarithm reads sigma(z); not part of the value
-    _z_point: tuple = field(default=None, repr=False, compare=False)
 
 
 def check_on_curve(P, inv):
@@ -129,8 +118,8 @@ def _branch_points(L):
 def generalized_elliptic_log(P, L, inv=None):
     """Principal generalized elliptic logarithm (z, zeta(z)): z in the
     fundamental domain with wp(z) = x, wp'(z) = y, and zeta(z) from the
-    evaluation that checks it; that evaluation is kept on the result, so
-    the fiber logarithm of log_G reads sigma(z) from it.  The identity O
+    evaluation that checks it; the lattice's memo keeps that evaluation,
+    so the fiber logarithm of log_G reads sigma(z) from it.  The identity O
     gets the distinguished (0, marker) pair, which period_matrix_M enters
     as 0.
 
@@ -181,13 +170,12 @@ def generalized_elliptic_log(P, L, inv=None):
             if abs(step) < 1e-14 * abs(L.omega1):
                 break
     z = reduce_to_fundamental(z, L)[0]
-    z_point = _point(_reduce(z, L), L)
-    p, dp, zeta = _weierstrass(z_point, L)
+    p, dp, zeta = weierstrass(z, L)
     if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"
         )
-    return GeneralizedAbelianLog(z, zeta, _z_point=z_point)
+    return GeneralizedAbelianLog(z, zeta)
 
 
 def elliptic_log(P, L, inv=None):

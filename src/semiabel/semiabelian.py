@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _point, _reduce, _sigma, _weierstrass, quasi_periods
+from .elliptic import _reduce, quasi_periods, sigma_w, weierstrass
 from .errors import FiberZero, PoleAtLatticePoint
 from .lattice import dual_to_primal, in_pole_guard
 from .periods import (
@@ -48,13 +48,12 @@ class SemiAbelianPoint:
 
 
 def _primal_log(q, L):
-    """(qp, _reduce(qp, L)) for the primal log qp of q (an ExtensionParam
-    or the log); raises PoleAtLatticePoint when qp is on Lambda."""
+    """The primal log qp of q (an ExtensionParam or the log); raises
+    PoleAtLatticePoint when qp is on Lambda."""
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    q_red = _reduce(qp, L)
-    if in_pole_guard(q_red[0], L):
+    if in_pole_guard(_reduce(qp, L)[0], L):
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
-    return qp, q_red
+    return qp
 
 
 def serre_fq(z, q, L):
@@ -66,24 +65,21 @@ def serre_fq(z, q, L):
     Returns exactly 0 at the zero z = -q (mod Lambda) of the section.
     """
     z = complex(z)
-    qp, q_red = _primal_log(q, L)
-    z_red = _reduce(z, L)
-    if in_pole_guard(z_red[0], L):
+    qp = _primal_log(q, L)
+    if in_pole_guard(_reduce(z, L)[0], L):
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    return _fq(z, z_red, qp, q_red, L)
+    return _fq(z, qp, L)
 
 
-def _fq(z, z_red, qp, q_red, L, z_point=None):
-    """serre_fq off its poles, from z_red = _reduce(z, L) and (qp, q_red) =
-    _primal_log(q, L); sigma(z) from z_point = _point(z_red, L) if given."""
-    sum_red = _reduce(z + qp, L)
-    if in_pole_guard(sum_red[0], L):
+def _fq(z, qp, L):
+    """serre_fq off its poles, z and the primal log qp of q pole-checked."""
+    u = z + qp
+    if in_pole_guard(_reduce(u, L)[0], L):
         return 0j
-    q_point = _point(q_red, L)
     return (
-        _sigma(_point(sum_red, L), L)
-        * cmath.exp(-_weierstrass(q_point, L)[2] * z)
-        / (_sigma(z_point or _point(z_red, L), L) * _sigma(q_point, L))
+        sigma_w(u, L)
+        * cmath.exp(-weierstrass(qp, L)[2] * z)
+        / (sigma_w(z, L) * sigma_w(qp, L))
     )
 
 
@@ -91,14 +87,12 @@ def exp_G(z, t, q, L):
     """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t)."""
     z = complex(z)
     t = complex(t)
-    z_red = _reduce(z, L)
-    if in_pole_guard(z_red[0], L):
+    if in_pole_guard(_reduce(z, L)[0], L):
         return SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
-    z_point = _point(z_red, L)
-    f = _fq(z, z_red, *_primal_log(q, L), L, z_point)
+    f = _fq(z, _primal_log(q, L), L)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
-    p, dp, _ = _weierstrass(z_point, L)
+    p, dp, _ = weierstrass(z, L)
     base = EllipticPoint(p, dp)
     return SemiAbelianPoint(base, cmath.exp(t) * f)
 
@@ -111,16 +105,15 @@ def log_G(R, q, L, inv=None):
 
 def _fiber_log(R, glog, q, L):
     """The fiber component t of log_G(R), given the principal generalized
-    logarithm glog of the base point: serre_fq at glog.z, with sigma(z)
-    from the evaluation that checked glog.  That evaluation's pole check
-    has passed, so of serre_fq's checks only q on Lambda and the zero
-    remain."""
+    logarithm glog of the base point: serre_fq at glog.z, whose sigma(z)
+    the lattice's memo holds from the evaluation that checked glog.  That
+    check has passed, so of serre_fq's checks only q on Lambda and the
+    zero remain."""
     if R.fiber == 0:
         raise FiberZero("fiber coordinate must be nonzero")
     if R.base.is_identity:
         return cmath.log(R.fiber)
-    z_point = glog._z_point
-    f = _fq(glog.z, z_point[:3], *_primal_log(q, L), L, z_point)
+    f = _fq(glog.z, _primal_log(q, L), L)
     if f == 0:
         raise FiberZero("base point is -Q: no fiber logarithm")
     return cmath.log(R.fiber) - cmath.log(f)
@@ -138,9 +131,9 @@ def generalized_log_G(R, q, L, inv=None):
 
 def quasi_quasi_periods(q, L):
     """Third-kind periods (eta_j q - omega_j zeta(q)) for j = 1, 2."""
-    qp, q_red = _primal_log(q, L)
+    qp = _primal_log(q, L)
     e = quasi_periods(L)
-    zq = _weierstrass(_point(q_red, L), L)[2]
+    zq = weierstrass(qp, L)[2]
     return (
         e.eta1 * qp - L.omega1 * zq,
         e.eta2 * qp - L.omega2 * zq,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semiabel import elliptic
 from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle, theta1_weights
 from semiabel.elliptic import (
     eisenstein_invariants,
@@ -28,7 +29,7 @@ from semiabel.errors import (
     ConvergenceFailure,
     PoleAtLatticePoint,
 )
-from semiabel.lattice import make_lattice, near_lattice
+from semiabel.lattice import Lattice, make_lattice, near_lattice
 
 from conftest import VARPI, lattices_for_sweep
 
@@ -86,7 +87,7 @@ def test_theta1_weights_cached_on_the_lattice_give_the_same_bits(L):
 
     weierstrass(0.3 + 0.2j, L)
     sigma_w(-0.7 + 0.4j, L)
-    Lr, tau, cached, _, _, _ = _reduced(L)
+    Lr, tau, cached, _, _, _, _ = _reduced(L)
     assert _reduced(L)[2] is cached
     fresh = theta1_weights(tau)
     assert cached == fresh
@@ -122,7 +123,7 @@ def test_theta1_bundle_stop_test_from_term_two_gives_the_same_bits(L):
     a NaN argument still never stops."""
     from semiabel.elliptic import _reduced
 
-    _, tau, weights, _, _, _ = _reduced(L)
+    _, tau, weights, _, _, _, _ = _reduced(L)
     rng = random.Random(14)
     vs = [0j, -0j, complex(0.0, -0.0)]
     vs += [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau for _ in range(400)]
@@ -405,6 +406,62 @@ def test_sigma_overflows_where_the_weierstrass_bundle_does_not():
     assert dp == pytest.approx(wp_prime(z, L), rel=1e-12)
     with pytest.raises(OverflowError):
         sigma_w(far, L)
+
+
+# ---------------------------------------------------------------------------
+# The memo of evaluations kept on each lattice
+# ---------------------------------------------------------------------------
+
+
+def _values_or_error(z, L):
+    """repr of (weierstrass, sigma_w) at z, or of the exception raised."""
+    try:
+        return repr((weierstrass(z, L), sigma_w(z, L)))
+    except PoleAtLatticePoint as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep() + [make_lattice(1j, -1.0)])
+def test_memo_keeps_signed_zeros_apart(L):
+    """-0.0 == 0.0 as a dict key, so the memo keys a zero part with its
+    sign: x + 0j and x - 0j, +-0 + iy, and the four signed zeros give on
+    one lattice the bits each gives on a fresh one.  On Z*i + Z*(-1) the
+    pole message at 0 prints the reduction, whose zeros keep the signs."""
+    shared = Lattice(L.omega1, L.omega2)
+    args = [complex(a, b) for x in (0.3, -0.7) for a, b in ((x, 0.0), (x, -0.0), (0.0, x), (-0.0, x))]
+    args += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for z in args + args:
+        assert _values_or_error(z, shared) == _values_or_error(z, Lattice(L.omega1, L.omega2)), z
+
+
+def test_memo_holds_no_more_than_its_bound(monkeypatch):
+    """After 10 000 distinct arguments the memo holds the last MEMO_SIZE."""
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    memo = elliptic._reduced(L)[6]
+    args = [complex(0.1 + k * 1e-5, 0.2) for k in range(10_000)]
+    for z in args:
+        wp(z, L)
+        assert len(memo) <= elliptic.MEMO_SIZE
+    assert list(memo) == args[-elliptic.MEMO_SIZE:]
+
+
+def test_memo_stores_no_error(generic_lattice):
+    """A pole raises PoleAtLatticePoint on every call, also after sigma_w
+    (entire, 0 there) has summed its series; an argument beyond working
+    precision raises every time and leaves nothing in the memo."""
+    L = Lattice(generic_lattice.omega1, generic_lattice.omega2)
+    pole = L.omega1 - 2 * L.omega2
+    for _ in range(3):
+        assert sigma_w(pole, L) == 0
+        for f in (wp, wp_prime, zeta_w, weierstrass):
+            with pytest.raises(PoleAtLatticePoint):
+                f(pole, L)
+    held = dict(elliptic._reduced(L)[6])
+    for _ in range(3):
+        for f in (wp, sigma_w):
+            with pytest.raises(BeyondWorkingPrecision):
+                f(1e200, L)
+    assert elliptic._reduced(L)[6] == held
 
 
 def test_arguments_beyond_working_precision_are_rejected(generic_lattice):

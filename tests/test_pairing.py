@@ -180,8 +180,7 @@ def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
     L = generic_lattice
     z, zs = 0.3 + 0.2j, (0.45 + 0.61j) / L.covolume_factor()
     right = ratio_f_tilde(z, zs, L)
-    # sigma as ratio_f_tilde reads it: from each argument's one reduction
-    monkeypatch.setattr(pairing, "_sigma", lambda point, L: 7.0 + 3j * point[0])
+    monkeypatch.setattr(pairing, "sigma_w", lambda u, L: 7.0 + 3j * u)
     try:
         moved = abs(ratio_f_tilde(z, zs, L) - right) > 1e-6
     except InternalInconsistency:

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiabel import elliptic, lattice
 from semiabel.elliptic import (
     eisenstein_invariants,
     quasi_periods,
+    sigma_w,
     weierstrass,
     wp,
     wp_prime,
@@ -16,6 +19,7 @@ from semiabel.elliptic import (
 from semiabel.errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
 from semiabel.lattice import (
     POLE_GUARD,
+    Lattice,
     dual_to_primal,
     make_lattice,
     near_lattice,
@@ -112,34 +116,6 @@ def _theta_arguments(monkeypatch):
     return args
 
 
-@pytest.mark.parametrize("L", lattices_for_sweep())
-def test_one_theta_series_per_distinct_argument(L, monkeypatch):
-    """exp_G and serre_fq need sigma, wp and zeta at z, q and z + q, and
-    ratio_f_tilde needs sigma at z, mu and z + mu: one series each, and
-    the pole and zero checks read the reduction each series is summed at."""
-    eisenstein_invariants(L)  # the lattice's constants, built once
-    z = 0.31 * L.omega1 + 0.22 * L.omega2
-    q = _q_of(L)
-    zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
-    args, reductions = _theta_arguments(monkeypatch), []
-
-    def counted(z, L):
-        reductions.append(z)
-        return reduce_centered(z, L)
-
-    monkeypatch.setattr(lattice, "reduce_centered", counted)
-    monkeypatch.setattr(elliptic, "reduce_centered", counted)
-    for f, a in (
-        (exp_G, (z, 0.1 - 0.2j, q, L)),
-        (serre_fq, (z, q, L)),
-        (ratio_f_tilde, (z, zstar, L)),
-    ):
-        args.clear()
-        reductions.clear()
-        f(*a)
-        assert len(args) == len(set(args)) == len(reductions) == 3, f.__name__
-
-
 def _reduction_arguments(monkeypatch):
     """The list that every later reduction appends its argument to."""
     reduce, args = reduce_centered, []
@@ -153,36 +129,74 @@ def _reduction_arguments(monkeypatch):
     return args
 
 
+def _fresh(L, *counts):
+    """A new Lattice with L's basis and its constants built (invariants,
+    quasi-periods, branch points), so that no evaluation an earlier call
+    left in L's memo serves the next one; the count lists are cleared."""
+    F = Lattice(L.omega1, L.omega2)
+    eisenstein_invariants(F)
+    quasi_periods(F)
+    _branch_points(F)
+    for c in counts:
+        c.clear()
+    return F
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_one_theta_series_per_distinct_argument(L, monkeypatch):
+    """exp_G and serre_fq need sigma, wp and zeta at z, q and z + q, and
+    ratio_f_tilde needs sigma at z, mu and z + mu: one series each on a
+    fresh lattice, and the pole and zero checks read the reduction each
+    series is summed at.  A repeat on the warmed lattice sums none."""
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    q = _q_of(L)
+    zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
+    args, reductions = _theta_arguments(monkeypatch), _reduction_arguments(monkeypatch)
+    for f, a in (
+        (exp_G, (z, 0.1 - 0.2j, q)),
+        (serre_fq, (z, q)),
+        (ratio_f_tilde, (z, zstar)),
+    ):
+        F = _fresh(L, args, reductions)
+        f(*a, F)
+        assert len(args) == len(set(args)) == len(reductions) == 3, f.__name__
+        args.clear()
+        reductions.clear()
+        f(*a, F)
+        assert args == reductions == [], f.__name__
+
+
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_log_G_reads_sigma_z_from_the_logarithm(L, monkeypatch):
-    """log_G and generalized_log_G sum the logarithm's own series and
-    reductions plus one each at q and z + q: sigma(z) for f_q comes from
-    the evaluation that checks the logarithm."""
+    """On a fresh lattice, log_G and generalized_log_G sum the logarithm's
+    own series and reductions plus one each at q and z + q: sigma(z) for
+    f_q comes from the evaluation that checks the logarithm.  A repeat on
+    the warmed lattice sums none."""
     inv = eisenstein_invariants(L)
-    _branch_points(L)
     q = _q_of(L)
     R = exp_G(0.31 * L.omega1 + 0.22 * L.omega2, 0.1 - 0.2j, q, L)
     qp = q.primal(L)
     args, reductions = _theta_arguments(monkeypatch), _reduction_arguments(monkeypatch)
-    z = generalized_elliptic_log(R.base, L, inv).z
+    z = generalized_elliptic_log(R.base, _fresh(L, args, reductions), inv).z
     own_args, own_reductions = list(args), list(reductions)
     for f in (log_G, generalized_log_G):
-        args.clear()
-        reductions.clear()
-        f(R, q, L, inv)
+        F = _fresh(L, args, reductions)
+        f(R, q, F, inv)
         assert args[:-2] == own_args and len(args) == len(own_args) + 2, f.__name__
         assert reductions == own_reductions + [qp, z + qp], f.__name__
+        args.clear()
+        reductions.clear()
+        f(R, q, F, inv)
+        assert args == reductions == [], f.__name__
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_period_matrix_M_reduces_each_point_once(L, monkeypatch):
-    """With s = 2 parameters, period_matrix_M reduces each point's z
-    only in its logarithm: beyond the logarithms' own reductions it
-    reduces q once per third-kind column and q, z + q per fiber entry,
-    and sums one series for each of those."""
-    eisenstein_invariants(L)
-    quasi_periods(L)
-    _branch_points(L)
+    """With s = 2 parameters, period_matrix_M on a fresh lattice reduces
+    each point's z only in its logarithm: beyond the logarithms' own
+    reductions it reduces each q once, for its third-kind column, and
+    z + q per fiber entry, and sums one series for each of those.  A
+    repeat on the warmed lattice sums none."""
     qs = (_q_of(L), _q_of(L, 0.41 + 0.13j))
     qps = [q.primal(L) for q in qs]
     points = [
@@ -190,14 +204,20 @@ def test_period_matrix_M_reduces_each_point_once(L, monkeypatch):
         for a, b in ((0.18, 0.27), (0.33, 0.12))
     ]
     args, reductions = _theta_arguments(monkeypatch), _reduction_arguments(monkeypatch)
-    zs = [generalized_elliptic_log(R.base, L).z for R in points]
-    own_args, own_reductions = len(args), list(reductions)
-    args.clear()
-    reductions.clear()
-    period_matrix_M(points, qs, L)
-    extra = qps + [u for z in zs for qp in qps for u in (qp, z + qp)]
+    zs, own_args, own_reductions = [], 0, []
+    for R in points:
+        zs.append(generalized_elliptic_log(R.base, _fresh(L, args, reductions)).z)
+        own_args += len(args)
+        own_reductions += reductions
+    F = _fresh(L, args, reductions)
+    period_matrix_M(points, qs, F)
+    extra = qps + [z + qp for z in zs for qp in qps]
     assert sorted(reductions, key=repr) == sorted(own_reductions + extra, key=repr)
     assert len(args) == own_args + len(extra)
+    args.clear()
+    reductions.clear()
+    period_matrix_M(points, qs, F)
+    assert args == reductions == []
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
@@ -205,18 +225,21 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
     """The sign test's evaluation is Newton's first step, and a negated z
     is not evaluated again: wp(-z) = wp(z) and wp'(-z) = -wp'(z) bit for
     bit, so the branch that negates starts Newton from (p, -wp'(z)).  The
-    points (x, y) and (x, -y) sum the same series, the first one at the
-    same argument, and get logarithms that are negatives of each other."""
+    points (x, y) and (x, -y), each on a fresh lattice, sum the same
+    series, the first one at the same argument, and get logarithms that
+    are negatives of each other; a repeat on the warmed lattice sums none."""
     inv = eisenstein_invariants(L)
-    _branch_points(L)
     z = 0.31 * L.omega1 + 0.22 * L.omega2
     p, dp, _ = weierstrass(z, L)
     args = _theta_arguments(monkeypatch)
     runs = []
     for y in (dp, -dp):
-        args.clear()
-        value = elliptic_log(EllipticPoint(p, y), L, inv).value
+        F = _fresh(L, args)
+        value = elliptic_log(EllipticPoint(p, y), F, inv).value
         runs.append((list(args), value))
+        args.clear()
+        assert elliptic_log(EllipticPoint(p, y), F, inv).value == value
+        assert args == []
     (args_y, z_y), (args_minus_y, z_minus_y) = runs
     assert len(args_y) == len(args_minus_y)
     assert args_y[0] == args_minus_y[0]
@@ -224,6 +247,74 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
     assert abs(resid) < 1e-12 * abs(L.omega1)
     assert wp_prime(z_y, L) == pytest.approx(dp, rel=1e-9)
     assert wp_prime(z_minus_y, L) == pytest.approx(-dp, rel=1e-9)
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_elliptic_eval_op_sums_eight_theta_series(L, monkeypatch):
+    """One elliptic-eval op on a fresh lattice (wp, wp', zeta and sigma at
+    z, then exp_G, log_G and ratio_f_tilde) sums 8 series, none twice: z,
+    q, z + q, the logarithm's R_F start and its check, that z + q, mu and
+    z + mu."""
+    z = 0.31 * L.omega1 + 1.22 * L.omega2
+    q = _q_of(L)
+    zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
+    args = _theta_arguments(monkeypatch)
+    F = _fresh(L, args)
+    for f in (wp, wp_prime, zeta_w, sigma_w):
+        f(z, F)
+    R = exp_G(z, 0.1 - 0.2j, q, F)
+    log_G(R, q, F)
+    ratio_f_tilde(z, zstar, F)
+    assert len(args) == len(set(args)) == 8
+
+
+# pool of arguments a1*omega1 + a2*omega2 for the memo's transparency
+# property: cell points, a half-period, a far translate, a lattice point,
+# and a negative (so that z + q can land on Lambda)
+_POOL = (0.31 + 0.22j, -0.27 + 0.41j, 0.5 + 0j, 2.31 - 0.78j, 1 - 2j, -0.31 - 0.22j)
+_AT_ONE_POINT = {f.__name__: f for f in (wp, wp_prime, zeta_w, sigma_w, weierstrass)}
+_CALLS = (*_AT_ONE_POINT, "exp_G", "log_G", "serre_fq", "ratio_f_tilde", "elliptic_log")
+
+
+def _public_call(name, i, j, base, L):
+    """repr of the public call name at pool points i, j on L, or of its
+    exception; base is a lattice with L's basis that builds the inputs."""
+    u, w = (_POOL[k].real * base.omega1 + _POOL[k].imag * base.omega2 for k in (i, j))
+    q = ExtensionParam.from_primal(w, base)
+    try:
+        if name in _AT_ONE_POINT:
+            return repr(_AT_ONE_POINT[name](u, L))
+        if name == "exp_G":
+            return repr(exp_G(u, 0.1 - 0.2j, q, L))
+        if name == "serre_fq":
+            return repr(serre_fq(u, q, L))
+        if name == "ratio_f_tilde":
+            return repr(ratio_f_tilde(u, w / base.covolume_factor(), L))
+        R = exp_G(u, 0.1 - 0.2j, q, base)
+        return repr(log_G(R, q, L) if name == "log_G" else elliptic_log(R.base, L))
+    except (PoleAtLatticePoint, FiberZero) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    k=st.integers(0, 4),
+    calls=st.lists(
+        st.tuples(st.sampled_from(_CALLS), st.integers(0, 5), st.integers(0, 5)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_memo_is_transparent(k, calls):
+    """A sequence of public calls on one lattice gives, call by call, the
+    repr that the same call gives on a fresh lattice with the basis."""
+    base = lattices_for_sweep()[k]
+    shared = Lattice(base.omega1, base.omega2)
+    for name, i, j in calls:
+        fresh = Lattice(base.omega1, base.omega2)
+        assert _public_call(name, i, j, base, shared) == _public_call(
+            name, i, j, base, fresh
+        ), (name, i, j)
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
