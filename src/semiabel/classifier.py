@@ -16,8 +16,9 @@ detected linear relation ships as a certificate, with its residual and
 the height cap it was searched under, and each report carries a
 confidence flag.
 
-Torsion is one such decision, asked alike by `is_torsion` and
-`classify`: is the elliptic logarithm in Q*omega1 + Q*omega2?
+dim B and dim Z(1) are ranks of one greedy chain of span questions.
+Torsion is the first question of dim B's chain, asked alike by
+`is_torsion`: is the elliptic logarithm in Q*omega1 + Q*omega2?
 """
 
 import math
@@ -192,8 +193,8 @@ def detect_cm(L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, cm_override=Non
 
 
 class _MotiveAnalysis:
-    """Every logarithm, torsion flag, CM test and span decision of one
-    motive, each made at most once and only when first needed.
+    """Every logarithm, CM test, torsion answer (`torsion`) and rank chain
+    (`chain`) of one motive, each made at most once and only when first needed.
 
     The public functions below are views of one analysis.  Each
     attribute is computed on first read, so a view computes only what it
@@ -214,9 +215,28 @@ class _MotiveAnalysis:
             self._spans[key] = _in_rational_span(v, basis, self.max_height, self.tol)
         return self._spans[key]
 
-    def is_torsion_log(self, z):
-        """Whether z lies in Q*omega1 + Q*omega2 (a torsion logarithm)."""
-        return self.in_span(z, (self.L.omega1, self.L.omega2))[0]
+    def torsion(self, z):
+        """(c0, c1, c2) with c0*z + c1*omega1 + c2*omega2 = 0, or None when z
+        is not torsion; a z short-circuited on |z| < tol reads (1, 0, 0)."""
+        inside, cert = self.in_span(z, (self.L.omega1, self.L.omega2))
+        if not inside:
+            return None
+        return cert.coefficients if cert is not None else (1, 0, 0)
+
+    def chain(self, gens, values, delta=None, first=None):
+        """The greedy rank chain: each value in order is asked whether it is
+        in the Q-span of `first`, when given, else of gens, which grow by v,
+        or by {v, delta*v} under CM, when it is not.  Returns (independent,
+        certificate or None) per value."""
+        gens, steps = list(gens), []
+        for v in values:
+            inside, cert = self.in_span(v, first) if first else (False, None)
+            if not inside:
+                inside, cert = self.in_span(v, gens)
+            if not inside:
+                gens += [v] if delta is None else [v, delta * v]
+            steps.append((not inside, cert))
+        return steps
 
     @cached_property
     def cm(self):
@@ -240,26 +260,15 @@ class _MotiveAnalysis:
 
     @cached_property
     def dim_B(self):
-        """(dim_B, dim_B_vstar, dim_B_Q, certificates): greedy F-span of
-        the parameter logarithms, then the point logarithms, modulo the
-        periods; in the CM case each independent value v adds the pair
-        {v, delta*v}.  A torsion value's certificate is its torsion one."""
-        delta = self.cm[1]
-        gens = [self.L.omega1, self.L.omega2]
-        certs = []
-        independent = []
-        for v in self.param_logs + self.point_logs:
-            inside, cert = self.in_span(v, gens[:2])
-            if not inside and len(gens) > 2:
-                inside, cert = self.in_span(v, gens)
-            if cert is not None:
-                certs.append(cert)
-            if not inside:
-                gens += [v] if delta is None else [v, delta * v]
-            independent.append(not inside)
-        d_total = sum(independent)
-        d_vstar = sum(independent[: self.motive.s])
-        return d_total, d_vstar, d_total - d_vstar, tuple(certs)
+        """(dim_B, dim_B_vstar, dim_B_Q, certificates): the chain of the
+        parameter logarithms, then the point logarithms, over the periods,
+        with CM pairs; each value is asked its torsion question first, so a
+        torsion value's certificate is its torsion one."""
+        delta, periods = self.cm[1], (self.L.omega1, self.L.omega2)
+        steps = self.chain(periods, self.param_logs + self.point_logs, delta, periods)
+        d_total = sum(new for new, _ in steps)
+        d_vstar = sum(new for new, _ in steps[: self.motive.s])
+        return d_total, d_vstar, d_total - d_vstar, tuple(c for _, c in steps if c)
 
     @cached_property
     def deficient(self):
@@ -269,7 +278,7 @@ class _MotiveAnalysis:
         if m.n != 1 or m.s != 1 or self.dim_B[0] != 1:
             return None
         (mu,), (p,) = self.param_logs, self.point_logs
-        if self.is_torsion_log(p) or self.is_torsion_log(mu):
+        if self.torsion(p) is not None or self.torsion(mu) is not None:
             return None
         # dim B's one certificate, of p: c0*p + c1*omega1 + c2*omega2 + c3*mu
         # (+ c4*delta*mu under CM) = 0, so q = beta*p mod periods with
@@ -295,13 +304,6 @@ class _MotiveAnalysis:
             for q in self.motive.extension_params
         ]
 
-    def extend(self, basis, v):
-        """Append v to basis unless it lies in the Q-span; True if appended."""
-        inside, _ = self.in_span(v, basis)
-        if not inside:
-            basis.append(v)
-        return not inside
-
     @cached_property
     def reduced_third_kind_values(self):
         """The third-kind values, each t of a torsion point p = a1*omega1 +
@@ -311,10 +313,8 @@ class _MotiveAnalysis:
         values = iter(self.third_kind_values)
         out = []
         for p in self.point_logs:
-            # c0*p + c1*omega1 + c2*omega2 = 0; a non-torsion p, or one
-            # short-circuited on |p| < tol, has no certificate and moves nothing
-            cert = self.in_span(p, (self.L.omega1, self.L.omega2))[1]
-            c0, c1, c2 = cert.coefficients if cert is not None else (1, 0, 0)
+            # c0*p + c1*omega1 + c2*omega2 = 0; a non-torsion p moves nothing
+            c0, c1, c2 = self.torsion(p) or (1, 0, 0)
             out += [
                 next(values) - c1 / c0 * g1 - c2 / c0 * g2
                 for g1, g2 in self.third_kind_periods
@@ -335,15 +335,12 @@ class _MotiveAnalysis:
         # `deficient` is False exactly for the remaining dim B = 1 case
         if m.n == 1 and m.s == 1 and (self.dim_B[0] == 2 or self.deficient is False):
             return 1
-        # greedy over Q: 2*pi*i, each g_j not yet in the span, then the values.
-        # Torsion q = a1*omega1 + a2*omega2 has g_j = +-2*pi*i*a_(3-j) - d*omega_j,
-        # d = zeta(q) - eta(q): d = 0 at order 2 keeps the g_j out, but from order
-        # 3 on they enter (q = omega1/3 on Z + Zi: g1/2*pi*i ~ 0.2919i)
-        basis = [TWO_PI_I]
-        for g in periods:
-            for gj in g:
-                self.extend(basis, gj)
-        return sum(1 for v in values if self.extend(basis, v))
+        # the chain over Q from 2*pi*i: the g_j, then the values.  Torsion
+        # q = a1*omega1 + a2*omega2 has g_j = +-2*pi*i*a_(3-j) - d*omega_j,
+        # d = zeta(q) - eta(q): d = 0 at order 2 keeps the g_j out, but from
+        # order 3 on they enter (q = omega1/3 on Z + Zi: g1/2*pi*i ~ 0.2919i)
+        g = [gj for pair in periods for gj in pair]
+        return sum(new for new, _ in self.chain([TWO_PI_I], g + values)[len(g):])
 
     @cached_property
     def table_row(self):
@@ -351,7 +348,7 @@ class _MotiveAnalysis:
         if m.n != 1 or m.s != 1:
             raise NotApplicable("the classification table covers n = s = 1 only")
         (mu,), (p,) = self.param_logs, self.point_logs
-        p_tor, q_tor = self.is_torsion_log(p), self.is_torsion_log(mu)
+        p_tor, q_tor = self.torsion(p) is not None, self.torsion(mu) is not None
         (t,) = self.reduced_third_kind_values
         r_tor = p_tor and self.in_span(t, (TWO_PI_I,))[0]
         if q_tor and r_tor:
@@ -377,13 +374,9 @@ class _MotiveAnalysis:
 
 
 def dim_B_elliptic(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
-    """(dim_B, dim_B_vstar, dim_B_Q) over F = End (x) Q.
-
-    Greedy F-span of the pulled-back extension-parameter logarithms
-    (giving dim B_{v*}) followed by the point logarithms, modulo the
-    F-span of the periods; in the CM case each independent value
-    contributes the generator pair {v, delta*v}.
-    """
+    """(dim_B, dim_B_vstar, dim_B_Q) over F = End (x) Q: the greedy chain of
+    the extension-parameter logarithms (dim B_{v*}), then the point
+    logarithms, modulo the periods, with the pair {v, delta*v} under CM."""
     return _MotiveAnalysis(motive, max_height, tol).dim_B[:3]
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import eisenstein_e4_e6, theta1_bundle, theta1_weights
-from .errors import PoleAtLatticePoint
+from .errors import BeyondWorkingPrecision, PoleAtLatticePoint
 from .lattice import (
     Lattice,
     lattice_coords,
@@ -65,15 +65,21 @@ def _reduced(L):
 
 
 def eisenstein_invariants(L):
-    """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series;
-    computed once per Lattice object."""
+    """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series, once
+    per Lattice object; BeyondWorkingPrecision unless about 1e-50 <= |w1| <= 1e51."""
     if "invariants" not in L._cache:
         Lr, tau, _, _, _, _, _ = _reduced(L)
         w1 = Lr.omega1
         e4, e6 = eisenstein_e4_e6(tau)
-        pi = math.pi
-        g2 = (4.0 * pi**4 / 3.0) * e4 / w1**4
-        g3 = (8.0 * pi**6 / 27.0) * e6 / w1**6
+        try:
+            g2 = (4.0 * math.pi**4 / 3.0) * e4 / w1**4
+            g3 = (8.0 * math.pi**6 / 27.0) * e6 / w1**6
+        except ArithmeticError:  # w1**k overflows, or underflows to 0
+            g2 = g3 = math.inf
+        if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+            raise BeyondWorkingPrecision(
+                f"g2, g3 at |omega1| = {abs(w1):.3g} are beyond working precision"
+            )
         L._cache["invariants"] = CurveInvariants(g2, g3)
     return L._cache["invariants"]
 

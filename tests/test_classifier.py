@@ -176,7 +176,7 @@ def test_is_torsion_agrees_with_classify_on_the_table():
         a = classifier._MotiveAnalysis(m, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
         (P,), (p,) = [R.base for R in m.points], a.point_logs
         got = is_torsion(P, m.lattice, curve=m.curve)
-        assert (got is not None) == a.is_torsion_log(p), row
+        assert (got is not None) == (a.torsion(p) is not None), row
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,65 @@ def test_table_instances_make_29_reductions(monkeypatch):
     for m, *_ in verify._table_instances():
         motivic_galois_dims(m)
     assert sizes == {2: 6, 3: 16, 4: 4, 5: 3}
+
+
+def _seeded_general_motives():
+    """(2, 2) and (3, 2) motives on Z + Zi and Z + (0.31 + 1.23i)Z, each
+    once generic and once planted: q2 of order 3, p1 = 2*mu1 and p2 of
+    order 5.  Logs uniform in the cell, fibers exp of a uniform draw."""
+    rng = random.Random(23)
+    for tau in (1j, complex(0.31, 1.23)):
+        L = make_lattice(1.0, tau)
+        w1, w2 = L.omega1, L.omega2
+        for n in (2, 3):
+            for planted in (False, True):
+                mus = [rng.random() * w1 + rng.random() * w2 for _ in range(2)]
+                zs = [rng.random() * w1 + rng.random() * w2 for _ in range(n)]
+                if planted:
+                    mus[1] = (w1 + 2 * w2) / 3
+                    zs[0], zs[1] = 2 * mus[0], (w1 + w2) / 5
+                points = tuple(
+                    SemiAbelianPoint(
+                        EllipticPoint(wp(z, L), wp_prime(z, L)),
+                        cmath.exp(complex(rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))),
+                    )
+                    for z in zs
+                )
+                qs = tuple(ExtensionParam.from_primal(mu, L) for mu in mus)
+                yield OneMotiveElliptic(eisenstein_invariants(L), L, qs, points)
+
+
+# per motive, the number of values of each relation search, in order: the
+# CM question, dim B's chain, then dim Z(1)'s chain
+_GENERAL_QUESTIONS = (
+    (3, 3, 3, 5, 3, 7, 3, 9, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 3, 3, 5, 3, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 3, 5, 3, 7, 3, 9, 3, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 3, 5, 3, 3, 5, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 4, 3, 5, 3, 6, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 3, 3, 4, 3, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 3, 4, 3, 3, 4, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+)
+
+
+def test_general_motives_ask_the_same_questions_in_the_same_order(monkeypatch):
+    """The relation searches of eight seeded general motives, pinned by
+    their sizes in order, so that a reordered or an added question in
+    either greedy chain shows."""
+    sizes = []
+    search = classifier.detect_integer_relation
+    monkeypatch.setattr(
+        classifier,
+        "detect_integer_relation",
+        lambda values, *args: sizes.append(len(values)) or search(values, *args),
+    )
+    got = []
+    for m in _seeded_general_motives():
+        sizes.clear()
+        motivic_galois_dims(m)
+        got.append(tuple(sizes))
+    assert tuple(got) == _GENERAL_QUESTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -671,19 +730,18 @@ def test_table_certificates_hold_at_30_digits():
             delta_hp = mpc(0, sqrt(-disc)) if cm else None
             mu_hp = translate(mu, a.param_logs[0])
             p_hp = translate(mpc(0) if z is None else z, a.point_logs[0])
-            gens, gens_hp = [L.omega1, L.omega2], [w1, w2]
-            certs = []
-            for v, v_hp in zip(a.param_logs + a.point_logs, (mu_hp, p_hp)):
-                # dim B's chain: the torsion question, then the grown basis
-                inside, cert = a.in_span(v, gens[:2])
-                if not inside and len(gens) > 2:
-                    inside, cert = a.in_span(v, gens)
+            # dim B's chain, rerun through the memo: the same steps, and a
+            # certificate's coefficients run over the value, then the gens
+            # its question was asked against, a prefix of the grown gens_hp
+            periods = (L.omega1, L.omega2)
+            steps = a.chain(periods, a.param_logs + a.point_logs, delta, periods)
+            gens_hp, certs = [w1, w2], []
+            for v_hp, (independent, cert) in zip((mu_hp, p_hp), steps, strict=True):
                 if cert is not None:
                     combo = sum(c * x for c, x in zip(cert.coefficients, [v_hp, *gens_hp]))
                     assert abs(combo) < 1e-25, (row, cm, cert)
                     certs.append(cert)
-                if not inside:
-                    gens += [v] if delta is None else [v, delta * v]
+                if independent:
                     gens_hp += [v_hp] if delta is None else [v_hp, delta_hp * v_hp]
             assert tuple(certs) == a.dim_B[3]
             checked += len(certs)

@@ -443,6 +443,22 @@ def test_main_argument_beyond_working_precision_exit_1(tmp_path, capsys, task, d
     assert "beyond working precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ("periods", "classify"))
+@pytest.mark.parametrize("lam", (1e52, 1e-52, 1e60, 1e-60, 1e155, 1e-155))
+def test_main_lattice_past_the_double_range_exit_1(tmp_path, capsys, task, lam):
+    """g2 and g3 of the lattice would be inf, NaN or a bare overflow: an
+    `error:` line and exit 1, not a traceback or a false collinear basis."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    lattice = {"w1": J(lam + 0j), "w2": J(lam * complex(0.3, 1.1))}
+    doc = {"curve": {"lattice": lattice}, "motive": {
+        "extension_params": [{"log": J(0.31 * lam + 0.2j * lam)}],
+        "points": [{"base": "O", "fiber": 2.0}],
+    }}
+    assert main([task, "--config", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beyond working precision" in err, err
+
+
 _Q_LOG = {"log": {"re": 0.7, "im": 0.9}}
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -300,6 +301,26 @@ def test_invariants_scale_covariance():
     inv, invc = eisenstein_invariants(L), eisenstein_invariants(Lc)
     assert invc.g2 == pytest.approx(inv.g2 / c**4)
     assert invc.g3 == pytest.approx(inv.g3 / c**6)
+
+
+def _scaled(lam):
+    return make_lattice(lam, lam * complex(0.3, 1.1))
+
+
+@pytest.mark.parametrize("lam", (1e-50, 1e-8, 1e8, 1e51))
+def test_invariants_are_finite_inside_the_supported_range(lam):
+    inv = eisenstein_invariants(_scaled(lam))
+    assert cmath.isfinite(inv.g2) and cmath.isfinite(inv.g3)
+    assert inv.g2 != 0 and inv.g3 != 0
+
+
+@pytest.mark.parametrize("lam", (1e52, 1e-52, 1e60, 1e-60, 1e155, 1e-155))
+def test_invariants_past_the_double_range_are_beyond_working_precision(lam):
+    """w1**4 and w1**6 overflow, underflow to 0, or leave g2, g3 infinite or
+    NaN; each is refused with |omega1| named, never a bare OverflowError or
+    ZeroDivisionError, and never an inf or NaN invariant."""
+    with pytest.raises(BeyondWorkingPrecision, match=re.escape(f"= {lam:.3g} are beyond")):
+        eisenstein_invariants(_scaled(lam))
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
