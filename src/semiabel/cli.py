@@ -24,6 +24,7 @@ from .elliptic import (
     weierstrass,
 )
 from .errors import (
+    BeyondWorkingPrecision,
     ConflictingCurveSpec,
     InternalInconsistency,
     SchemaError,
@@ -269,6 +270,23 @@ def _point_doc(P):
     return {"x": _cplx(P.x), "y": _cplx(P.y)}
 
 
+def _discriminant(cfg):
+    """g2^3 - 27 g3^2, which scales as omega1^-12 and is never 0 for a
+    lattice: a zero, subnormal or non-finite value is beyond working
+    precision."""
+    try:
+        disc = complex(cfg.curve.discriminant())
+    except OverflowError:  # complex exponentiation
+        disc = complex(math.inf)
+    parts = (abs(disc.real), abs(disc.imag))
+    if not (all(map(math.isfinite, parts)) and max(parts) >= sys.float_info.min):
+        raise BeyondWorkingPrecision(
+            f"the discriminant at |omega1| = {abs(cfg.lattice.omega1):.3g} "
+            "is beyond working precision"
+        )
+    return disc
+
+
 def _job_periods(cfg):
     L = cfg.lattice
     qp = quasi_periods(L)
@@ -280,7 +298,7 @@ def _job_periods(cfg):
         "eta2": _cplx(qp.eta2),
         "g2": _cplx(cfg.curve.g2),
         "g3": _cplx(cfg.curve.g3),
-        "discriminant": _cplx(cfg.curve.discriminant()),
+        "discriminant": _cplx(_discriminant(cfg)),
     }
 
 

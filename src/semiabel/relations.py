@@ -11,13 +11,14 @@ a search over k values of size about 1 finds spurious relations once
 1999), so the height is capped where that count stays below
 SPURIOUS_BUDGET.
 
-A question about 2 or 3 values with no relation under the cap is
-answered by an exact bound, without a reduction: the smallest singular
-value of the last two values rules out relations among them, and
-Legendre's theorem on continued fractions settles those that involve
-the first.  The bound only ever answers "no relation", which is the
-answer the reduction would give, so every certificate still comes from
-the one LLL.
+A question about 2 or 3 values is settled without a reduction where
+exact arithmetic can: the smallest singular value of the last two values
+rules out relations among them, and Legendre's theorem on continued
+fractions limits those that involve the first to multiples of one
+primitive relation, which is returned, or to none.  Where it is unsure,
+the question goes to the reduction.  Either way a certificate has its
+first nonzero coefficient positive, since the sign LLL gives a relation
+is an artifact of row order.
 """
 
 import cmath
@@ -33,7 +34,7 @@ MAX_VALUES = 12
 SPURIOUS_BUDGET = 1e-6
 # eight unit roundoffs of a double: a generous bound on float rounding
 _ULP = 2.0**-50
-# candidate multipliers the bound tests before it leaves the question to LLL
+# candidate multipliers _settle tests before it leaves the question to LLL
 _MAX_CANDIDATES = 16
 
 
@@ -143,41 +144,53 @@ def _search(values, max_height, tol):
     return best
 
 
-def _no_relation_below_cap(values, cap, tol):
-    """True when no integer c != 0 of height <= cap gives a direct sum
-    |sum(c_i v_i)| below tol, for 2 or 3 values; False when unsure.
+def _settle(values, cap, tol):
+    """(True, answer) when a question about 2 or 3 values is settled
+    exactly, the answer being `_search`'s (coefficients, height, residual)
+    with c0 > 0, or None for no relation; (False, None) when unsure.
 
     sigma = |det(v1, v2)| / sqrt(|v1|^2 + |v2|^2) bounds the smallest
     singular value of the real 2x2 matrix (v1 v2) from below, so c0 = 0
-    is ruled out when sigma exceeds tol plus rounding; with 2 values that
-    is the whole test.  With 3, v0 = a v1 + b v2 + e, and a relation with
-    c0 != 0 needs ||c0 a|| and ||c0 b|| below delta = (tol + rounding +
-    cap |e|) / sigma.  When delta < 1/(2 cap), every such c0 is a multiple
-    of a continued-fraction denominator of a (Legendre; Hardy and Wright,
-    Thm 184), and those are enumerated exactly from a.as_integer_ratio().
+    is ruled out when sigma exceeds tol plus rounding; with 2 such values
+    that is the whole test.  With 3, v0 = a v1 + b v2 + e, and with 2
+    nearly collinear values (v0, v1), v0 = a v1 + e, b = 0 and sigma =
+    |v1|: a relation needs ||c0 a|| and ||c0 b|| below delta = (tol +
+    rounding + cap |e|) / sigma.  When delta < 1/(2 cap), every such c0
+    is a multiple of a continued-fraction denominator of a (Legendre;
+    Hardy and Wright, Thm 184), enumerated exactly from
+    a.as_integer_ratio() in increasing c0, and every relation is a
+    multiple of one primitive relation, so the first candidate is it:
+    c1 = -round(c0 a), c2 = -round(c0 b).
     """
     k = len(values)
     if k not in (2, 3):
-        return False
+        return False, None
     # bound on |sum(c_i v_i)| wherever _search's rounded sum is below tol
     slack = (tol + _ULP * k * cap * sum(abs(v) for v in values)) * (1 + _ULP)
-    v1, v2 = values[-2:]
+    v0, v1, v2 = values[0], *values[-2:]
     det = v1.real * v2.imag - v1.imag * v2.real
     det_err = _ULP * (abs(v1.real * v2.imag) + abs(v1.imag * v2.real))
     norm = math.hypot(abs(v1), abs(v2))
     lower = (abs(det) - det_err) * (1 - _ULP)
-    if not lower > slack * norm:
-        return False
-    if k == 2:
-        return True
-    sigma = lower / norm
-    v0 = values[0]
-    a = (v0.real * v2.imag - v0.imag * v2.real) / det
-    b = (v1.real * v0.imag - v1.imag * v0.real) / det
-    e = abs(v0 - a * v1 - b * v2) + _ULP * (abs(v0) + abs(a * v1) + abs(b * v2))
+    if lower > slack * norm:
+        if k == 2:
+            return True, None
+        sigma = lower / norm
+        a = (v0.real * v2.imag - v0.imag * v2.real) / det
+        b = (v1.real * v0.imag - v1.imag * v0.real) / det
+        e = abs(v0 - a * v1 - b * v2) + _ULP * (abs(v0) + abs(a * v1) + abs(b * v2))
+    elif k == 2:  # nearly collinear, and v2 is the second value
+        sigma = abs(v2) * (1 - _ULP)
+        if not sigma > slack:
+            return False, None
+        a = (v0.real * v2.real + v0.imag * v2.imag) / (v2.real**2 + v2.imag**2)
+        b = 0.0
+        e = abs(v0 - a * v2) + _ULP * (abs(v0) + abs(a * v2))
+    else:
+        return False, None
     delta = (slack + cap * e) / sigma
     if not 2 * cap * delta < 1:
-        return False
+        return False, None
     n_a, d_a = a.as_integer_ratio()
     n_b, d_b = b.as_integer_ratio()
     n_d, d_d = delta.as_integer_ratio()
@@ -190,16 +203,25 @@ def _no_relation_below_cap(values, cap, tol):
         # c0 = g*q1 has ||c0 a|| = g*y/d_a while that is below delta
         g = 1
         while g * q1 <= cap and g * y * d_d < n_d * d_a:
-            r = g * q1 * n_b % d_b
+            c0 = g * q1
             candidates += 1
-            if min(r, d_b - r) * d_d < n_d * d_b or candidates > _MAX_CANDIDATES:
-                return False
+            if candidates > _MAX_CANDIDATES:
+                return False, None
+            r = c0 * n_b % d_b
+            if min(r, d_b - r) * d_d < n_d * d_b:
+                coeffs = [c0, -_round_half_even(c0 * n_a, d_a)]
+                coeffs += [-_round_half_even(c0 * n_b, d_b)][: k - 2]
+                height = max(abs(c) for c in coeffs)
+                resid = abs(sum(c * v for c, v in zip(coeffs, values)))
+                if height > cap or resid >= tol:
+                    return False, None
+                return True, (coeffs, height, resid)
             g += 1
         if y == 0:
             break
         t, x, y = x // y, y, x % y
         q0, q1 = q1, t * q1 + q0
-    return True
+    return True, None
 
 
 def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
@@ -208,10 +230,10 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     One lattice reduction, whose candidates count only up to the height
     cap `height_cap(len(values), max_height, tol)` and only when their
     direct sum is below tol; the lowest such (height, residual) wins.
-    The certificate records the cap it was searched under.  For 2 or 3
-    values an exact bound first proves, where it can, that no relation
-    under the cap has a direct sum below tol, and then the answer is
-    None without a reduction.
+    The certificate records the cap it was searched under, and its first
+    nonzero coefficient is positive.  For 2 or 3 values continued
+    fractions first settle the question exactly where they can, with the
+    answer the reduction would give, and then no reduction is made.
     """
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:
@@ -224,10 +246,14 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     if not values:
         return None
     cap = height_cap(len(values), max_height, tol)
-    if _no_relation_below_cap(values, cap, tol):
-        return None
-    found = _search(values, cap, tol)
+    settled, found = _settle(values, cap, tol)
+    if not settled:
+        found = _search(values, cap, tol)
     if found is None:
         return None
     coeffs, height, resid = found
-    return RelationCertificate(tuple(coeffs), resid, height, cap)
+    # LLL's sign is an artifact of row order: the first nonzero is positive
+    sign = 1 if next(c for c in coeffs if c) > 0 else -1
+    # from a list: tuple(generator) builds at a guessed size and resizes,
+    # and each freed tuple then fills the free list of its own size
+    return RelationCertificate(tuple([sign * c for c in coeffs]), resid, height, cap)

@@ -283,10 +283,11 @@ def test_dim_B_reads_high_order_torsion_points_in_general_motives(tau):
     assert wrong == []
 
 
-def test_table_instances_make_29_reductions(monkeypatch):
-    """A torsion value's dim B answer is its torsion question, and
-    deficiency reads dim B's certificate of p, so the 15 table instances
-    reduce 29 lattices: three of 5 values and four of 4."""
+def test_table_instances_make_7_reductions(monkeypatch):
+    """A torsion value's dim B answer is its torsion question, deficiency
+    reads dim B's certificate of p, and the continued fraction settles
+    every question of 2 or 3 values, so the 15 table instances reduce 7
+    lattices: three of 5 values and four of 4."""
     sizes = Counter()
     reduce = relations.lll_reduce
     monkeypatch.setattr(
@@ -294,7 +295,7 @@ def test_table_instances_make_29_reductions(monkeypatch):
     )
     for m, *_ in verify._table_instances():
         motivic_galois_dims(m)
-    assert sizes == {2: 6, 3: 16, 4: 4, 5: 3}
+    assert sizes == {4: 4, 5: 3}
 
 
 def _seeded_general_motives():
@@ -321,6 +322,26 @@ def _seeded_general_motives():
                 )
                 qs = tuple(ExtensionParam.from_primal(mu, L) for mu in mus)
                 yield OneMotiveElliptic(eisenstein_invariants(L), L, qs, points)
+
+
+def test_every_certificate_leads_with_a_positive_coefficient(monkeypatch):
+    """Every certificate the table instances and the seeded general
+    motives are given, from the continued fraction or from LLL, has its
+    first nonzero coefficient positive."""
+    certs = []
+    search = classifier.detect_integer_relation
+    monkeypatch.setattr(
+        classifier,
+        "detect_integer_relation",
+        lambda *args: certs.append(search(*args)) or certs[-1],
+    )
+    motives = [m for m, *_ in verify._table_instances()]
+    for m in motives + list(_seeded_general_motives()):
+        motivic_galois_dims(m)
+    found = [c.coefficients for c in certs if c is not None]
+    # 34 of 2 or 3 values, from the continued fraction, and 7 from LLL
+    assert Counter(len(c) > 3 for c in found) == {False: 34, True: 7}
+    assert [c for c in found if next(x for x in c if x) < 0] == []
 
 
 # per motive, the number of values of each relation search, in order: the

@@ -459,6 +459,33 @@ def test_main_lattice_past_the_double_range_exit_1(tmp_path, capsys, task, lam):
     assert err.startswith("error:") and "beyond working precision" in err, err
 
 
+@pytest.mark.parametrize("lam", (1e30, 1e-30, 1e-50))
+def test_main_periods_discriminant_past_the_double_range_exit_1(tmp_path, capsys, lam):
+    """g2^3 - 27 g3^2 scales as omega1^-12, so it leaves the double range
+    long before g2 and g3 do: at 1e30 it is 0, at 1e-30 the power
+    overflows, at 1e-50 it is NaN.  A lattice's discriminant is never 0,
+    so each is an `error:` line naming |omega1| and exit 1."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    lattice = {"w1": J(lam + 0j), "w2": J(lam * complex(0.3, 1.1))}
+    path = _write(tmp_path, {"curve": {"lattice": lattice}})
+    assert main(["periods", "--json", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"|omega1| = {lam:.3g}" in err and "beyond working precision" in err, err
+
+
+@pytest.mark.parametrize("lam", (1e-20, 1e20))
+def test_main_periods_discriminant_inside_the_double_range(tmp_path, capsys, lam):
+    """Inside the range the discriminant is a normal, nonzero double."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    lattice = {"w1": J(lam + 0j), "w2": J(lam * complex(0.3, 1.1))}
+    path = _write(tmp_path, {"curve": {"lattice": lattice}})
+    assert main(["periods", "--json", "--config", path]) == 0
+    disc = json.loads(capsys.readouterr().out)["discriminant"]
+    assert abs(complex(disc["re"], disc["im"])) >= sys.float_info.min
+
+
 _Q_LOG = {"log": {"re": 0.7, "im": 0.9}}
 
 

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from semiabel.relations import (
     DEFAULT_TOL,
     SPURIOUS_BUDGET,
     RelationCertificate,
-    _no_relation_below_cap,
+    _settle,
     _search,
     detect_integer_relation,
     height_cap,
@@ -177,30 +178,86 @@ def _near_relation_question(rng):
     return v, cap, tol
 
 
-def test_no_relation_bound_agrees_with_the_reduction():
-    """Whenever the bound answers "no relation", the reduction finds no
-    candidate of height <= cap with a direct sum below tol either."""
+def _assert_settle_agrees(settle, draws):
+    """Over seeded near-edge questions, every answer `settle` settles,
+    found or none, is `_search`'s, its coefficients compared up to sign,
+    and more than 70% of the questions are settled."""
     rng = np.random.default_rng(20251018)
     settled = 0
-    for _ in range(4000):
+    for _ in range(draws):
         values, cap, tol = _near_relation_question(rng)
-        if _no_relation_below_cap(values, cap, tol):
-            settled += 1
-            assert _search(values, cap, tol) is None, (values, cap, tol)
-    assert settled > 800
+        done, answer = settle(values, cap, tol)
+        if not done:
+            continue
+        settled += 1
+        want = _search(values, cap, tol)
+        if want is not None and next(c for c in want[0] if c) < 0:
+            want = ([-c for c in want[0]], *want[1:])
+        assert answer == want, (values, cap, tol)
+    assert settled > 0.7 * draws
+
+
+def test_settled_answers_agree_with_the_reduction():
+    """Every question the continued fraction settles gets the answer of
+    the reduction: no relation where it finds none, and otherwise the
+    same coefficients up to sign, height and residual bits (2 908 of
+    4 000 draws settled)."""
+    _assert_settle_agrees(_settle, 4000)
+
+
+def _mutant(*edits):
+    """`_settle` with each (old, new) edit made once in its source,
+    compiled in memory against the module's globals."""
+    source = inspect.getsource(relations._settle)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, vars(relations), namespace)
+    return namespace["_settle"]
+
+
+_END = "q0, q1 = q1, t * q1 + q0\n    return True, "
+
+
+@pytest.mark.parametrize(
+    "edits",
+    (
+        # the b-test dropped: every c0 with ||c0 a|| < delta is taken
+        (("if min(r, d_b - r) * d_d < n_d * d_b:", "if True:"),),
+        # the direct residual never checked
+        (("if height > cap or resid >= tol:", "if height > cap:"),),
+        # the last candidate taken in place of the first
+        (
+            ("candidates = 0", "candidates, last = 0, None"),
+            ("return True, (coeffs, height, resid)", "last = (coeffs, height, resid)"),
+            (_END + "None", _END + "last"),
+        ),
+    ),
+    ids=("no-b-test", "no-residual-check", "last-candidate"),
+)
+def test_agreement_catches_a_mutated_settle(edits):
+    """Without the b-test only 599 of 1 000 draws are settled; the other
+    two mutants answer differently from the reduction."""
+    settle = _mutant(*edits)
+    with pytest.raises(AssertionError):
+        _assert_settle_agrees(settle, 1000)
 
 
 def _certificate_from_search(values):
-    """The certificate of the one reduction, without the bound."""
+    """The certificate of the one reduction, without the continued
+    fraction, its first nonzero coefficient made positive."""
     cap = height_cap(len(values), DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
     coeffs, height, resid = _search(values, cap, DEFAULT_TOL)
-    return RelationCertificate(tuple(coeffs), resid, height, cap)
+    sign = 1 if next(c for c in coeffs if c) > 0 else -1
+    return RelationCertificate(tuple(sign * c for c in coeffs), resid, height, cap)
 
 
 def test_no_relation_questions_of_three_values_make_no_reduction(monkeypatch):
-    """[1, tau, tau^2] of a non-CM tau and the torsion question of a
-    generic point are answered by the bound alone; a CM tau and a
-    3-division point still reduce once, to the same certificate."""
+    """[1, tau, tau^2] of a non-CM and of a CM tau, and the torsion
+    questions of a generic point and of a 3-division point, are answered
+    by the continued fraction alone; the two relations are the reduction's
+    certificates."""
     L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
     basis = (L.omega1, L.omega2)
     generic = (math.sqrt(2) - 1) * L.omega1 + (1 / math.pi) * L.omega2
@@ -217,13 +274,27 @@ def test_no_relation_questions_of_three_values_make_no_reduction(monkeypatch):
     assert detect_integer_relation([1.0, tau, tau * tau]) is None
     answer = _in_rational_span(generic, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
     assert answer == (False, None)
+    assert detect_integer_relation(cm_values) == cm_cert
+    assert cm_cert.coefficients == (1, 0, 1)
+    inside, cert = _in_rational_span(division, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+    assert inside and cert == division_cert and cert.coefficients[0] == 3
     assert calls == []
 
-    assert detect_integer_relation(cm_values) == cm_cert
-    assert cm_cert.coefficients == (1, 0, 1) and calls == [3]
-    inside, cert = _in_rational_span(division, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
-    assert inside and cert == division_cert and calls == [3, 3]
-    assert abs(cert.coefficients[0]) == 3
+
+def test_certificates_lead_with_a_positive_coefficient():
+    """LLL's sign is an artifact of row order; a certificate from either
+    path has its first nonzero coefficient positive."""
+    rng = np.random.default_rng(99)
+    for k in (2, 3, 4, 5, 7):
+        for _ in range(30):
+            vals = [complex(rng.normal(), rng.normal()) for _ in range(k - 1)]
+            coeffs = [int(c) for c in rng.integers(-5, 6, size=k - 1)]
+            vals.append(sum(c * v for c, v in zip(coeffs, vals)))
+            cert = detect_integer_relation(vals)
+            assert cert is not None
+            assert next(c for c in cert.coefficients if c) > 0, cert
+    assert detect_integer_relation([0.0, 1.0]).coefficients == (1, 0)
+    assert detect_integer_relation([1.0, 0.0]).coefficients == (0, 1)
 
 
 # ---------------------------------------------------------------------------
