@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .elliptic import CurveInvariants
 from .errors import InconsistentOverride, InternalInconsistency, NotApplicable
-from .lattice import Lattice
+from .lattice import Lattice, reduce_to_fundamental
 from .periods import check_on_curve, elliptic_log, generalized_elliptic_log
 from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, detect_integer_relation
 from .semiabelian import _fiber_log, quasi_quasi_periods
@@ -117,19 +117,15 @@ class ClassificationReport:
 
 
 def _in_rational_span(v, basis, max_height, tol):
-    """(in_span, certificate) for v in Q-span(basis).
+    """The certificate of v in Q-span(basis), or None.
 
     The search runs on v and the basis divided by the largest basis
     modulus, so the decision does not depend on the scale of the input
     and the certificate residual is in units of that modulus.
     """
     scale = max(abs(b) for b in basis)
-    if abs(v) < tol * scale:
-        return True, None
     cert = detect_integer_relation([x / scale for x in [v, *basis]], max_height, tol)
-    if cert is not None and cert.coefficients[0] != 0:
-        return True, cert
-    return False, None
+    return cert if cert is not None and cert.coefficients[0] != 0 else None
 
 
 def is_torsion(P, L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, curve=None):
@@ -141,11 +137,10 @@ def is_torsion(P, L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, curve=None)
     tol): 1000 at the defaults, 12 at tol = 1e-4.
     """
     z = elliptic_log(P, L, curve).value
-    inside, cert = _in_rational_span(z, (L.omega1, L.omega2), max_height, tol)
-    if not inside:
+    cert = _in_rational_span(z, (L.omega1, L.omega2), max_height, tol)
+    if cert is None:
         return None
-    # a logarithm short-circuited on |z| < tol has no certificate
-    c0, c1, c2 = cert.coefficients if cert is not None else (1, 0, 0)
+    c0, c1, c2 = cert.coefficients
     return abs(c0) // math.gcd(c0, c1, c2)
 
 
@@ -209,34 +204,31 @@ class _MotiveAnalysis:
         self._spans = {}
 
     def in_span(self, v, basis):
-        """(v in Q-span(basis), certificate); each question is searched once."""
+        """v's certificate in Q-span(basis), or None; each asked once."""
         key = (v, tuple(basis))
         if key not in self._spans:
             self._spans[key] = _in_rational_span(v, basis, self.max_height, self.tol)
         return self._spans[key]
 
     def torsion(self, z):
-        """(c0, c1, c2) with c0*z + c1*omega1 + c2*omega2 = 0, or None when z
-        is not torsion; a z short-circuited on |z| < tol reads (1, 0, 0)."""
-        inside, cert = self.in_span(z, (self.L.omega1, self.L.omega2))
-        if not inside:
-            return None
-        return cert.coefficients if cert is not None else (1, 0, 0)
+        """(c0, c1, c2) with c0*z + c1*omega1 + c2*omega2 = 0, or None."""
+        cert = self.in_span(z, (self.L.omega1, self.L.omega2))
+        return None if cert is None else cert.coefficients
 
     def chain(self, gens, values, delta=None, first=None):
         """The greedy rank chain: each value in order is asked whether it is
         in the Q-span of `first`, when given, else of gens, which grow by v,
-        or by {v, delta*v} under CM, when it is not.  Returns (independent,
-        certificate or None) per value."""
-        gens, steps = list(gens), []
+        or by {v, delta*v} under CM, when it is not.  Returns each value's
+        certificate, or None where it is independent."""
+        gens, certs = list(gens), []
         for v in values:
-            inside, cert = self.in_span(v, first) if first else (False, None)
-            if not inside:
-                inside, cert = self.in_span(v, gens)
-            if not inside:
+            cert = self.in_span(v, first) if first else None
+            if cert is None:
+                cert = self.in_span(v, gens)
+            if cert is None:
                 gens += [v] if delta is None else [v, delta * v]
-            steps.append((not inside, cert))
-        return steps
+            certs.append(cert)
+        return certs
 
     @cached_property
     def cm(self):
@@ -245,7 +237,10 @@ class _MotiveAnalysis:
 
     @cached_property
     def param_logs(self):
-        return [q.primal(self.L) for q in self.motive.extension_params]
+        """Principal values, as the point logs: f_q does not depend on the
+        representative, and g_j moves by a multiple of 2*pi*i (Legendre)."""
+        L = self.L
+        return [reduce_to_fundamental(q.primal(L), L)[0] for q in self.motive.extension_params]
 
     @cached_property
     def point_glogs(self):
@@ -265,10 +260,10 @@ class _MotiveAnalysis:
         with CM pairs; each value is asked its torsion question first, so a
         torsion value's certificate is its torsion one."""
         delta, periods = self.cm[1], (self.L.omega1, self.L.omega2)
-        steps = self.chain(periods, self.param_logs + self.point_logs, delta, periods)
-        d_total = sum(new for new, _ in steps)
-        d_vstar = sum(new for new, _ in steps[: self.motive.s])
-        return d_total, d_vstar, d_total - d_vstar, tuple(c for _, c in steps if c)
+        certs = self.chain(periods, self.param_logs + self.point_logs, delta, periods)
+        d_total = certs.count(None)
+        d_vstar = certs[: self.motive.s].count(None)
+        return d_total, d_vstar, d_total - d_vstar, tuple([c for c in certs if c])
 
     @cached_property
     def deficient(self):
@@ -292,16 +287,16 @@ class _MotiveAnalysis:
     @cached_property
     def third_kind_periods(self):
         """The quasi-quasi-periods (g1, g2) of each extension parameter."""
-        return [quasi_quasi_periods(q, self.L) for q in self.motive.extension_params]
+        return [quasi_quasi_periods(mu, self.L) for mu in self.param_logs]
 
     @cached_property
     def third_kind_values(self):
         """The n*s integrals of the third kind: the fiber component t of
         log_G(R) for each point R and each parameter q."""
         return [
-            _fiber_log(R, glog, q, self.L)
+            _fiber_log(R, glog, mu, self.L)
             for R, glog in zip(self.motive.points, self.point_glogs)
-            for q in self.motive.extension_params
+            for mu in self.param_logs
         ]
 
     @cached_property
@@ -340,7 +335,7 @@ class _MotiveAnalysis:
         # d = zeta(q) - eta(q): d = 0 at order 2 keeps the g_j out, but from
         # order 3 on they enter (q = omega1/3 on Z + Zi: g1/2*pi*i ~ 0.2919i)
         g = [gj for pair in periods for gj in pair]
-        return sum(new for new, _ in self.chain([TWO_PI_I], g + values)[len(g):])
+        return self.chain([TWO_PI_I], g + values)[len(g):].count(None)
 
     @cached_property
     def table_row(self):
@@ -350,7 +345,7 @@ class _MotiveAnalysis:
         (mu,), (p,) = self.param_logs, self.point_logs
         p_tor, q_tor = self.torsion(p) is not None, self.torsion(mu) is not None
         (t,) = self.reduced_third_kind_values
-        r_tor = p_tor and self.in_span(t, (TWO_PI_I,))[0]
+        r_tor = p_tor and self.in_span(t, (TWO_PI_I,)) is not None
         if q_tor and r_tor:
             return "q-r-torsion"
         if p_tor and q_tor:

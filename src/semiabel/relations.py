@@ -11,14 +11,14 @@ a search over k values of size about 1 finds spurious relations once
 1999), so the height is capped where that count stays below
 SPURIOUS_BUDGET.
 
-A question about 2 or 3 values is settled without a reduction where
-exact arithmetic can: the smallest singular value of the last two values
-rules out relations among them, and Legendre's theorem on continued
-fractions limits those that involve the first to multiples of one
-primitive relation, which is returned, or to none.  Where it is unsure,
-the question goes to the reduction.  Either way a certificate has its
-first nonzero coefficient positive, since the sign LLL gives a relation
-is an artifact of row order.
+A question is settled without a reduction where exact arithmetic can:
+a first value below tol by the relation (1, 0, ..., 0), 2 or 3 values
+by the smallest singular value of the last two, which rules out
+relations among them, and Legendre's theorem on continued fractions,
+which limits the others to multiples of one primitive relation,
+returned, or to none.  Where it is unsure, the question goes to the
+reduction.  Either way a certificate's first nonzero coefficient is
+positive, since the sign LLL gives a relation is an artifact of row order.
 """
 
 import cmath
@@ -145,15 +145,17 @@ def _search(values, max_height, tol):
 
 
 def _settle(values, cap, tol):
-    """(True, answer) when a question about 2 or 3 values is settled
-    exactly, the answer being `_search`'s (coefficients, height, residual)
-    with c0 > 0, or None for no relation; (False, None) when unsure.
+    """(True, answer) when a question is settled exactly, the answer being
+    `_search`'s (coefficients, height, residual) with c0 > 0, or None for
+    no relation; (False, None) when unsure.
 
-    sigma = |det(v1, v2)| / sqrt(|v1|^2 + |v2|^2) bounds the smallest
-    singular value of the real 2x2 matrix (v1 v2) from below, so c0 = 0
-    is ruled out when sigma exceeds tol plus rounding; with 2 such values
-    that is the whole test.  With 3, v0 = a v1 + b v2 + e, and with 2
-    nearly collinear values (v0, v1), v0 = a v1 + e, b = 0 and sigma =
+    A first value below tol has the relation (1, 0, ..., 0), of residual
+    |v0|, for any number of values.  Otherwise only 2 or 3 values are
+    settled.  sigma = |det(v1, v2)| / sqrt(|v1|^2 + |v2|^2) bounds the
+    smallest singular value of the real 2x2 matrix (v1 v2) from below, so
+    c0 = 0 is ruled out when sigma exceeds tol plus rounding; with 2 such
+    values that is the whole test.  With 3, v0 = a v1 + b v2 + e, and with
+    2 nearly collinear values (v0, v1), v0 = a v1 + e, b = 0 and sigma =
     |v1|: a relation needs ||c0 a|| and ||c0 b|| below delta = (tol +
     rounding + cap |e|) / sigma.  When delta < 1/(2 cap), every such c0
     is a multiple of a continued-fraction denominator of a (Legendre;
@@ -163,6 +165,8 @@ def _settle(values, cap, tol):
     c1 = -round(c0 a), c2 = -round(c0 b).
     """
     k = len(values)
+    if abs(values[0]) < tol:
+        return True, ([1] + [0] * (k - 1), 1, abs(values[0]))
     if k not in (2, 3):
         return False, None
     # bound on |sum(c_i v_i)| wherever _search's rounded sum is below tol
@@ -231,9 +235,9 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
     cap `height_cap(len(values), max_height, tol)` and only when their
     direct sum is below tol; the lowest such (height, residual) wins.
     The certificate records the cap it was searched under, and its first
-    nonzero coefficient is positive.  For 2 or 3 values continued
-    fractions first settle the question exactly where they can, with the
-    answer the reduction would give, and then no reduction is made.
+    nonzero coefficient is positive.  `_settle` first answers the question
+    exactly where it can, as the reduction would, and then no reduction
+    is made.
     """
     values = [complex(v) for v in values]
     if len(values) > MAX_VALUES:

@@ -326,7 +326,7 @@ def _seeded_general_motives():
 
 def test_every_certificate_leads_with_a_positive_coefficient(monkeypatch):
     """Every certificate the table instances and the seeded general
-    motives are given, from the continued fraction or from LLL, has its
+    motives are given, settled without a reduction or from LLL, has its
     first nonzero coefficient positive."""
     certs = []
     search = classifier.detect_integer_relation
@@ -339,8 +339,9 @@ def test_every_certificate_leads_with_a_positive_coefficient(monkeypatch):
     for m in motives + list(_seeded_general_motives()):
         motivic_galois_dims(m)
     found = [c.coefficients for c in certs if c is not None]
-    # 34 of 2 or 3 values, from the continued fraction, and 7 from LLL
-    assert Counter(len(c) > 3 for c in found) == {False: 34, True: 7}
+    # 50 of 2 or 3 values, and 10 of more: 7 from LLL and 3 settled on a
+    # first value t = 0 as (1, 0, 0, 0)
+    assert Counter(len(c) > 3 for c in found) == {False: 50, True: 10}
     assert [c for c in found if next(x for x in c if x) < 0] == []
 
 
@@ -402,13 +403,13 @@ def test_deficiency_from_the_dim_B_certificate_matches_the_five_value_question()
                         _general_motive(L, mu, (p,)), DEFAULT_MAX_HEIGHT, DEFAULT_TOL
                     )
                     (mu_log,), (p_log,) = a.param_logs, a.point_logs
-                    inside, cert = classifier._in_rational_span(
+                    cert = classifier._in_rational_span(
                         mu_log,
                         (p_log, a.cm[1] * p_log, L.omega1, L.omega2),
                         DEFAULT_MAX_HEIGHT,
                         DEFAULT_TOL,
                     )
-                    assert inside
+                    assert cert is not None
                     assert a.deficient == (cert.coefficients[1] == 0) == want, (tau, e, k)
                     seen[want] += 1
     assert seen == {False: 68, True: 68}
@@ -591,18 +592,20 @@ def test_non_cm_table_rows_on_a_long_thin_basis():
                 assert (rep.table_row, rep.dim_UR, rep.dim_Gal) == (row, ur, gal), row
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_in_rational_span's |v| < tol*scale short-circuit takes scale from "
-    "the largest generator, here the far representative of log q (CHANGES.md "
-    "FOUND, ROADMAP item 11)",
-)
+def _shifted(m, a, b):
+    """The motive with log q moved by a*omega1 + b*omega2: the same
+    extension, so the same motive."""
+    L = m.lattice
+    shift = a * L.omega1 + b * L.omega2
+    qs = [ExtensionParam.from_primal(q.primal(L) + shift, L) for q in m.extension_params]
+    return OneMotiveElliptic(m.curve, L, qs, m.points)
+
+
 def test_dim_B_does_not_depend_on_the_parameter_log_representative():
     """log q and log q + 1000*omega1 give the same extension, so the same
-    motive: dim B must not move.  With the far representative the tiny
-    point logarithm p reads as torsion, dim B drops from 2 to 1, and
-    is_deficient raises InternalInconsistency on this valid input."""
+    motive: dim B must not move, though the point logarithm p is tiny.  And
+    each table motive, with log q moved by up to (300, -200) periods, keeps
+    its row, dimensions, CM and certificate coefficients."""
     L = make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e))
     inv = eisenstein_invariants(L)
     mu = complex(0.2 * math.sqrt(5.0), 0.11 * math.sqrt(7.0))
@@ -614,6 +617,18 @@ def test_dim_B_does_not_depend_on_the_parameter_log_representative():
     ]
     assert dims[0] == (2, 1, 1)
     assert dims[1] == dims[0]
+
+    def summary(rep):
+        dims = (rep.dim_B, rep.dim_B_vstar, rep.dim_Z1, rep.dim_UR, rep.dim_Gal)
+        return rep.table_row, dims, rep.cm, [c.coefficients for c in rep.relations]
+
+    moved = []
+    for m, row, *_ in verify._table_instances():
+        want = summary(motivic_galois_dims(m))
+        for shift in ((1, 0), (0, 1), (5, -3), (40, 17), (300, -200)):
+            if summary(motivic_galois_dims(_shifted(m, *shift))) != want:
+                moved.append((row, shift))
+    assert moved == []
 
 
 def test_q_r_torsion_with_root_of_unity_fiber():
@@ -757,16 +772,16 @@ def test_table_certificates_hold_at_30_digits():
             periods = (L.omega1, L.omega2)
             steps = a.chain(periods, a.param_logs + a.point_logs, delta, periods)
             gens_hp, certs = [w1, w2], []
-            for v_hp, (independent, cert) in zip((mu_hp, p_hp), steps, strict=True):
+            for v_hp, cert in zip((mu_hp, p_hp), steps, strict=True):
                 if cert is not None:
                     combo = sum(c * x for c, x in zip(cert.coefficients, [v_hp, *gens_hp]))
                     assert abs(combo) < 1e-25, (row, cm, cert)
                     certs.append(cert)
-                if independent:
+                else:
                     gens_hp += [v_hp] if delta is None else [v_hp, delta_hp * v_hp]
             assert tuple(certs) == a.dim_B[3]
             checked += len(certs)
-    assert checked == 11
+    assert checked == 17
 
 
 def test_classification_never_repeats_a_relation_search(monkeypatch):

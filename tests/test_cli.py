@@ -407,6 +407,27 @@ def test_main_classify_of_r_torsion_of_order_above_max_height_exit_0(
     assert (doc["table_row"], doc["dim_Z1"], doc["dim_UR"]) == ("r-torsion", 0, 2)
 
 
+def test_main_classify_of_a_far_parameter_log_exit_0(tmp_path, capsys):
+    """log q = mu + 40 + 17i on Z + Zi is another representative of the
+    same Q: the motive is classified as with mu, not refused with a math
+    range error from sigma at a far translate."""
+    L = make_lattice(1.0, 1j)
+    mu = complex(0.2 * math.sqrt(5), 0.11 * math.sqrt(7))
+    z = complex(0.1 * math.pi, 0.07 * math.sqrt(3))
+    R = exp_G(z, 0.3, ExtensionParam.from_primal(mu, L), L)
+    docs = []
+    for log in (mu, mu + 40 + 17j):
+        m = OneMotiveElliptic(
+            eisenstein_invariants(L), L, (ExtensionParam.from_primal(log, L),), (R,)
+        )
+        doc = _motive_config(m)
+        doc["motive"]["extension_params"] = [{"log": _cplx(log)}]
+        assert main(["classify", "--config", _write(tmp_path, doc), "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["table_row"] == "independent"
+    assert docs[1] == docs[0]
+
+
 def test_main_domain_error_exit_1(tmp_path, capsys):
     # evaluating at a pole is an input error, not an identity failure
     path = _write(tmp_path, {**SQ, "z": 0.0})
