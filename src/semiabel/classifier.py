@@ -34,17 +34,17 @@ from .semiabelian import _fiber_log, quasi_quasi_periods
 
 TWO_PI_I = 2j * math.pi
 
-# (dim UR, dim Gal for CM, dim Gal for non-CM); None marks the
-# unreachable non-CM deficient cell.
+# dim UR of each table row; dim Gal = dim UR + dim Gal(E), 2 with CM
+# and 4 without
 _TABLE_DIMS = {
-    "q-r-torsion": (0, 2, 4),
-    "p-q-torsion": (1, 3, 5),
-    "r-torsion": (2, 4, 6),
-    "q-torsion": (3, 5, 7),
-    "p-torsion": (3, 5, 7),
-    "dependent-deficient": (2, 4, None),
-    "dependent-not-deficient": (3, 5, 7),
-    "independent": (5, 7, 9),
+    "q-r-torsion": 0,
+    "p-q-torsion": 1,
+    "r-torsion": 2,
+    "q-torsion": 3,
+    "p-torsion": 3,
+    "dependent-deficient": 2,
+    "dependent-not-deficient": 3,
+    "independent": 5,
 }
 
 
@@ -433,17 +433,14 @@ def motivic_galois_dims(motive, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL):
     deficient = a.deficient
     if motive.n == 1 and motive.s == 1:
         row = a.table_row
-        expected_ur, expected_cm, expected_noncm = _TABLE_DIMS[row]
-        expected_gal = expected_cm if cm else expected_noncm
-        if expected_gal is None:
+        if row == "dependent-deficient" and not cm:
             raise InternalInconsistency(
                 "non-CM deficient cell is unreachable, yet it was classified"
             )
-        if (dim_ur, dim_gal) != (expected_ur, expected_gal):
+        if dim_ur != _TABLE_DIMS[row]:
             raise InternalInconsistency(
-                f"row {row!r} expects (UR, Gal) = "
-                f"({expected_ur}, {expected_gal}), formulas give "
-                f"({dim_ur}, {dim_gal})"
+                f"row {row!r} expects dim UR = {_TABLE_DIMS[row]}, "
+                f"formulas give {dim_ur}"
             )
     else:
         row = "general"

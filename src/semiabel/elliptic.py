@@ -5,9 +5,10 @@ Everything is evaluated through the odd Jacobi theta series on a
 modular-reduced basis of the lattice; values at arbitrary arguments are
 recovered from the quasi-periodicity laws, so sigma and zeta return the
 principal-branch value at the original argument.  Each Lattice keeps its
-last MEMO_SIZE evaluations (an argument's reduction and, once summed, its
-theta series), keyed by the argument's exact bits, so public calls at
-one argument share one series without changing a value.
+last MEMO_SIZE evaluations (an argument's reduction and pole verdict and,
+once read, its theta series and sigma), keyed by the argument's exact
+bits, so public calls at one argument share one series without changing
+a value.
 """
 
 import cmath
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from ._kernels import eisenstein_e4_e6, theta1_bundle, theta1_weights
 from .errors import BeyondWorkingPrecision, PoleAtLatticePoint
 from .lattice import (
+    POLE_GUARD,
     Lattice,
     lattice_coords,
-    in_pole_guard,
     make_lattice,
     real_coordinates,
     reduce_centered,
@@ -49,8 +50,7 @@ def _reduced(L):
     tau = w2/w1, weights = theta1_weights(tau), the quasi-periods of the
     reduced basis, and the memo of evaluations (_entry).  Every evaluation
     reads these with one cache read; its reduction on Lr reads Lr's basis
-    determinant once, and its pole check the radius kept on L
-    (lattice.reduce_centered, in_pole_guard)."""
+    determinant once (lattice.reduce_centered)."""
     constants = L._cache.get("elliptic")
     if constants is None:
         w1, w2, _ = L.reduced_basis()
@@ -94,12 +94,13 @@ MEMO_SIZE = 16
 
 
 def _entry(z, constants):
-    """The memo's [z0, m, n, bundle] for z on the lattice of constants =
-    _reduced(L): z = z0 + m*w1 + n*w2 on the reduced basis with z0
-    centred, and bundle = theta1_bundle(z0/w1) once _series has summed it,
-    else None.  Keyed by the bits of complex(z), so it never changes a
-    value; the oldest of MEMO_SIZE entries makes way for a new one, and a
-    reduction that raises stores nothing."""
+    """The memo's [z0, m, n, bundle, on_lattice, sigma] for z on the lattice
+    of constants = _reduced(L): z = z0 + m*w1 + n*w2 on the reduced basis
+    with z0 centred, on_lattice whether z0 is within the pole guard (the
+    shortest period w1 times POLE_GUARD), then theta1_bundle(z0/w1) and
+    sigma(z) once read, else None.  Keyed by the bits of complex(z), so it
+    never changes a value; the oldest of MEMO_SIZE entries makes way for a
+    new one, and a reduction that raises stores nothing."""
     memo = constants[6]
     zc = complex(z)
     # -0.0 == 0.0 as a key, so a zero part keys with its sign
@@ -111,7 +112,8 @@ def _entry(z, constants):
         z0, m, n = reduce_centered(z, constants[0])
         if len(memo) >= MEMO_SIZE:
             del memo[next(iter(memo))]
-        entry = memo[key] = [z0, m, n, None]
+        on_lattice = abs(z0) < POLE_GUARD * abs(constants[0].omega1)
+        entry = memo[key] = [z0, m, n, None, on_lattice, None]
     return entry
 
 
@@ -123,28 +125,31 @@ def _series(entry, constants):
     return bundle
 
 
-def _reduce(z, L):
-    """_entry(z, _reduced(L)), whose z0 the pole and zero checks read
-    before any series is summed."""
-    return _entry(z, _reduced(L))
+def _on_lattice(z, L):
+    """Whether z is within the pole guard of Lambda, from its memo entry."""
+    return _entry(z, _reduced(L))[4]
 
 
 def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z, from
-    one reduction and one theta series.  Its quasi-periodicity factor is
-    not in weierstrass(): it overflows at far translates where wp is finite."""
+    one reduction and one theta series, kept in z's memo entry.  Its
+    quasi-periodicity factor is not in weierstrass(): it overflows at far
+    translates where wp is finite, and then the entry keeps no sigma."""
     constants = _reduced(L)
-    Lr, _, _, eta1r, eta2r, d1_0, _ = constants
     entry = _entry(z, constants)
-    z0, m, n, _ = entry
+    z0, m, n, _, _, s = entry
+    if s is not None:
+        return s
+    Lr, _, _, eta1r, eta2r, d1_0, _ = constants
     t0 = _series(entry, constants)[0]
     w1 = Lr.omega1
-    s0 = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
-    if m == 0 and n == 0:
-        return s0
-    lam = m * w1 + n * Lr.omega2
-    eta_lam = m * eta1r + n * eta2r
-    return _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s0
+    s = w1 * cmath.exp(eta1r * z0 * z0 / (2 * w1)) * t0 / d1_0
+    if m or n:
+        lam = m * w1 + n * Lr.omega2
+        eta_lam = m * eta1r + n * eta2r
+        s = _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s
+    entry[5] = s
+    return s
 
 
 def weierstrass(z, L):
@@ -154,8 +159,8 @@ def weierstrass(z, L):
     constants = _reduced(L)
     Lr, _, _, eta1r, eta2r, _, _ = constants
     entry = _entry(z, constants)
-    z0, m, n, _ = entry
-    if in_pole_guard(z0, L):
+    z0, m, n, _, on_lattice, _ = entry
+    if on_lattice:
         raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
     t0, d1, d2, d3 = _series(entry, constants)
     w1 = Lr.omega1

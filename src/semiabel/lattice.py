@@ -160,23 +160,10 @@ def reduce_centered(z, L):
     return (a1 - m) * w1 + (a2 - n) * w2, m, n
 
 
-def in_pole_guard(z0, L):
-    """Whether z0 = z - lambda, for the lattice point lambda nearest in
-    coordinates, lies within the pole guard of Lambda; the guard scales
-    with the shortest period, so it does not depend on the basis.  Its
-    radius, POLE_GUARD times the shortest period, is a lattice constant
-    kept on L with the reduced basis it is read from."""
-    radius = L._cache.get("pole_radius")
-    if radius is None:
-        radius = L._cache["pole_radius"] = POLE_GUARD * abs(L.reduced_basis()[0])
-    return abs(z0) < radius
-
-
 def near_lattice(z, L):
-    """Whether z lies within the pole guard of Lambda, reduced on L's own
-    basis: a test reference for the library's pole checks, which read each
-    argument's one reduction on the reduced basis (elliptic._reduce)."""
-    return in_pole_guard(reduce_centered(z, L)[0], L)
+    """Whether z is within POLE_GUARD times the shortest period of Lambda,
+    reduced on L's own basis: a test reference for elliptic._on_lattice."""
+    return abs(reduce_centered(z, L)[0]) < POLE_GUARD * abs(L.reduced_basis()[0])
 
 
 def duality_product(z, zstar):

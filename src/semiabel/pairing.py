@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _reduce, eta_linear, sigma_w
+from .elliptic import _on_lattice, eta_linear, sigma_w
 from .errors import (
     BeyondWorkingPrecision,
     InternalInconsistency,
@@ -18,7 +18,6 @@ from .lattice import (
     dual_lattice,
     dual_to_primal,
     duality_product,
-    in_pole_guard,
     lattice_coords,
     real_coordinates,
 )
@@ -123,7 +122,7 @@ def _sigmas(z, w, L):
     that order, before any series) is on Lambda."""
     args = (z, w, z + w)
     for u in args:
-        if in_pole_guard(_reduce(u, L)[0], L):
+        if _on_lattice(u, L):
             raise PoleAtLatticePoint(f"argument {u} on Lambda")
     return [sigma_w(u, L) for u in args]
 

@@ -9,12 +9,14 @@ an unambiguous principal-branch rule for complex arguments.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 from ._kernels import carlson_rf
 from .elliptic import CurveInvariants, eisenstein_invariants, weierstrass, wp
 from .errors import (
+    BeyondWorkingPrecision,
     ConvergenceFailure,
     NotOnCurve,
     SemiabelError,
@@ -54,14 +56,23 @@ class GeneralizedAbelianLog:
 
 
 def check_on_curve(P, inv):
+    """NotOnCurve unless y^2 = 4x^3 - g2 x - g3 at P to the size of its
+    terms; BeyondWorkingPrecision, naming P, where a term overflows."""
     if P.is_identity:
         return
-    lhs = P.y * P.y
-    rhs = 4 * P.x**3 - inv.g2 * P.x - inv.g3
     # the size of each term, not of the right-hand side after cancellation,
     # and the curve's own weight-6 size: all of weight 6, so scale-free
-    scale = abs(lhs) + 4 * abs(P.x) ** 3 + abs(inv.g2 * P.x) + abs(inv.g3)
-    scale += abs(inv.g2) ** 1.5
+    try:
+        lhs = P.y * P.y
+        rhs = 4 * P.x**3 - inv.g2 * P.x - inv.g3
+        scale = abs(lhs) + 4 * abs(P.x) ** 3 + abs(inv.g2 * P.x) + abs(inv.g3)
+        scale += abs(inv.g2) ** 1.5
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise BeyondWorkingPrecision(
+            f"the curve equation at ({P.x}, {P.y}) is beyond working precision"
+        )
     if abs(lhs - rhs) > CURVE_TOL * scale:
         raise NotOnCurve(f"y^2 - (4x^3 - g2 x - g3) = {lhs - rhs}")
 
@@ -79,9 +90,17 @@ def periods_from_invariants(c):
 
     Half-periods are RF integrals between branch points; the root
     ordering is picked by minimizing the invariant round-trip residual.
+    BeyondWorkingPrecision where the discriminant g2^3 - 27 g3^2 overflows.
     """
     g2, g3 = complex(c.g2), complex(c.g3)
-    disc = g2**3 - 27 * g3**2
+    try:
+        disc = complex(c.discriminant())
+    except OverflowError:
+        disc = complex(math.inf)
+    if not cmath.isfinite(disc):
+        raise BeyondWorkingPrecision(
+            f"the discriminant of g2 = {c.g2}, g3 = {c.g3} is beyond working precision"
+        )
     if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
         raise SingularCurve(f"discriminant {disc}")
     roots = _cubic_roots(g2, g3)

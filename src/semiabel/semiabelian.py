@@ -12,9 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import _reduce, quasi_periods, sigma_w, weierstrass
-from .errors import FiberZero, PoleAtLatticePoint
-from .lattice import dual_to_primal, in_pole_guard
+from .elliptic import _on_lattice, quasi_periods, sigma_w, weierstrass
+from .errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
+from .lattice import dual_to_primal
 from .periods import (
     BranchedValue,
     EllipticPoint,
@@ -51,7 +51,7 @@ def _primal_log(q, L):
     """The primal log qp of q (an ExtensionParam or the log); raises
     PoleAtLatticePoint when qp is on Lambda."""
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if in_pole_guard(_reduce(qp, L)[0], L):
+    if _on_lattice(qp, L):
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
     return qp
 
@@ -66,15 +66,10 @@ def serre_fq(z, q, L):
     """
     z = complex(z)
     qp = _primal_log(q, L)
-    if in_pole_guard(_reduce(z, L)[0], L):
+    if _on_lattice(z, L):
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    return _fq(z, qp, L)
-
-
-def _fq(z, qp, L):
-    """serre_fq off its poles, z and the primal log qp of q pole-checked."""
     u = z + qp
-    if in_pole_guard(_reduce(u, L)[0], L):
+    if _on_lattice(u, L):
         return 0j
     return (
         sigma_w(u, L)
@@ -84,17 +79,31 @@ def _fq(z, qp, L):
 
 
 def exp_G(z, t, q, L):
-    """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t)."""
+    """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t).  A
+    fiber past the double range is refused (_fiber)."""
     z = complex(z)
     t = complex(t)
-    if in_pole_guard(_reduce(z, L)[0], L):
-        return SemiAbelianPoint(EllipticPoint.identity(), cmath.exp(t))
-    f = _fq(z, _primal_log(q, L), L)
+    if _on_lattice(z, L):
+        return SemiAbelianPoint(EllipticPoint.identity(), _fiber(t))
+    f = serre_fq(z, q, L)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
     p, dp, _ = weierstrass(z, L)
     base = EllipticPoint(p, dp)
-    return SemiAbelianPoint(base, cmath.exp(t) * f)
+    return SemiAbelianPoint(base, _fiber(t, f))
+
+
+def _fiber(t, f=None):
+    """e^t, or e^t f for f = f_q(z); BeyondWorkingPrecision where it
+    overflows, is not finite or underflows to 0, none of which is a point
+    of G."""
+    try:
+        fiber = cmath.exp(t) if f is None else cmath.exp(t) * f
+    except OverflowError:
+        fiber = None
+    if not fiber or not cmath.isfinite(fiber):
+        raise BeyondWorkingPrecision(f"the fiber at t = {t} is beyond working precision")
+    return fiber
 
 
 def log_G(R, q, L, inv=None):
@@ -105,15 +114,13 @@ def log_G(R, q, L, inv=None):
 
 def _fiber_log(R, glog, q, L):
     """The fiber component t of log_G(R), given the principal generalized
-    logarithm glog of the base point: serre_fq at glog.z, whose sigma(z)
-    the lattice's memo holds from the evaluation that checked glog.  That
-    check has passed, so of serre_fq's checks only q on Lambda and the
-    zero remain."""
+    logarithm glog of the base point: serre_fq at glog.z, which reads
+    the memo entry of the evaluation that checked glog."""
     if R.fiber == 0:
         raise FiberZero("fiber coordinate must be nonzero")
     if R.base.is_identity:
         return cmath.log(R.fiber)
-    f = _fq(glog.z, _primal_log(q, L), L)
+    f = serre_fq(glog.z, q, L)
     if f == 0:
         raise FiberZero("base point is -Q: no fiber logarithm")
     return cmath.log(R.fiber) - cmath.log(f)

@@ -485,6 +485,29 @@ def test_memo_stores_no_error(generic_lattice):
     assert elliptic._reduced(L)[6] == held
 
 
+def test_sigma_overflow_leaves_the_slot_empty():
+    """sigma at a far translate raises OverflowError on every call, and
+    the argument's memo entry keeps its reduction but no sigma."""
+    L = make_lattice(1.0, 1j)
+    far = 0.3 + 0.2j + 20 * (1 + 1j)
+    for _ in range(3):
+        with pytest.raises(OverflowError):
+            sigma_w(far, L)
+        assert elliptic._entry(far, elliptic._reduced(L))[5] is None
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_sigma_read_twice_is_a_fresh_lattice_value(L):
+    """sigma at a cell point, read twice on one lattice, is the value a
+    fresh lattice with the basis gives, bit for bit, and the second read
+    is the one the memo entry holds."""
+    shared = Lattice(L.omega1, L.omega2)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    first, second = sigma_w(z, shared), sigma_w(z, shared)
+    assert repr(first) == repr(second) == repr(sigma_w(z, Lattice(L.omega1, L.omega2)))
+    assert elliptic._entry(z, elliptic._reduced(shared))[5] is second
+
+
 def test_arguments_beyond_working_precision_are_rejected(generic_lattice):
     # reducing 1e200 to a cell leaves no digit of z
     for f in (wp, wp_prime, zeta_w, sigma_w):

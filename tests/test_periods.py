@@ -12,7 +12,12 @@ import pytest
 from scipy.integrate import quad
 
 from semiabel.elliptic import eisenstein_invariants, wp, wp_prime, zeta_w
-from semiabel.errors import ConvergenceFailure, NotOnCurve, SingularCurve
+from semiabel.errors import (
+    BeyondWorkingPrecision,
+    ConvergenceFailure,
+    NotOnCurve,
+    SingularCurve,
+)
 from semiabel.lattice import make_lattice, reduce_centered
 from semiabel.periods import (
     CurveInvariants,
@@ -74,6 +79,12 @@ def test_singular_curve_rejected():
         periods_from_invariants(CurveInvariants(0.0, 0.0))
 
 
+def test_overflowing_discriminant_is_beyond_working_precision():
+    """g2^3 overflows at g2 = 1e110."""
+    with pytest.raises(BeyondWorkingPrecision):
+        periods_from_invariants(CurveInvariants(1e110, 0.0))
+
+
 @pytest.mark.parametrize("lam", (20.0, 1e3))
 def test_periods_of_a_rescaled_square_lattice(lam):
     """The singularity test is homogeneous in (g2, g3): small invariants
@@ -101,6 +112,17 @@ def test_check_on_curve():
     check_on_curve(EllipticPoint.identity(), inv)
     with pytest.raises(NotOnCurve):
         check_on_curve(EllipticPoint(1.0, 1.0), inv)
+
+
+def test_check_on_curve_refuses_overflowing_terms():
+    """4x^3 overflows at x = 1e110: the point is beyond working precision,
+    and the refusal names it.  y^2 overflows to inf at y = 1e160, which
+    compared inf with inf and passed as a point of the curve."""
+    inv = eisenstein_invariants(make_lattice(1, 1j))
+    with pytest.raises(BeyondWorkingPrecision, match=r"1e\+110, 1e\+165"):
+        check_on_curve(EllipticPoint(1e110, 1e165), inv)
+    with pytest.raises(BeyondWorkingPrecision):
+        check_on_curve(EllipticPoint(1e100, 1e160), inv)
 
 
 def _scaled_lattices():

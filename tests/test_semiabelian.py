@@ -338,6 +338,23 @@ def test_answers_from_pole_and_zero_checks_sum_no_theta_series(L, monkeypatch):
     assert args == []
 
 
+@pytest.mark.parametrize(
+    "z,t",
+    (
+        (1e-4, 709),  # e^t finite, e^t f_q(z) overflows to inf
+        (0.3 + 0.2j, 800),  # e^t overflows
+        (0.3 + 0.2j, -800),  # e^t underflows to 0
+        (1.0, 800),  # at O, e^t overflows
+        (1.0, -800),  # at O, e^t underflows to 0
+    ),
+)
+def test_exp_G_refuses_a_fiber_it_cannot_represent(z, t):
+    """On Z + Z*i, a fiber that overflows, is not finite or is 0 is not a
+    point of G."""
+    with pytest.raises(BeyondWorkingPrecision, match="fiber"):
+        exp_G(z, t, 0.31 + 0.17j, make_lattice(1.0, 1j))
+
+
 def _thin_rebasings():
     """The long, thin bases (13, 8; 8, 5) and (21, 13; 13, 8) of the
     non-CM table lattice."""
