@@ -13,7 +13,7 @@ import cmath
 
 from .errors import ConvergenceFailure
 
-# reported as environment.numba_enabled by `verify --json` and the benchmark
+# reported as numba_enabled in the environment block of semibench's run records
 NUMBA_ENABLED = False
 
 MAX_TERMS = 10_000

@@ -26,6 +26,7 @@ from .lattice import make_lattice, reduce_to_fundamental
 
 DISCRIMINANT_TOL = 1e-12
 CURVE_TOL = 1e-9
+_CUBE_ROOT_OF_UNITY = complex(-0.5, math.sqrt(3) / 2)
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,37 @@ def check_on_curve(P, inv):
 
 
 def _cubic_roots(g2, g3):
-    # roots of 4t^3 - g2 t - g3
-    import numpy as np
+    """The roots of 4t^3 - g2 t - g3 by Cardano's formula, each polished by
+    one Newton step.  The cube root is taken of the larger of -q/2 +- s,
+    which is never 0 on a nonsingular curve, so g2 = 0 or g3 = 0 divides
+    by nothing."""
+    p, q = -g2 / 4, -g3 / 4  # the depressed cubic t^3 + p t + q
+    s = cmath.sqrt(q * q / 4 + p**3 / 27)
+    u = max(-q / 2 + s, -q / 2 - s, key=abs) ** (1 / 3)
+    roots = []
+    for rot in (1, _CUBE_ROOT_OF_UNITY, _CUBE_ROOT_OF_UNITY.conjugate()):
+        v = u * rot
+        t = v - p / (3 * v)
+        roots.append(t - (4 * t**3 - g2 * t - g3) / (12 * t * t - g2))
+    return tuple(roots)
 
-    r = np.roots([4.0, 0.0, -complex(g2), -complex(g3)])
-    return tuple(complex(v) for v in r)
+
+def _shortest(lattices, period):
+    """The lattices whose period is shortest, lengths within 1e-12
+    relative tied, then of those the ones of smallest phase, within 1e-12."""
+    m = min(abs(period(L)) for L in lattices)
+    near = [L for L in lattices if abs(period(L)) <= m * (1 + 1e-12)]
+    a = min(cmath.phase(period(L)) for L in near)
+    return [L for L in near if cmath.phase(period(L)) <= a + 1e-12]
 
 
 def periods_from_invariants(c):
     """Lattice with the given Eisenstein invariants (g2, g3).
 
-    Half-periods are RF integrals between branch points; the root
-    ordering is picked by minimizing the invariant round-trip residual.
+    Half-periods are RF integrals between branch points.  Of the root
+    orderings whose lattice reproduces the invariants, the basis is the
+    one with the shortest omega1, then the shortest omega2 (ties by the
+    smaller phase), so it does not depend on the order of the roots.
     BeyondWorkingPrecision where the discriminant g2^3 - 27 g3^2 overflows.
     """
     g2, g3 = complex(c.g2), complex(c.g3)
@@ -103,9 +123,9 @@ def periods_from_invariants(c):
         )
     if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
         raise SingularCurve(f"discriminant {disc}")
-    roots = _cubic_roots(g2, g3)
-    best = None
-    for e1, e2, e3 in permutations(roots):
+    scale = max(abs(g2), abs(g3), 1.0)
+    candidates = []
+    for e1, e2, e3 in permutations(_cubic_roots(g2, g3)):
         try:
             w1 = 2.0 * carlson_rf(0j, e1 - e2, e1 - e3)
             w2 = 2.0 * carlson_rf(0j, e3 - e1, e3 - e2)
@@ -113,13 +133,12 @@ def periods_from_invariants(c):
             inv = eisenstein_invariants(L)
         except (SemiabelError, ArithmeticError):
             continue
-        scale = max(abs(g2), abs(g3), 1.0)
-        resid = (abs(inv.g2 - g2) + abs(inv.g3 - g3)) / scale
-        if best is None or resid < best[0]:
-            best = (resid, L)
-    if best is None or best[0] > 1e-6:
+        if abs(inv.g2 - g2) + abs(inv.g3 - g3) <= 1e-6 * scale:
+            candidates.append(L)
+    if not candidates:
         raise ConvergenceFailure("no root ordering reproduced the invariants")
-    return best[1]
+    candidates = _shortest(candidates, lambda L: L.omega1)
+    return _shortest(candidates, lambda L: L.omega2)[0]
 
 
 def _branch_points(L):

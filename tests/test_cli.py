@@ -336,7 +336,8 @@ def test_main_rejects_infinite_bool_and_negative_config_scalars_exit_1(
     """tol is a finite positive number, max_height a positive int and seed
     a non-negative int, and a bool is none of them.  An infinite tol would
     classify this p-torsion motive as q-r-torsion, true would be read as
-    max_height 1 or echoed as the seed, and numpy refuses a negative seed."""
+    max_height 1 or echoed as the seed, and parse_config refuses a negative
+    seed."""
     m = next(m for m, row, *_ in verify._table_instances() if row == "p-torsion")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_motive_config(m))[:-1] + extra + "}")
@@ -752,6 +753,14 @@ def test_formula_consistency_reads_every_table_instance():
     assert verify._check_formula_consistency(table) == 0
     table[9] = broken
     assert verify._check_formula_consistency(table) >= 1
+
+
+def test_verify_passes_every_check_at_seeds_0_to_11():
+    """Each seed draws from its own streams, so twelve seeds are twelve
+    independent samples, and every check passes on each."""
+    for seed in range(12):
+        doc = verify.report(seed, 1e-9)
+        assert [e["name"] for e in doc["entries"] if not e["pass"]] == [], seed
 
 
 VERIFY_GOLDEN_SEEDS = (0, 5, 17)

@@ -2,8 +2,10 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import mpmath
@@ -106,6 +108,57 @@ def test_defect_inside_a_root_ordering_propagates(monkeypatch):
         periods_from_invariants(CurveInvariants(4.0, 0.0))
 
 
+def _cubic_cases():
+    """(g2, g3) real and complex at scales 1e-30 ... 1e30 each, and with
+    g2 = 0 or g3 = 0."""
+    rng = random.Random(27)
+    for _ in range(100):
+        s2, s3 = 10 ** rng.uniform(-30, 30), 10 ** rng.uniform(-30, 30)
+        g2 = complex(rng.uniform(-1, 1), rng.choice((0.0, rng.uniform(-1, 1)))) * s2
+        g3 = complex(rng.uniform(-1, 1), rng.choice((0.0, rng.uniform(-1, 1)))) * s3
+        yield g2, g3
+        yield 0j, g3
+        yield g2, 0j
+
+
+def test_cubic_roots_match_mpmath():
+    """Each root of 4t^3 - g2 t - g3 agrees with mpmath.polyroots at 30
+    digits to 1e-14 of the roots' scale max(|g2|^(1/2), |g3|^(1/3))."""
+    import semiabel.periods as periods
+
+    for g2, g3 in _cubic_cases():
+        # the roots are scale times those of 4x^3 - (g2/scale^2) x - g3/scale^3
+        scale = max(abs(g2) ** 0.5, abs(g3) ** (1 / 3))
+        s = mpmath.mpf(scale)
+        unit = mpmath.polyroots([4, 0, -mpmath.mpc(g2) / s**2, -mpmath.mpc(g3) / s**3])
+        ref = [complex(s * r) for r in unit]
+        got = periods._cubic_roots(g2, g3)
+        err = min(max(abs(r - t) for r, t in zip(ref, order)) for order in permutations(got))
+        assert err <= 1e-14 * scale, (g2, g3, got, ref)
+
+
+def test_basis_does_not_depend_on_root_order(monkeypatch):
+    """All six orders of the cubic's roots give one basis: seeded real and
+    complex curves, and the discriminant -4 and -3 curves (g3 = 0, g2 = 0)."""
+    import semiabel.periods as periods
+
+    rng = random.Random(5)
+    curves = [(4.0, 0.0), (0.0, 4.0), (0.0, -1.0), (2.5j, 0.0), (0.0, 1 + 1j)]
+    curves += [(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0)) for _ in range(10)]
+    curves += [(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(30)]
+    cubic_roots = periods._cubic_roots
+    for g2, g3 in curves:
+        bases = []
+        for order in permutations(cubic_roots(g2, g3)):
+            monkeypatch.setattr(periods, "_cubic_roots", lambda a, b, order=order: order)
+            L = periods_from_invariants(CurveInvariants(g2, g3))
+            bases.append((L.omega1, L.omega2))
+        w1, w2 = bases[0]
+        for v1, v2 in bases:
+            assert max(abs(v1 - w1), abs(v2 - w2)) <= 1e-12 * abs(w1), (g2, g3, bases)
+
+
 def test_check_on_curve():
     inv = CurveInvariants(4.0, 0.0)
     check_on_curve(EllipticPoint(1.0, 0.0), inv)
@@ -171,8 +224,9 @@ def test_elliptic_log_round_trip(L):
 def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     """elliptic_log reads its branch points wp(h_j) at the half-periods of
     the lattice: it never solves a cubic, it evaluates them once per
-    Lattice object whatever invariants object comes with the point, and a
-    lattice-given curve never loads numpy."""
+    Lattice object whatever invariants object comes with the point.  No
+    CLI task loads numpy, on a lattice-given or an invariant-given curve:
+    only period_matrix_M does."""
     import semiabel.periods as periods
 
     def refused(g2, g3):
@@ -198,10 +252,12 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     assert len(calls) == 6
 
     L = make_lattice(1.3 + 0.8j, -0.5 + 1.9j)
+    inv = eisenstein_invariants(L)
     z = 0.37 + 0.21j
     point = {"x": wp(z, L), "y": wp_prime(z, L)}
     J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
-    curve = {"lattice": {"w1": J(L.omega1), "w2": J(L.omega2)}}
+    lattice = {"lattice": {"w1": J(L.omega1), "w2": J(L.omega2)}}
+    invariants = {"g2": J(inv.g2), "g3": J(inv.g3)}
     docs = {
         "classify": {"motive": {
             "extension_params": [{"x": J(point["x"]), "y": J(point["y"])}],
@@ -210,14 +266,19 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
         "eval": {"z": [J(z)]},
         "logg": {"q": {"log": J(0.41 + 0.27j)},
                  "point": {"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}},
+        "periods": {},
+        "verify": {},
     }
-    for task, doc in docs.items():
-        (tmp_path / f"{task}.json").write_text(json.dumps({"curve": curve, **doc}))
+    runs = [(task, "lattice", lattice) for task in ("classify", "eval", "logg", "verify")]
+    runs += [(task, "invariants", invariants) for task in ("classify", "eval", "periods", "verify")]
+    for task, form, curve in runs:
+        (tmp_path / f"{task}-{form}.json").write_text(json.dumps({"curve": curve, **docs[task]}))
     code = (
         "import sys\n"
         "from semiabel.cli import main\n"
-        f"for task in {list(docs)!r}:\n"
-        f"    assert main([task, '--config', {str(tmp_path)!r} + f'/{{task}}.json']) == 0\n"
+        f"for task, form, _ in {runs!r}:\n"
+        f"    path = {str(tmp_path)!r} + f'/{{task}}-{{form}}.json'\n"
+        "    assert main([task, '--config', path, '--json']) == 0, (task, form)\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
     )
     src = str(Path(periods.__file__).resolve().parents[1])
