@@ -22,12 +22,11 @@ Torsion is the first question of dim B's chain, asked alike by
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .elliptic import CurveInvariants
+from ._value import Value
 from .errors import InconsistentOverride, InternalInconsistency, NotApplicable
-from .lattice import Lattice, reduce_to_fundamental
+from .lattice import reduce_to_fundamental
 from .periods import check_on_curve, elliptic_log, generalized_elliptic_log
 from .relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, detect_integer_relation
 from .semiabelian import _fiber_log, quasi_quasi_periods
@@ -48,25 +47,24 @@ _TABLE_DIMS = {
 }
 
 
-@dataclass(frozen=True)
-class OneMotiveElliptic:
+class OneMotiveElliptic(Value):
     """A 1-motive [u: Z^n -> G] with G an extension of the curve by
     Gm^s; carried by the curve, its lattice, the s extension parameters
     and the n marked points of G."""
 
-    curve: CurveInvariants
-    lattice: Lattice
-    extension_params: tuple
-    points: tuple
-    cm_override: int = None
+    _fields = ("curve", "lattice", "extension_params", "points", "cm_override")
 
-    def __post_init__(self):
-        object.__setattr__(self, "extension_params", tuple(self.extension_params))
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 1:
+    def __init__(self, curve, lattice, extension_params, points, cm_override=None):
+        points = tuple(points)
+        if len(points) < 1:
             raise ValueError("a 1-motive needs at least one marked point (n >= 1)")
-        for R in self.points:
-            check_on_curve(R.base, self.curve)
+        for R in points:
+            check_on_curve(R.base, curve)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "extension_params", tuple(extension_params))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "cm_override", cm_override)
 
     @property
     def n(self):
@@ -77,38 +75,45 @@ class OneMotiveElliptic:
         return len(self.extension_params)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Value):
     """The classification of one motive; its fields are the keys of the
-    ``classify --json`` document."""
+    ``classify --json`` document (``as_dict``).  ``deficient`` is None when
+    not applicable; ``confidence`` is "numeric": every decision rests on a
+    relation search."""
 
-    dim_B: int
-    dim_B_vstar: int
-    dim_B_Q: int
-    dim_Z1: int
-    dim_UR: int
-    dim_Gal: int
-    table_row: str
-    cm: bool
-    cm_discriminant: int
-    deficient: bool  # None when not applicable
-    bounds: dict
-    confidence: str  # "numeric": every decision rests on a relation search
-    relations: tuple = ()
+    _fields = (
+        "dim_B", "dim_B_vstar", "dim_B_Q", "dim_Z1", "dim_UR", "dim_Gal",
+        "table_row", "cm", "cm_discriminant", "deficient", "bounds",
+        "confidence", "relations",
+    )
 
-    def __post_init__(self):
-        if self.dim_UR != 2 * self.dim_B + self.dim_Z1:
+    def __init__(
+        self, dim_B, dim_B_vstar, dim_B_Q, dim_Z1, dim_UR, dim_Gal, table_row,
+        cm, cm_discriminant, deficient, bounds, confidence, relations=(),
+    ):
+        if dim_UR != 2 * dim_B + dim_Z1:
+            raise InternalInconsistency(f"dim UR {dim_UR} != 2*{dim_B} + {dim_Z1}")
+        if dim_Gal != dim_UR + (2 if cm else 4):
             raise InternalInconsistency(
-                f"dim UR {self.dim_UR} != 2*{self.dim_B} + {self.dim_Z1}"
+                f"dim Gal {dim_Gal} != {dim_UR} + reductive part"
             )
-        if self.dim_Gal != self.dim_UR + (2 if self.cm else 4):
-            raise InternalInconsistency(
-                f"dim Gal {self.dim_Gal} != {self.dim_UR} + reductive part"
-            )
-        if self.dim_B != self.dim_B_vstar + self.dim_B_Q:
-            raise InternalInconsistency(
-                f"dim B {self.dim_B} != {self.dim_B_vstar} + {self.dim_B_Q}"
-            )
+        if dim_B != dim_B_vstar + dim_B_Q:
+            raise InternalInconsistency(f"dim B {dim_B} != {dim_B_vstar} + {dim_B_Q}")
+        for name, value in zip(self._fields, (
+            dim_B, dim_B_vstar, dim_B_Q, dim_Z1, dim_UR, dim_Gal, table_row,
+            cm, cm_discriminant, deficient, bounds, confidence, relations,
+        )):
+            object.__setattr__(self, name, value)
+
+    def as_dict(self):
+        """The ``classify --json`` document: every field, ``bounds`` copied
+        and the relation certificates as dicts."""
+        doc = {name: getattr(self, name) for name in self._fields}
+        doc["bounds"] = dict(self.bounds)
+        doc["relations"] = tuple(
+            {name: getattr(c, name) for name in c._fields} for c in self.relations
+        )
+        return doc
 
 
 # ---------------------------------------------------------------------------

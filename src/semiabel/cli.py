@@ -12,7 +12,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 from . import verify
 from .classifier import OneMotiveElliptic, motivic_galois_dims
@@ -96,15 +95,18 @@ def _cplx(v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class JobConfig:
-    task: str
-    curve: CurveInvariants
-    lattice: object  # Lattice or None
-    payload: dict
-    tol: float
-    max_height: int
-    seed: int
+    """A validated config: the task, its curve (and lattice, or None),
+    the task's own keys and the numeric options."""
+
+    def __init__(self, task, curve, lattice, payload, tol, max_height, seed):
+        self.task = task
+        self.curve = curve
+        self.lattice = lattice
+        self.payload = payload
+        self.tol = tol
+        self.max_height = max_height
+        self.seed = seed
 
 
 def _expect(cond, path, message):
@@ -363,7 +365,7 @@ def _job_pairing(cfg):
 
 
 def _job_classify(cfg):
-    return asdict(motivic_galois_dims(_parse_motive(cfg), cfg.max_height, cfg.tol))
+    return motivic_galois_dims(_parse_motive(cfg), cfg.max_height, cfg.tol).as_dict()
 
 
 def _job_bounds(cfg):

@@ -13,9 +13,9 @@ a value.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._kernels import eisenstein_e4_e6, theta1_bundle, theta1_weights
+from ._value import Value
 from .errors import BeyondWorkingPrecision, PoleAtLatticePoint
 from .lattice import (
     POLE_GUARD,
@@ -29,19 +29,23 @@ from .lattice import (
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
-    g2: complex
-    g3: complex
+class CurveInvariants(Value):
+    _fields = ("g2", "g3")
+
+    def __init__(self, g2, g3):
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "g3", g3)
 
     def discriminant(self):
         return self.g2**3 - 27 * self.g3**2
 
 
-@dataclass(frozen=True)
-class QuasiPeriods:
-    eta1: complex
-    eta2: complex
+class QuasiPeriods(Value):
+    _fields = ("eta1", "eta2")
+
+    def __init__(self, eta1, eta2):
+        object.__setattr__(self, "eta1", eta1)
+        object.__setattr__(self, "eta2", eta2)
 
 
 def _reduced(L):

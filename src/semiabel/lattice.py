@@ -7,8 +7,8 @@ series evaluations of :mod:`semiabel.elliptic` converge quickly.
 """
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .errors import BeyondWorkingPrecision, DegenerateLattice, NotALatticePoint
 
 DEGENERACY_TOL = 1e-12
@@ -26,13 +26,18 @@ def _tau_of(w1, w2):
     return w2 / w1
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Oriented lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0."""
+class Lattice(Value):
+    """Oriented lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
-    omega1: complex
-    omega2: complex
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    ``_cache`` holds what is computed once per lattice object; it is not a
+    field, so equality, hashing and repr ignore it."""
+
+    _fields = ("omega1", "omega2")
+
+    def __init__(self, omega1, omega2):
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def tau(self):

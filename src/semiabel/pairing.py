@@ -5,8 +5,8 @@ the integrality pairing on Lambda x Lambda*.
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .elliptic import _on_lattice, eta_linear, sigma_w
 from .errors import (
     BeyondWorkingPrecision,
@@ -25,13 +25,13 @@ from .lattice import (
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class UnitCircleValue:
-    value: complex
+class UnitCircleValue(Value):
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if not (abs(abs(self.value) - 1.0) <= 1e-9):
-            raise ValueError(f"not on the unit circle: {self.value}")
+    def __init__(self, value):
+        if not (abs(abs(value) - 1.0) <= 1e-9):
+            raise ValueError(f"not on the unit circle: {value}")
+        object.__setattr__(self, "value", value)
 
 
 def weil_pairing(z, zstar, L):

@@ -10,10 +10,10 @@ an unambiguous principal-branch rule for complex arguments.
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 from ._kernels import carlson_rf
+from ._value import Value
 from .elliptic import CurveInvariants, eisenstein_invariants, weierstrass, wp
 from .errors import (
     BeyondWorkingPrecision,
@@ -29,31 +29,38 @@ CURVE_TOL = 1e-9
 _CUBE_ROOT_OF_UNITY = complex(-0.5, math.sqrt(3) / 2)
 
 
-@dataclass(frozen=True)
-class EllipticPoint:
+class EllipticPoint(Value):
     """Affine point (x, y) on y^2 = 4x^3 - g2 x - g3, or the identity O."""
 
-    x: complex = 0j
-    y: complex = 0j
-    is_identity: bool = False
+    _fields = ("x", "y", "is_identity")
+
+    def __init__(self, x=0j, y=0j, is_identity=False):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "is_identity", is_identity)
 
     @staticmethod
     def identity():
         return EllipticPoint(is_identity=True)
 
 
-@dataclass(frozen=True)
-class BranchedValue:
+class BranchedValue(Value):
     """A value defined up to lattice translations: its principal representative."""
 
-    value: complex
+    _fields = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class GeneralizedAbelianLog:
-    z: complex
-    w: complex  # second-kind integral: zeta at the principal logarithm
-    is_identity: bool = False
+class GeneralizedAbelianLog(Value):
+    _fields = ("z", "w", "is_identity")
+
+    def __init__(self, z, w, is_identity=False):
+        object.__setattr__(self, "z", z)
+        # w, the second-kind integral: zeta at the principal logarithm
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "is_identity", is_identity)
 
 
 def check_on_curve(P, inv):

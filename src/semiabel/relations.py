@@ -23,8 +23,8 @@ positive, since the sign LLL gives a relation is an artifact of row order.
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import TooManyValues
 
 DEFAULT_TOL = 1e-9
@@ -38,12 +38,14 @@ _ULP = 2.0**-50
 _MAX_CANDIDATES = 16
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
-    coefficients: tuple
-    residual: float
-    height: int
-    height_cap: int
+class RelationCertificate(Value):
+    _fields = ("coefficients", "residual", "height", "height_cap")
+
+    def __init__(self, coefficients, residual, height, height_cap):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "height_cap", height_cap)
 
 
 def _round_half_even(num, den):

@@ -10,8 +10,8 @@ conj(w2)), which carries the dual basis onto the primal basis.
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .elliptic import _on_lattice, quasi_periods, sigma_w, weierstrass
 from .errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
 from .lattice import dual_to_primal
@@ -24,11 +24,13 @@ from .periods import (
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class ExtensionParam:
+class ExtensionParam(Value):
     """A point Q of the dual curve, carried by its logarithm in Lie E*."""
 
-    q_log_dual: complex
+    _fields = ("q_log_dual",)
+
+    def __init__(self, q_log_dual):
+        object.__setattr__(self, "q_log_dual", q_log_dual)
 
     def primal(self, L):
         """Pullback of the logarithm to Lie E via self-duality."""
@@ -39,12 +41,14 @@ class ExtensionParam:
         return ExtensionParam(complex(q) / L.covolume_factor())
 
 
-@dataclass(frozen=True)
-class SemiAbelianPoint:
+class SemiAbelianPoint(Value):
     """Birational coordinates on E x C^*: base point and nonzero fiber."""
 
-    base: EllipticPoint
-    fiber: complex
+    _fields = ("base", "fiber")
+
+    def __init__(self, base, fiber):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fiber", fiber)
 
 
 def _primal_log(q, L):
@@ -169,7 +173,10 @@ def period_matrix_G(q, L):
 def period_matrix_M(points, qs, L):
     """(n+2+s)-square period matrix of the 1-motive [Z^n -> G]: Id_n,
     one generalized-log row (z, zeta(z), t_1..t_s) per point, the curve
-    block (omega_j, eta_j), and one third-kind column per parameter."""
+    block (omega_j, eta_j), and one third-kind column per parameter, as a
+    numpy array.  numpy is the optional ``matrix`` extra: this function,
+    and period_matrix_A and period_matrix_G through it, are all that
+    need it."""
     import numpy as np
 
     n = len(points)

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +249,7 @@ def table_report_lines():
     """The golden lines of golden_table_reports.jsonl: the classify report
     of each table instance."""
     return [
-        emit_json(asdict(motivic_galois_dims(m))) + "\n"
+        emit_json(motivic_galois_dims(m).as_dict()) + "\n"
         for m, *_ in verify._table_instances()
     ]
 

@@ -226,7 +226,8 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     the lattice: it never solves a cubic, it evaluates them once per
     Lattice object whatever invariants object comes with the point.  No
     CLI task loads numpy, on a lattice-given or an invariant-given curve:
-    only period_matrix_M does."""
+    only period_matrix_M does.  Nor does any load dataclasses or inspect:
+    the result types are plain value classes."""
     import semiabel.periods as periods
 
     def refused(g2, g3):
@@ -276,10 +277,11 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     code = (
         "import sys\n"
         "from semiabel.cli import main\n"
+        "unloaded = ('numpy', 'dataclasses', 'inspect')\n"
         f"for task, form, _ in {runs!r}:\n"
         f"    path = {str(tmp_path)!r} + f'/{{task}}-{{form}}.json'\n"
         "    assert main([task, '--config', path, '--json']) == 0, (task, form)\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "    print(task, form, *(m in sys.modules for m in unloaded), file=sys.stderr)\n"
     )
     src = str(Path(periods.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -287,7 +289,7 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stderr == "False\n"
+    assert out.stderr == "".join(f"{task} {form} False False False\n" for task, form, _ in runs)
 
 
 def test_elliptic_log_identity_and_two_torsion():
