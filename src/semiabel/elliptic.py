@@ -6,9 +6,9 @@ modular-reduced basis of the lattice; values at arbitrary arguments are
 recovered from the quasi-periodicity laws, so sigma and zeta return the
 principal-branch value at the original argument.  Each Lattice keeps its
 last MEMO_SIZE evaluations (an argument's reduction and pole verdict and,
-once read, its theta series and sigma), keyed by the argument's exact
-bits, so public calls at one argument share one series without changing
-a value.
+once read, its theta series, (wp, wp', zeta) and sigma), keyed by the
+argument's exact bits; public calls at one argument share one series, and
+internal callers read each argument's entry once, without changing a value.
 """
 
 import cmath
@@ -92,19 +92,20 @@ def _psi(m, n):
     return 1.0 if (m % 2 == 0 and n % 2 == 0) else -1.0
 
 
-# evaluations kept per lattice: the four values, exp_G, log_G and
-# ratio_f_tilde at one point read eight distinct arguments
+# evaluations (reduction, series, (wp, wp', zeta), sigma) kept per lattice:
+# the four values, exp_G, log_G and ratio_f_tilde at one point read eight arguments
 MEMO_SIZE = 16
 
 
 def _entry(z, constants):
-    """The memo's [z0, m, n, bundle, on_lattice, sigma] for z on the lattice
-    of constants = _reduced(L): z = z0 + m*w1 + n*w2 on the reduced basis
-    with z0 centred, on_lattice whether z0 is within the pole guard (the
-    shortest period w1 times POLE_GUARD), then theta1_bundle(z0/w1) and
-    sigma(z) once read, else None.  Keyed by the bits of complex(z), so it
-    never changes a value; the oldest of MEMO_SIZE entries makes way for a
-    new one, and a reduction that raises stores nothing."""
+    """The memo's [z0, m, n, bundle, on_lattice, sigma, values] for z on
+    the lattice of constants = _reduced(L): z = z0 + m*w1 + n*w2 on the
+    reduced basis with z0 centred, on_lattice whether z0 is within the pole
+    guard (the shortest period w1 times POLE_GUARD), then theta1_bundle(z0/w1),
+    sigma(z) and values = (wp, wp', zeta)(z) once computed without raising,
+    else None.  Keyed by the bits of complex(z), so it never changes a
+    value; the oldest of MEMO_SIZE entries makes way for a new one, and a
+    reduction that raises stores nothing."""
     memo = constants[6]
     zc = complex(z)
     # -0.0 == 0.0 as a key, so a zero part keys with its sign
@@ -117,7 +118,7 @@ def _entry(z, constants):
         if len(memo) >= MEMO_SIZE:
             del memo[next(iter(memo))]
         on_lattice = abs(z0) < POLE_GUARD * abs(constants[0].omega1)
-        entry = memo[key] = [z0, m, n, None, on_lattice, None]
+        entry = memo[key] = [z0, m, n, None, on_lattice, None, None]
     return entry
 
 
@@ -129,19 +130,9 @@ def _series(entry, constants):
     return bundle
 
 
-def _on_lattice(z, L):
-    """Whether z is within the pole guard of Lambda, from its memo entry."""
-    return _entry(z, _reduced(L))[4]
-
-
-def sigma_w(z, L):
-    """Weierstrass sigma; entire, principal value at the original z, from
-    one reduction and one theta series, kept in z's memo entry.  Its
-    quasi-periodicity factor is not in weierstrass(): it overflows at far
-    translates where wp is finite, and then the entry keeps no sigma."""
-    constants = _reduced(L)
-    entry = _entry(z, constants)
-    z0, m, n, _, _, s = entry
+def _sigma(entry, constants):
+    """sigma_w from entry = _entry(z, constants), kept in the entry."""
+    z0, m, n, _, _, s, _ = entry
     if s is not None:
         return s
     Lr, _, _, eta1r, eta2r, d1_0, _ = constants
@@ -156,23 +147,40 @@ def sigma_w(z, L):
     return s
 
 
-def weierstrass(z, L):
-    """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series;
-    zeta is the principal value at the original z.  Raises
-    PoleAtLatticePoint within the pole guard of Lambda, before the series."""
+def sigma_w(z, L):
+    """Weierstrass sigma; entire, principal value at the original z, from
+    one reduction and one theta series, kept in z's memo entry.  Its
+    quasi-periodicity factor is not in weierstrass(): it overflows at far
+    translates where wp is finite, and then the entry keeps no sigma."""
     constants = _reduced(L)
-    Lr, _, _, eta1r, eta2r, _, _ = constants
-    entry = _entry(z, constants)
-    z0, m, n, _, on_lattice, _ = entry
+    return _sigma(_entry(z, constants), constants)
+
+
+def _weierstrass(entry, constants):
+    """weierstrass from entry = _entry(z, constants), kept in the entry."""
+    z0, m, n, _, on_lattice, _, values = entry
+    if values is not None:
+        return values
     if on_lattice:
         raise PoleAtLatticePoint(f"argument within pole guard of Lambda: {z0}")
+    Lr, _, _, eta1r, eta2r, _, _ = constants
     t0, d1, d2, d3 = _series(entry, constants)
     w1 = Lr.omega1
     g = d1 / t0
     gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
     p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
     zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
-    return p, -gpp / w1**3, zeta
+    values = entry[6] = (p, -gpp / w1**3, zeta)
+    return values
+
+
+def weierstrass(z, L):
+    """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series,
+    kept in z's memo entry; zeta is the principal value at the original z.
+    Raises PoleAtLatticePoint within the pole guard of Lambda, before the
+    series."""
+    constants = _reduced(L)
+    return _weierstrass(_entry(z, constants), constants)
 
 
 def zeta_w(z, L):

@@ -167,7 +167,7 @@ def reduce_centered(z, L):
 
 def near_lattice(z, L):
     """Whether z is within POLE_GUARD times the shortest period of Lambda,
-    reduced on L's own basis: a test reference for elliptic._on_lattice."""
+    reduced on L's own basis: a test reference for elliptic._entry's verdict."""
     return abs(reduce_centered(z, L)[0]) < POLE_GUARD * abs(L.reduced_basis()[0])
 
 

@@ -7,7 +7,7 @@ import cmath
 import math
 
 from ._value import Value
-from .elliptic import _on_lattice, eta_linear, sigma_w
+from .elliptic import _entry, _reduced, _sigma, eta_linear
 from .errors import (
     BeyondWorkingPrecision,
     InternalInconsistency,
@@ -117,14 +117,17 @@ def poincare_automorphy_a0(lmbda, lmbdastar, z, zstar, L):
 
 
 def _sigmas(z, w, L):
-    """[sigma(z), sigma(w), sigma(z + w)] from one reduction and one theta
-    series each; raises PoleAtLatticePoint when z, w or z + w (checked in
-    that order, before any series) is on Lambda."""
-    args = (z, w, z + w)
-    for u in args:
-        if _on_lattice(u, L):
+    """[sigma(z), sigma(w), sigma(z + w)] from one memo entry, so one
+    reduction and one theta series, each; raises PoleAtLatticePoint when
+    z, w or z + w (checked in that order, before any series) is on Lambda."""
+    constants = _reduced(L)
+    entries = []
+    for u in (z, w, z + w):
+        entry = _entry(u, constants)
+        if entry[4]:
             raise PoleAtLatticePoint(f"argument {u} on Lambda")
-    return [sigma_w(u, L) for u in args]
+        entries.append(entry)
+    return [_sigma(entry, constants) for entry in entries]
 
 
 def f_tilde(z, w, L):

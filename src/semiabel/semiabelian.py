@@ -12,7 +12,7 @@ import cmath
 import math
 
 from ._value import Value
-from .elliptic import _on_lattice, quasi_periods, sigma_w, weierstrass
+from .elliptic import _entry, _reduced, _sigma, _weierstrass, quasi_periods
 from .errors import BeyondWorkingPrecision, FiberZero, PoleAtLatticePoint
 from .lattice import dual_to_primal
 from .periods import (
@@ -51,48 +51,59 @@ class SemiAbelianPoint(Value):
         object.__setattr__(self, "fiber", fiber)
 
 
-def _primal_log(q, L):
-    """The primal log qp of q (an ExtensionParam or the log); raises
-    PoleAtLatticePoint when qp is on Lambda."""
+def _primal_log(q, L, constants):
+    """The primal log qp of q (an ExtensionParam or the log) and its memo
+    entry; raises PoleAtLatticePoint when qp is on Lambda."""
     qp = q.primal(L) if isinstance(q, ExtensionParam) else complex(q)
-    if _on_lattice(qp, L):
+    entry = _entry(qp, constants)
+    if entry[4]:
         raise PoleAtLatticePoint("extension parameter log is a lattice point")
-    return qp
+    return qp, entry
 
 
 def serre_fq(z, q, L):
-    """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)), from one
-    reduction and one theta series at each of q, z and z + q; the pole
-    checks (q, then z, on Lambda) and the zero check read the reductions
-    before any series is summed.
+    """sigma(z+q) * exp(-zeta(q) z) / (sigma(z) sigma(q)), from one memo
+    entry, so one reduction and one theta series, at each of q, z and
+    z + q; the pole checks (q, then z, on Lambda) and the zero check read
+    the reductions before any series is summed.
 
     Returns exactly 0 at the zero z = -q (mod Lambda) of the section.
     """
     z = complex(z)
-    qp = _primal_log(q, L)
-    if _on_lattice(z, L):
+    constants = _reduced(L)
+    qp, q_entry = _primal_log(q, L, constants)
+    z_entry = _entry(z, constants)
+    if z_entry[4]:
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    u = z + qp
-    if _on_lattice(u, L):
+    return _fq(z, z_entry, qp, q_entry, constants)
+
+
+def _fq(z, z_entry, qp, q_entry, constants):
+    """serre_fq from the entries of z and qp, both off Lambda."""
+    u_entry = _entry(z + qp, constants)
+    if u_entry[4]:
         return 0j
     return (
-        sigma_w(u, L)
-        * cmath.exp(-weierstrass(qp, L)[2] * z)
-        / (sigma_w(z, L) * sigma_w(qp, L))
+        _sigma(u_entry, constants)
+        * cmath.exp(-_weierstrass(q_entry, constants)[2] * z)
+        / (_sigma(z_entry, constants) * _sigma(q_entry, constants))
     )
 
 
 def exp_G(z, t, q, L):
     """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t).  A
-    fiber past the double range is refused (_fiber)."""
+    fiber past the double range is refused (_fiber).  Reads the memo
+    entries of z, q and z + q once each."""
     z = complex(z)
     t = complex(t)
-    if _on_lattice(z, L):
+    constants = _reduced(L)
+    z_entry = _entry(z, constants)
+    if z_entry[4]:
         return SemiAbelianPoint(EllipticPoint.identity(), _fiber(t))
-    f = serre_fq(z, q, L)
+    f = _fq(z, z_entry, *_primal_log(q, L, constants), constants)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
-    p, dp, _ = weierstrass(z, L)
+    p, dp, _ = _weierstrass(z_entry, constants)
     base = EllipticPoint(p, dp)
     return SemiAbelianPoint(base, _fiber(t, f))
 
@@ -142,9 +153,10 @@ def generalized_log_G(R, q, L, inv=None):
 
 def quasi_quasi_periods(q, L):
     """Third-kind periods (eta_j q - omega_j zeta(q)) for j = 1, 2."""
-    qp = _primal_log(q, L)
+    constants = _reduced(L)
+    qp, q_entry = _primal_log(q, L, constants)
     e = quasi_periods(L)
-    zq = weierstrass(qp, L)[2]
+    zq = _weierstrass(q_entry, constants)[2]
     return (
         e.eta1 * qp - L.omega1 * zq,
         e.eta2 * qp - L.omega2 * zq,

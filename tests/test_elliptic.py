@@ -468,8 +468,9 @@ def test_memo_holds_no_more_than_its_bound(monkeypatch):
 
 def test_memo_stores_no_error(generic_lattice):
     """A pole raises PoleAtLatticePoint on every call, also after sigma_w
-    (entire, 0 there) has summed its series; an argument beyond working
-    precision raises every time and leaves nothing in the memo."""
+    (entire, 0 there) has summed its series, and its entry's (wp, wp',
+    zeta) slot stays empty; an argument beyond working precision raises
+    every time and leaves nothing in the memo."""
     L = Lattice(generic_lattice.omega1, generic_lattice.omega2)
     pole = L.omega1 - 2 * L.omega2
     for _ in range(3):
@@ -477,6 +478,7 @@ def test_memo_stores_no_error(generic_lattice):
         for f in (wp, wp_prime, zeta_w, weierstrass):
             with pytest.raises(PoleAtLatticePoint):
                 f(pole, L)
+            assert elliptic._entry(pole, elliptic._reduced(L))[6] is None
     held = dict(elliptic._reduced(L)[6])
     for _ in range(3):
         for f in (wp, sigma_w):
@@ -506,6 +508,18 @@ def test_sigma_read_twice_is_a_fresh_lattice_value(L):
     first, second = sigma_w(z, shared), sigma_w(z, shared)
     assert repr(first) == repr(second) == repr(sigma_w(z, Lattice(L.omega1, L.omega2)))
     assert elliptic._entry(z, elliptic._reduced(shared))[5] is second
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_weierstrass_read_twice_is_the_stored_tuple(L):
+    """(wp, wp', zeta) at a cell point, read twice on one lattice, is the
+    tuple the argument's memo entry holds, with the repr a fresh lattice
+    with the basis gives."""
+    shared = Lattice(L.omega1, L.omega2)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    first, second = weierstrass(z, shared), weierstrass(z, shared)
+    assert first is second is elliptic._entry(z, elliptic._reduced(shared))[6]
+    assert repr(second) == repr(weierstrass(z, Lattice(L.omega1, L.omega2)))
 
 
 def test_arguments_beyond_working_precision_are_rejected(generic_lattice):

@@ -180,7 +180,9 @@ def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
     L = generic_lattice
     z, zs = 0.3 + 0.2j, (0.45 + 0.61j) / L.covolume_factor()
     right = ratio_f_tilde(z, zs, L)
-    monkeypatch.setattr(pairing, "sigma_w", lambda u, L: 7.0 + 3j * u)
+    monkeypatch.setattr(
+        pairing, "_sigmas", lambda z, w, L: [7.0 + 3j * u for u in (z, w, z + w)]
+    )
     try:
         moved = abs(ratio_f_tilde(z, zs, L) - right) > 1e-6
     except InternalInconsistency:

@@ -268,6 +268,72 @@ def test_elliptic_eval_op_sums_eight_theta_series(L, monkeypatch):
     assert len(args) == len(set(args)) == 8
 
 
+class _CountingMemo(dict):
+    """A memo that counts its entry reads (_entry reads each with get)."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def _counting_memo(F):
+    """Put a counting copy of F's memo in place of the memo; return it."""
+    constants = elliptic._reduced(F)
+    memo = _CountingMemo(constants[6])
+    F._cache["elliptic"] = (*constants[:6], memo)
+    return memo
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_each_argument_entry_is_read_once(L):
+    """On a fresh lattice every internal caller reads each argument's
+    memo entry once: serre_fq, exp_G and ratio_f_tilde read three (q, z
+    and z + q; z, mu and z + mu), quasi_quasi_periods reads q's, and each
+    one-point function reads its argument's.  The elliptic-eval op of
+    test_elliptic_eval_op_sums_eight_theta_series reads at most 16."""
+    z = 0.31 * L.omega1 + 1.22 * L.omega2
+    q = _q_of(L)
+    zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
+    calls = [(f, (z,), 1) for f in (wp, wp_prime, zeta_w, sigma_w, weierstrass)]
+    calls += [
+        (serre_fq, (z, q), 3),
+        (exp_G, (z, 0.1 - 0.2j, q), 3),
+        (ratio_f_tilde, (z, zstar), 3),
+        (quasi_quasi_periods, (q,), 1),
+    ]
+    for f, a, reads in calls:
+        F = _fresh(L)
+        memo = _counting_memo(F)
+        f(*a, F)
+        assert memo.reads == reads, f.__name__
+    F = _fresh(L)
+    memo = _counting_memo(F)
+    for f in (wp, wp_prime, zeta_w, sigma_w):
+        f(z, F)
+    R = exp_G(z, 0.1 - 0.2j, q, F)
+    log_G(R, q, F)
+    ratio_f_tilde(z, zstar, F)
+    assert memo.reads <= 16
+
+
+def test_an_entry_in_hand_outlives_its_eviction(monkeypatch):
+    """serre_fq holds q's entry from its pole check on: with q's entry the
+    oldest of a full memo, z's new entry pushes it out, and serre_fq still
+    sums series only at z and z + q, for the value a fresh lattice gives."""
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    q = _q_of(L)
+    quasi_quasi_periods(q, L)
+    for k in range(elliptic.MEMO_SIZE - 1):
+        wp(complex(0.1 + 0.01 * k, 0.2), L)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    args = _theta_arguments(monkeypatch)
+    value = serre_fq(z, q, L)
+    assert len(args) == 2
+    assert repr(value) == repr(serre_fq(z, q, Lattice(L.omega1, L.omega2)))
+
+
 # pool of arguments a1*omega1 + a2*omega2 for the memo's transparency
 # property: cell points, a half-period, a far translate, a lattice point,
 # and a negative (so that z + q can land on Lambda)
