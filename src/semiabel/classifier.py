@@ -158,31 +158,38 @@ def _cm_field(L, max_height, tol, cm_override):
     """(disc, delta) from one search for a relation a*tau^2 + b*tau + c
     = 0 on the reduced period ratio tau: disc = b^2 - 4ac when negative,
     and delta = 2a*tau + b the purely imaginary quadratic integer acting
-    on the lattice (delta^2 = disc); (None, None) for non-CM.  A declared
-    override must agree with the detection."""
-    w1, w2, _ = L.reduced_basis()
-    tau = w2 / w1
-    cert = detect_integer_relation([1.0, tau, tau * tau], max_height, tol)
-    disc = delta = None
-    if cert is not None:
-        c, b, a = cert.coefficients
-        if a < 0:
-            a, b, c = -a, -b, -c
-        if a != 0 and b * b - 4 * a * c < 0:
-            disc, delta = b * b - 4 * a * c, 2 * a * tau + b
+    on the lattice (delta^2 = disc); (None, None) for non-CM.  The
+    detection is a lattice constant, kept in L._cache per (max_height,
+    tol); a declared override must agree with it on every call."""
+    key = ("cm", max_height, tol)
+    field = L._cache.get(key)
+    if field is None:
+        w1, w2, _ = L.reduced_basis()
+        tau = w2 / w1
+        cert = detect_integer_relation([1.0, tau, tau * tau], max_height, tol)
+        field = None, None
+        if cert is not None:
+            c, b, a = cert.coefficients
+            if a < 0:
+                a, b, c = -a, -b, -c
+            if a != 0 and b * b - 4 * a * c < 0:
+                field = b * b - 4 * a * c, 2 * a * tau + b
+        L._cache[key] = field
+    disc = field[0]
     if cm_override is not None and disc != cm_override:
         raise InconsistentOverride(
             f"declared CM discriminant {cm_override}, detected {disc}"
         )
-    return disc, delta
+    return field
 
 
 def detect_cm(L, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_TOL, cm_override=None):
     """CM discriminant of the lattice, or None.
 
     Searches an integer relation a*tau^2 + b*tau + c = 0 for the reduced
-    period ratio tau and returns b^2 - 4ac when negative.  A declared
-    override must agree with the detection.
+    period ratio tau and returns b^2 - 4ac when negative, once per basis
+    and (max_height, tol) (_cm_field).  A declared override must agree
+    with the detection on every call.
     """
     return _cm_field(L, max_height, tol, cm_override)[0]
 

@@ -50,11 +50,12 @@ class QuasiPeriods(Value):
 
 def _reduced(L):
     """(Lr, tau, weights, eta1, eta2, theta1'(0), memo) for a reduced basis
-    (w1, w2) of L, computed once per Lattice object: Lr = Lattice(w1, w2),
-    tau = w2/w1, weights = theta1_weights(tau), the quasi-periods of the
-    reduced basis, and the memo of evaluations (_entry).  Every evaluation
-    reads these with one cache read; its reduction on Lr reads Lr's basis
-    determinant once (lattice.reduce_centered)."""
+    (w1, w2) of L, computed once per lattice (Lattice._cache), so once per
+    basis from make_lattice: Lr = Lattice(w1, w2), tau = w2/w1, weights =
+    theta1_weights(tau), the quasi-periods of the reduced basis, and the
+    memo of evaluations (_entry).  Every evaluation reads these with one
+    cache read; its reduction on Lr reads Lr's basis determinant once
+    (lattice.reduce_centered)."""
     constants = L._cache.get("elliptic")
     if constants is None:
         w1, w2, _ = L.reduced_basis()
@@ -70,7 +71,8 @@ def _reduced(L):
 
 def eisenstein_invariants(L):
     """g2 = 60*G4, g3 = 140*G6 of the lattice, via weight-4/6 q-series, once
-    per Lattice object; BeyondWorkingPrecision unless about 1e-50 <= |w1| <= 1e51."""
+    per lattice (Lattice._cache); BeyondWorkingPrecision unless about
+    1e-50 <= |w1| <= 1e51."""
     if "invariants" not in L._cache:
         Lr, tau, _, _, _, _, _ = _reduced(L)
         w1 = Lr.omega1
@@ -200,7 +202,7 @@ def wp_prime(z, L):
 
 def quasi_periods(L):
     """(eta1, eta2) = 2*zeta(omega_i/2) for the lattice's own basis;
-    computed once per Lattice object."""
+    computed once per lattice (Lattice._cache)."""
     if "quasi_periods" not in L._cache:
         Lr, _, _, eta1r, eta2r, _, _ = _reduced(L)
         # user basis in reduced-basis integer coordinates

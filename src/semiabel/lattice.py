@@ -6,6 +6,7 @@ and, lazily, a modular-reduced basis of the same lattice on which the
 series evaluations of :mod:`semiabel.elliptic` converge quickly.
 """
 
+import cmath
 import math
 
 from ._value import Value
@@ -19,6 +20,11 @@ POLE_GUARD = 1e-10
 # past this a coordinate's rounding error |a| * 2^-52 exceeds the pole guard
 MAX_COORDINATE = POLE_GUARD * 2.0**52
 
+# the lattices make_lattice keeps, keyed by the bits of their periods, so
+# that many motives or points asked on a few bases share their constants
+TABLE_SIZE = 4
+_TABLE = {}
+
 
 def _tau_of(w1, w2):
     if w1 == 0:
@@ -29,8 +35,9 @@ def _tau_of(w1, w2):
 class Lattice(Value):
     """Oriented lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
 
-    ``_cache`` holds what is computed once per lattice object; it is not a
-    field, so equality, hashing and repr ignore it."""
+    ``_cache`` holds the lattice's constants, computed once per object and
+    so, for lattices from make_lattice, once per basis; it is not a field,
+    so equality, hashing and repr ignore it."""
 
     _fields = ("omega1", "omega2")
 
@@ -81,10 +88,17 @@ def make_lattice(w1, w2):
     """Orientation-normalized lattice from two independent periods.
 
     Reorders/negates the basis so that Im(omega2/omega1) > 0; raises
-    DegenerateLattice when the periods are (numerically) collinear.
+    DegenerateLattice when a period is not finite or the periods are
+    (numerically) collinear.  The last TABLE_SIZE lattices are kept, keyed
+    by the exact bits of the normalized periods, so the same periods
+    return the Lattice built for them, with its constants; object identity
+    is not a contract.
     """
     w1 = complex(w1)
     w2 = complex(w2)
+    for name, w in (("w1", w1), ("w2", w2)):
+        if not cmath.isfinite(w):
+            raise DegenerateLattice(f"period {name} = {w} is not finite")
     if w1 == 0 or w2 == 0:
         raise DegenerateLattice("zero period")
     ratio = _tau_of(w1, w2)
@@ -92,12 +106,21 @@ def make_lattice(w1, w2):
         raise DegenerateLattice(f"Im(w2/w1) ~ 0 for ratio {ratio}")
     if ratio.imag < 0:
         w2 = -w2
-    return Lattice(w1, w2)
+    key = (w1, w2)
+    if not (w1.real and w1.imag and w2.real and w2.imag):
+        # -0.0 == 0.0 as a key, so zero parts key with their signs
+        key += tuple(math.copysign(1.0, x) for x in (w1.real, w1.imag, w2.real, w2.imag))
+    L = _TABLE.get(key)
+    if L is None:
+        if len(_TABLE) >= TABLE_SIZE:
+            del _TABLE[next(iter(_TABLE))]
+        L = _TABLE[key] = Lattice(w1, w2)
+    return L
 
 
 def _basis_determinant(L):
     """w1.real*w2.imag - w2.real*w1.imag of L's basis, or None when the
-    basis is numerically collinear; computed once per Lattice object."""
+    basis is numerically collinear; kept in L._cache."""
     if "det" not in L._cache:
         w1, w2 = L.omega1, L.omega2
         det = w1.real * w2.imag - w2.real * w1.imag

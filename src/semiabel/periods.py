@@ -151,7 +151,7 @@ def periods_from_invariants(c):
 def _branch_points(L):
     """((h, wp(h)) for the half-periods h = w1/2, w2/2, (w1 + w2)/2 of L's
     reduced basis: the branch points e_j = wp(h_j) of the curve
-    (Whittaker-Watson §20.32), computed once per Lattice object."""
+    (Whittaker-Watson §20.32), computed once per lattice (Lattice._cache)."""
     if "branch_points" not in L._cache:
         w1, w2, _ = L.reduced_basis()
         L._cache["branch_points"] = tuple(

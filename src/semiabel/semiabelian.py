@@ -92,15 +92,17 @@ def _fq(z, z_entry, qp, q_entry, constants):
 
 def exp_G(z, t, q, L):
     """((wp(z), wp'(z)), e^t f_q(z)); z on Lambda maps to (O, e^t).  A
-    fiber past the double range is refused (_fiber).  Reads the memo
-    entries of z, q and z + q once each."""
+    fiber past the double range is refused (_fiber), and so is q on
+    Lambda, at every z.  Reads the memo entries of q, z and z + q once
+    each."""
     z = complex(z)
     t = complex(t)
     constants = _reduced(L)
+    qp, q_entry = _primal_log(q, L, constants)
     z_entry = _entry(z, constants)
     if z_entry[4]:
         return SemiAbelianPoint(EllipticPoint.identity(), _fiber(t))
-    f = _fq(z, z_entry, *_primal_log(q, L, constants), constants)
+    f = _fq(z, z_entry, qp, q_entry, constants)
     if f == 0:
         raise FiberZero("base point is -Q: fiber coordinate vanishes")
     p, dp, _ = _weierstrass(z_entry, constants)

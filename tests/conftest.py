@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from semiabel import lattice
 from semiabel.lattice import make_lattice
 
 VARPI = 2.62205755429211981  # real half-lattice scale of y^2 = 4x^3 - 4x
@@ -43,3 +44,11 @@ def lattices_for_sweep():
         make_lattice(2.0, 0.5 + 2.5j),
         make_lattice(1.0, complex(0.3 * math.sqrt(2.0), 0.5 * math.e)),
     ]
+
+
+@pytest.fixture(autouse=True)
+def empty_lattice_table():
+    """Each test starts with make_lattice's table empty, so one that counts
+    theta series, memo reads or relation searches sees a cold lattice
+    whatever ran before it."""
+    lattice._TABLE.clear()

@@ -27,7 +27,7 @@ from semiabel.errors import (
     InternalInconsistency,
     NotApplicable,
 )
-from semiabel.lattice import make_lattice, real_coordinates
+from semiabel.lattice import Lattice, make_lattice, real_coordinates
 from semiabel.periods import CurveInvariants, EllipticPoint, periods_from_invariants
 from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, height_cap
 from semiabel.semiabelian import (
@@ -201,6 +201,53 @@ def test_detect_cm_override():
         detect_cm(_noncm(), cm_override=-4)
 
 
+def _counted_cm_searches(monkeypatch):
+    """The tau of each CM search (the values 1, tau, tau^2) from now on."""
+    taus, search = [], classifier.detect_integer_relation
+
+    def counted(values, *args):
+        if len(values) == 3 and values[0] == 1.0 and values[2] == values[1] * values[1]:
+            taus.append(values[1])
+        return search(values, *args)
+
+    monkeypatch.setattr(classifier, "detect_integer_relation", counted)
+    return taus
+
+
+def test_cm_search_runs_once_per_basis_and_search_settings(monkeypatch):
+    """The CM field is a lattice constant: asked again on the same periods
+    it is read back, per (max_height, tol); a Lattice built directly
+    searches afresh."""
+    taus = _counted_cm_searches(monkeypatch)
+    for _ in range(2):
+        assert detect_cm(_sq()) == detect_cm(_sq()) == -4
+        assert detect_cm(_sq(), max_height=100) == -4
+        assert detect_cm(_sq(), tol=1e-8) == -4
+        assert detect_cm(_noncm()) is None
+    assert len(taus) == 4
+    L = _sq()
+    assert detect_cm(Lattice(L.omega1, L.omega2)) == -4
+    assert len(taus) == 5
+    # two motives on one basis ask the CM question once
+    for mu in (_mu(L), 2 * _mu(L)):
+        motivic_galois_dims(_motive(_sq(), mu, _p(L), 0.3))
+    assert len(taus) == 5
+
+
+def test_a_disagreeing_override_raises_on_every_call(monkeypatch):
+    """A kept detection does not let a wrong cm_override through: every
+    call compares it, before and after the search is kept."""
+    taus = _counted_cm_searches(monkeypatch)
+    L = _sq()
+    for _ in range(3):
+        with pytest.raises(InconsistentOverride, match="declared CM discriminant -3"):
+            detect_cm(_sq(), cm_override=-3)
+        with pytest.raises(InconsistentOverride):
+            motivic_galois_dims(_motive(L, _mu(L), _p(L), 0.3, override=-3))
+        assert detect_cm(_sq(), cm_override=-4) == -4
+    assert len(taus) == 1
+
+
 # ---------------------------------------------------------------------------
 # dim B over End (x) Q
 # ---------------------------------------------------------------------------
@@ -339,23 +386,24 @@ def test_every_certificate_leads_with_a_positive_coefficient(monkeypatch):
     for m in motives + list(_seeded_general_motives()):
         motivic_galois_dims(m)
     found = [c.coefficients for c in certs if c is not None]
-    # 50 of 2 or 3 values, and 10 of more: 7 from LLL and 3 settled on a
-    # first value t = 0 as (1, 0, 0, 0)
-    assert Counter(len(c) > 3 for c in found) == {False: 50, True: 10}
+    # 40 of 2 or 3 values, the CM question's once per CM lattice, and 10 of
+    # more: 7 from LLL and 3 settled on a first value t = 0 as (1, 0, 0, 0)
+    assert Counter(len(c) > 3 for c in found) == {False: 40, True: 10}
     assert [c for c in found if next(x for x in c if x) < 0] == []
 
 
 # per motive, the number of values of each relation search, in order: the
-# CM question, dim B's chain, then dim Z(1)'s chain
+# CM question, asked by the first motive on each lattice only, dim B's
+# chain, then dim Z(1)'s chain
 _GENERAL_QUESTIONS = (
     (3, 3, 3, 5, 3, 7, 3, 9, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 3, 5, 3, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 5, 3, 7, 3, 9, 3, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-    (3, 3, 3, 3, 5, 3, 3, 5, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 5, 3, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 5, 3, 7, 3, 9, 3, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 5, 3, 3, 5, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
     (3, 3, 3, 4, 3, 5, 3, 6, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 3, 4, 3, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-    (3, 3, 3, 3, 4, 3, 3, 4, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 4, 3, 2, 3, 4, 5, 6, 7, 8, 9),
+    (3, 3, 4, 3, 5, 3, 6, 3, 7, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 4, 3, 3, 4, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
 )
 
 

@@ -260,6 +260,15 @@ def test_table_reports_match_golden_bytes():
     assert table_report_lines() == golden.splitlines(keepends=True)
 
 
+def test_table_reports_on_warm_lattices_match_golden_bytes():
+    """A second pass in one process, on the lattices and constants the
+    first pass left in make_lattice's table, gives the same bytes."""
+    golden = Path(__file__).with_name("golden_table_reports.jsonl").read_text()
+    cold = table_report_lines()
+    warm = table_report_lines()
+    assert cold == warm == golden.splitlines(keepends=True)
+
+
 def _motive_config(m):
     """The classify config a user writes for a motive with n = s = 1 on a
     lattice-given curve."""

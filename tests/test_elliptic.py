@@ -139,9 +139,10 @@ def test_theta1_bundle_stop_test_from_term_two_gives_the_same_bits(L):
 
 
 def test_lattice_constants_are_computed_once_per_lattice(monkeypatch):
-    """Invariants, theta weights and quasi-periods are kept on the Lattice
-    object: repeated calls, log_G included, compute E4/E6 and the weights
-    once; an equal but distinct Lattice object computes them afresh."""
+    """Invariants, theta weights and quasi-periods are kept per basis:
+    repeated calls, log_G included, and the same periods given to
+    make_lattice again compute E4/E6 and the weights once; a Lattice built
+    directly on those periods computes them afresh."""
     import semiabel.elliptic as elliptic
     from semiabel.semiabelian import ExtensionParam, exp_G, log_G
 
@@ -157,8 +158,9 @@ def test_lattice_constants_are_computed_once_per_lattice(monkeypatch):
 
     monkeypatch.setattr(elliptic, "eisenstein_e4_e6", counted_e4e6)
     monkeypatch.setattr(elliptic, "theta1_weights", counted_weights)
-    for _ in range(2):
-        L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    lattices = [make_lattice(1.3 + 0.2j, 0.4 + 1.7j) for _ in range(2)]
+    lattices.append(Lattice(lattices[0].omega1, lattices[0].omega2))
+    for L in lattices:
         q = ExtensionParam.from_primal(0.31 + 0.47j, L)
         inv = eisenstein_invariants(L)
         for z in (0.3 + 0.2j, -0.55 + 0.8j, 1.9 - 0.4j):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiabel import lattice
 from semiabel.errors import (
     BeyondWorkingPrecision,
     DegenerateLattice,
@@ -40,6 +41,71 @@ def test_degenerate_lattice_rejected():
         make_lattice(1.0, 2.0)
     with pytest.raises(DegenerateLattice):
         make_lattice(1.0 + 1j, 2.0 + 2j)
+
+
+@pytest.mark.parametrize(
+    "w1,w2,name",
+    (
+        (math.nan, 0.3 + 1.1j, "w1"),
+        (1.0, complex(0.3, math.inf), "w2"),
+        (complex(-math.inf, 1.0), 1j, "w1"),
+        (1.0, complex(math.nan, math.nan), "w2"),
+    ),
+)
+def test_non_finite_periods_rejected_before_the_table(w1, w2, name):
+    with pytest.raises(DegenerateLattice, match=f"period {name} = .* is not finite"):
+        make_lattice(w1, w2)
+    assert lattice._TABLE == {}
+
+
+def test_the_same_periods_return_the_same_lattice():
+    L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    assert make_lattice(1.3 + 0.2j, 0.4 + 1.7j) is L
+    # the key is the normalized basis: a clockwise input reorients to it
+    assert make_lattice(1.3 + 0.2j, -0.4 - 1.7j) is L
+    assert make_lattice(1.3 + 0.2j, 0.4 + 1.7000000000000002j) is not L
+    assert Lattice(L.omega1, L.omega2) is not L
+
+
+def _bits(L):
+    """The bits of L's basis, its constants and evaluations at a few points."""
+    from semiabel.elliptic import eisenstein_invariants, quasi_periods, sigma_w, weierstrass
+
+    zs = (0.31 + 0.17j, -0.2 + 0.45j, complex(0.25, -0.0))
+    return repr((
+        L.omega1, L.omega2, L.reduced_basis(), eisenstein_invariants(L),
+        quasi_periods(L), [(weierstrass(z, L), sigma_w(z, L)) for z in zs],
+    ))
+
+
+def test_signed_zero_periods_are_distinct_lattices():
+    """A zero part keys with its sign, as in the evaluation memo: each
+    signed-zero variant is its own lattice, with the bits of a fresh one,
+    whichever of them was built and evaluated first."""
+    variants = [
+        (complex(1.0, 0.0), complex(0.0, 1.0)),
+        (complex(1.0, -0.0), complex(0.0, 1.0)),
+        (complex(1.0, 0.0), complex(-0.0, 1.0)),
+        (complex(1.0, -0.0), complex(-0.0, 1.0)),
+    ]
+    lattices = [make_lattice(w1, w2) for w1, w2 in variants]
+    assert len({id(L) for L in lattices}) == len(variants)
+    for (w1, w2), L in zip(variants, lattices):
+        assert make_lattice(w1, w2) is L
+        assert _bits(L) == _bits(Lattice(w1, w2))
+
+
+def test_the_table_holds_at_most_its_bound():
+    """The oldest of TABLE_SIZE lattices makes way for a new one."""
+    bases = [(1.0, complex(0.1 * k, 1.0 + 0.1 * k)) for k in range(lattice.TABLE_SIZE + 3)]
+    built = []
+    for w1, w2 in bases:
+        built.append(make_lattice(w1, w2))
+        assert len(lattice._TABLE) <= lattice.TABLE_SIZE
+    kept = lattice.TABLE_SIZE
+    assert all(make_lattice(*b) is L for b, L in zip(bases[-kept:], built[-kept:]))
+    assert make_lattice(*bases[0]) is not built[0]
+    assert len(lattice._TABLE) == lattice.TABLE_SIZE
 
 
 def test_real_coordinates_of_a_degenerate_basis_raise_on_every_call():

@@ -20,7 +20,7 @@ from semiabel.errors import (
     NotOnCurve,
     SingularCurve,
 )
-from semiabel.lattice import make_lattice, reduce_centered
+from semiabel.lattice import Lattice, make_lattice, reduce_centered
 from semiabel.periods import (
     CurveInvariants,
     EllipticPoint,
@@ -224,7 +224,8 @@ def test_elliptic_log_round_trip(L):
 def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     """elliptic_log reads its branch points wp(h_j) at the half-periods of
     the lattice: it never solves a cubic, it evaluates them once per
-    Lattice object whatever invariants object comes with the point.  No
+    basis given to make_lattice, and once for a Lattice built directly,
+    whatever invariants object comes with the point.  No
     CLI task loads numpy, on a lattice-given or an invariant-given curve:
     only period_matrix_M does.  Nor does any load dataclasses or inspect:
     the result types are plain value classes."""
@@ -243,13 +244,14 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     monkeypatch.setattr(periods, "wp", counted)
     zs = (0.3 + 0.2j, -0.5 + 0.9j)
     logs = []
-    for _ in range(2):
-        L = make_lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    lattices = [make_lattice(1.3 + 0.2j, 0.4 + 1.7j) for _ in range(2)]
+    lattices.append(Lattice(lattices[0].omega1, lattices[0].omega2))
+    for L in lattices:
         inv = eisenstein_invariants(L)
         own = CurveInvariants(inv.g2, inv.g3)
         points = [EllipticPoint(wp(z, L), wp_prime(z, L)) for z in zs]
         logs.append([elliptic_log(P, L, c).value for c in (None, inv, own) for P in points])
-    assert logs[0] == logs[1] == logs[0][:2] * 3
+    assert logs[0] == logs[1] == logs[2] == logs[0][:2] * 3
     assert len(calls) == 6
 
     L = make_lattice(1.3 + 0.8j, -0.5 + 1.9j)

@@ -580,6 +580,16 @@ def test_exp_log_identity_fiber(generic_lattice):
         log_G(SemiAbelianPoint(EllipticPoint.identity(), 0j), q, L)
 
 
+@pytest.mark.parametrize("z", (1.0, 0j, 1j, 2.0 - 3j, 0.3 + 0.2j))
+def test_exp_G_refuses_an_extension_parameter_on_lattice_at_every_z(z):
+    """q on Lambda is refused whatever z is, z on Lambda included: the
+    identity branch does not return before q is read."""
+    L = make_lattice(1.0, 1j)
+    for q in (1j, ExtensionParam.from_primal(1.0 + 1j, L)):
+        with pytest.raises(PoleAtLatticePoint, match="extension parameter"):
+            exp_G(z, 0.2, q, L)
+
+
 def test_exp_G_kernel_invariance(generic_lattice):
     L = generic_lattice
     q = _q_of(L)
