@@ -95,7 +95,7 @@ def _psi(m, n):
 
 
 # evaluations (reduction, series, (wp, wp', zeta), sigma) kept per lattice:
-# the four values, exp_G, log_G and ratio_f_tilde at one point read eight arguments
+# the four values, exp_G, log_G and ratio_f_tilde at one point: eight arguments, six series
 MEMO_SIZE = 16
 
 

@@ -161,8 +161,8 @@ def _check_ratio_pairing(rng):
         for _ in range(20):
             z = _sample_z(rng, L)
             zstar = _sample_z(rng, L) / D
-            direct = ratio_f_tilde(z, zstar, L)
-            worst = max(worst, abs(direct - weil_pairing(z, zstar, L).value))
+            ratio = ratio_f_tilde(z, zstar, L)
+            worst = max(worst, abs(ratio - weil_pairing(z, zstar, L).value))
         # lattice pairs pair to 1
         for lam, lamstar in ((L.omega1, L.omega2 / D), (L.omega2, L.omega1 / D)):
             worst = max(worst, abs(weil_pairing(lam, lamstar, L).value - 1.0))

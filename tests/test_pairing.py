@@ -6,6 +6,7 @@ import pytest
 import numpy as np
 
 from semiabel import pairing
+from semiabel.elliptic import eta_linear
 from semiabel.errors import (
     BeyondWorkingPrecision,
     InternalInconsistency,
@@ -147,7 +148,10 @@ def test_f_tilde_pole_guard(generic_lattice):
 
 
 @pytest.mark.parametrize("name", ("square_lattice", "hexagonal_lattice", "noncm_lattice"))
-def test_ratio_f_tilde_is_the_quotient_of_f_tilde_bit_for_bit(name, request):
+def test_ratio_f_tilde_is_the_closed_form_bit_for_bit(name, request):
+    """ratio_f_tilde returns exp(eta(z) mu - eta(mu) z), mu = iota(z*), bit
+    for bit, and the quotient of the two f-tilde factors agrees with it to
+    32 unit roundoffs (their shared sigma values cancel)."""
     L = request.getfixturevalue(name)
     D = L.covolume_factor()
     rng = np.random.default_rng(17)
@@ -156,7 +160,21 @@ def test_ratio_f_tilde_is_the_quotient_of_f_tilde_bit_for_bit(name, request):
         z = a * L.omega1 + b * L.omega2
         zs = (c * L.omega1 + d * L.omega2) / D
         mu = dual_to_primal(zs, L)
-        assert ratio_f_tilde(z, zs, L) == f_tilde(z, mu, L) / f_tilde(mu, z, L)
+        closed = cmath.exp(eta_linear(z, L) * mu - eta_linear(mu, L) * z)
+        assert ratio_f_tilde(z, zs, L) == closed
+        quotient = f_tilde(z, mu, L) / f_tilde(mu, z, L)
+        assert abs(quotient - closed) <= 32 * 2.0**-52 * abs(closed)
+
+
+@pytest.mark.parametrize("k", (20, 100, 1000))
+def test_ratio_f_tilde_at_far_translates(generic_lattice, k):
+    """At z + k(w1 + w2) sigma's quasi-periodicity factor overflows from
+    k = 20 on; the ratio reads no sigma, so it stays finite and equals the
+    Weil pairing."""
+    L = generic_lattice
+    z = 0.31 * L.omega1 + 0.17 * L.omega2 + k * (L.omega1 + L.omega2)
+    zs = (0.23 * L.omega1 - 0.41 * L.omega2) / L.covolume_factor()
+    assert abs(ratio_f_tilde(z, zs, L) - weil_pairing(z, zs, L).value) < 1e-9
 
 
 def test_ratio_f_tilde_pole_guard(generic_lattice):
@@ -171,8 +189,10 @@ def test_ratio_f_tilde_pole_guard(generic_lattice):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the two f-tilde factors of ratio_f_tilde share sigma(z + mu), "
-    "sigma(z) and sigma(mu), so sigma cancels (CHANGES.md FOUND, ROADMAP item 13)",
+    reason="ratio_f_tilde is the closed form exp(eta(z) mu - eta(mu) z) that "
+    "the shared sigma(z + mu), sigma(z) and sigma(mu) of its two f-tilde "
+    "factors cancel to, so it reads no sigma; making sigma observable in the "
+    "pairing check is ROADMAP item 13",
 )
 def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
     """A wrong entire function in place of sigma must move the value or
