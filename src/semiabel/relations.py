@@ -1,9 +1,9 @@
 """Heuristic integer-relation detection by lattice reduction.
 
 Rows of the search lattice are [e_i | round(S * Re(v_i)) | round(S * Im(v_i))]
-with a scale S chosen from the tolerance; after exact integer LLL
-reduction, short vectors whose embedded column is small yield candidate
-relations, each checked by direct summation against the tolerance.
+with a scale S chosen from the tolerance.  Exact integer LLL runs on their
+Gram matrix and carries only the unimodular transform, whose rows are the
+candidate relations, each checked by direct summation against the tolerance.
 
 Each question is one reduction under a height cap.  In double precision
 a search over k values of size about 1 finds spurious relations once
@@ -57,58 +57,67 @@ def _round_half_even(num, den):
 
 
 def lll_reduce(basis):
-    """LLL reduction (delta = 99/100) of linearly independent integer rows.
+    """LLL reduction (delta = 99/100) of linearly independent integer rows:
+    U * basis for the transform U of `lll_reduce_gram` on their Gram matrix."""
+    basis = [list(map(int, row)) for row in basis]
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
+    return [[sum(u * x for u, x in zip(row, col)) for col in zip(*basis)]
+            for row in lll_reduce_gram(gram)]
+
+
+def lll_reduce_gram(gram):
+    """Rows of the unimodular U that LLL-reduces (delta = 99/100) the rows
+    of any basis with Gram matrix `gram`, positive definite.
 
     Integral LLL (Cohen, Alg. 2.6.7): the Gram-Schmidt data are kept as
     integers, d[i + 1] = det Gram(b_0..b_i) and lam[k][j] = d[j + 1] * mu_kj,
-    and updated exactly on each size reduction and swap. Each row k is
-    size-reduced against rows k-1..0 before its Lovasz test.
+    and updated exactly on each size reduction and swap, done on U alone.
+    Each row k is size-reduced against rows k-1..0 before its Lovasz test.
     """
-    basis = [list(map(int, row)) for row in basis]
-    n = len(basis)
-    if n <= 1:
-        return basis
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k + 1):
-            u = sum(a * b for a, b in zip(basis[k], basis[j]))
+            s = gram[k][j]
             for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                s = (d[i + 1] * s - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
-                lam[k][j] = u
+                lam[k][j] = s
             else:
-                d[k + 1] = u
+                d[k + 1] = s
         if d[k + 1] == 0:
             raise ValueError("basis rows must be linearly independent")
     k = 1
     while k < n:
-        bk, lk = basis[k], lam[k]
+        uk, lk = u[k], lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_half_even(lk[j], d[j + 1])
-            if q:
-                bj, lj = basis[j], lam[j]
-                for c in range(len(bk)):
-                    bk[c] -= q * bj[c]
+            # round(lk[j] / d[j + 1]) is nonzero only here
+            if 2 * abs(lk[j]) > d[j + 1]:
+                q = _round_half_even(lk[j], d[j + 1])
+                uj, lj = u[j], lam[j]
+                for c in range(n):
+                    uk[c] -= q * uj[c]
                 lk[j] -= q * d[j + 1]
                 for i in range(j):
                     lk[i] -= q * lj[i]
-        la = lk[k - 1]
-        if 100 * (d[k + 1] * d[k - 1] + la * la) >= 99 * d[k] * d[k]:
+        la, dk, dk1 = lk[k - 1], d[k], d[k + 1]
+        b = dk1 * d[k - 1] + la * la
+        if 100 * b >= 99 * dk * dk:
             k += 1
             continue
-        basis[k], basis[k - 1] = basis[k - 1], bk
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        b = (d[k - 1] * d[k + 1] + la * la) // d[k]
+        u[k], u[k - 1] = u[k - 1], uk
+        lam[k], lam[k - 1] = lam[k - 1], lk
+        lam[k][k - 1] = la
+        d[k] = b = b // dk
         for i in range(k + 1, n):
             li = lam[i]
             t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - la * t) // d[k]
-            li[k - 1] = (b * t + la * li[k]) // d[k + 1]
-        d[k] = b
+            li[k] = s = (dk1 * li[k - 1] - la * t) // dk
+            li[k - 1] = (b * t + la * s) // dk1
         k = max(k - 1, 1)
-    return basis
+    return u
 
 
 def height_cap(k, max_height, tol):
@@ -123,18 +132,14 @@ def height_cap(k, max_height, tol):
 
 
 def _search(values, max_height, tol):
-    k = len(values)
+    # the Gram matrix of the rows [e_i | round(S Re v_i) | round(S Im v_i)]
     scale = 1000.0 / tol
-    rows = []
-    for i, v in enumerate(values):
-        row = [0] * k + [round(v.real * scale), round(v.imag * scale)]
-        row[i] = 1
-        rows.append(row)
-    reduced = lll_reduce(rows)
+    xy = [(round(v.real * scale), round(v.imag * scale)) for v in values]
+    gram = [[(i == j) + x * a + y * b for j, (a, b) in enumerate(xy)]
+            for i, (x, y) in enumerate(xy)]
     best = None
-    for row in reduced:
-        # rows of the unimodular transform: never zero
-        coeffs = row[:k]
+    # rows of the unimodular transform: never zero
+    for coeffs in lll_reduce_gram(gram):
         height = max(abs(c) for c in coeffs)
         if height > max_height:
             continue
@@ -249,6 +254,10 @@ def detect_integer_relation(values, max_height=DEFAULT_MAX_HEIGHT, tol=DEFAULT_T
         )
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError("values must be finite")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if type(max_height) is not int or max_height < 1:
+        raise ValueError(f"max_height must be an int >= 1, not {max_height!r}")
     if not values:
         return None
     cap = height_cap(len(values), max_height, tol)

@@ -336,9 +336,9 @@ def test_table_instances_make_7_reductions(monkeypatch):
     every question of 2 or 3 values, so the 15 table instances reduce 7
     lattices: three of 5 values and four of 4."""
     sizes = Counter()
-    reduce = relations.lll_reduce
+    reduce = relations.lll_reduce_gram
     monkeypatch.setattr(
-        relations, "lll_reduce", lambda basis: sizes.update([len(basis)]) or reduce(basis)
+        relations, "lll_reduce_gram", lambda gram: sizes.update([len(gram)]) or reduce(gram)
     )
     for m, *_ in verify._table_instances():
         motivic_galois_dims(m)

@@ -19,6 +19,7 @@ from semiabel.relations import (
     detect_integer_relation,
     height_cap,
     lll_reduce,
+    lll_reduce_gram,
 )
 
 
@@ -127,6 +128,30 @@ def test_input_validation():
     with pytest.raises(ValueError):
         detect_integer_relation(list(range(13)))
     assert detect_integer_relation([]) is None
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    (
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-9}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"max_height": 0}, "max_height"),
+        ({"max_height": -5}, "max_height"),
+        ({"max_height": 2.5}, "max_height"),
+        ({"max_height": True}, "max_height"),
+    ),
+    ids=("tol-0", "tol-negative", "tol-nan", "tol-inf",
+         "height-0", "height-negative", "height-float", "height-bool"),
+)
+def test_bad_tol_and_max_height_are_refused(kwargs, name):
+    """Only a finite tol > 0 and an int max_height >= 1 are searched under:
+    tol 0 divides by zero, a negative tol or a cap below 1 answers None, an
+    infinite tol certifies (1, 0) for [1, 2], and a float cap lands in the
+    certificate."""
+    with pytest.raises(ValueError, match=name):
+        detect_integer_relation([1.0, 2.0], **kwargs)
 
 
 def test_lll_reduces_norms():
@@ -293,10 +318,14 @@ def test_no_relation_questions_of_three_values_make_no_reduction(monkeypatch):
     scale = max(map(abs, basis))
     cm_cert = _certificate_from_search(cm_values)
     division_cert = _certificate_from_search([x / scale for x in (division, *basis)])
-    calls = []  # the size of each reduced basis
+    calls = []  # the size of each reduced Gram matrix
     monkeypatch.setattr(
-        relations, "lll_reduce", lambda basis: calls.append(len(basis)) or lll_reduce(basis)
+        relations, "lll_reduce_gram", lambda gram: calls.append(len(gram)) or lll_reduce_gram(gram)
     )
+    # the positive control: a question of 4 values is one reduction
+    assert detect_integer_relation([1.0, tau, tau * tau, tau**3]) is None
+    assert calls == [4]
+    calls.clear()
     assert detect_integer_relation([1.0, tau, tau * tau]) is None
     assert _in_rational_span(generic, basis, DEFAULT_MAX_HEIGHT, DEFAULT_TOL) is None
     assert detect_integer_relation(cm_values) == cm_cert
@@ -404,6 +433,19 @@ _KINDS = {
 }
 
 
+def _seeded_values(dim, kind, rng=None):
+    """The seeded values and tol of a `_search` kind: standard normal
+    complex values, the last one planted in a relation of height <= 100."""
+    rng = rng or np.random.default_rng(1000 * dim + list(_KINDS).index(kind))
+    tol, planted = _KINDS[kind]
+    vals = [complex(rng.normal(), rng.normal()) for _ in range(dim)]
+    if planted:
+        coeffs = [int(c) for c in rng.integers(-100, 101, size=dim)]
+        coeffs[-1] = coeffs[-1] or 1
+        vals[-1] = -sum(c * v for c, v in zip(coeffs[:-1], vals)) / coeffs[-1]
+    return vals, tol
+
+
 def _seeded_basis(dim, kind):
     """A seeded basis of one of the kinds the relation engine meets: small
     entries with nonzero determinant, or a `_search` lattice at scale
@@ -415,12 +457,7 @@ def _seeded_basis(dim, kind):
                      for _ in range(dim)]
             if _gram_det(basis) != 0:
                 return basis
-    tol, planted = _KINDS[kind]
-    vals = [complex(rng.normal(), rng.normal()) for _ in range(dim)]
-    if planted:
-        coeffs = [int(c) for c in rng.integers(-100, 101, size=dim)]
-        coeffs[-1] = coeffs[-1] or 1
-        vals[-1] = -sum(c * v for c, v in zip(coeffs[:-1], vals)) / coeffs[-1]
+    vals, tol = _seeded_values(dim, kind, rng)
     scale = 1000.0 / tol
     rows = []
     for i, v in enumerate(vals):
@@ -437,6 +474,31 @@ def test_lll_matches_float_reference_and_is_reduced(dim, kind):
     reduced = lll_reduce([row[:] for row in basis])
     assert reduced == _reference_lll(basis)
     _assert_lll_reduced(reduced, basis)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in _KINDS if _KINDS[kind]])
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_search_reduces_the_gram_matrix_of_its_rows(dim, kind, monkeypatch):
+    """`_search` reduces the Gram matrix of the rows [e_i | X_i | Y_i] it
+    never builds, and answers with the best passing row of `lll_reduce`
+    of those rows, read in its first k entries."""
+    values, tol = _seeded_values(dim, kind)
+    rows = _seeded_basis(dim, kind)
+    cap = height_cap(dim, DEFAULT_MAX_HEIGHT, tol)
+    grams = []
+    monkeypatch.setattr(
+        relations, "lll_reduce_gram", lambda gram: grams.append(gram) or lll_reduce_gram(gram)
+    )
+    answer = _search(values, cap, tol)
+    assert grams == [[[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]]
+    best = None
+    for row in lll_reduce(rows):
+        coeffs = row[:dim]
+        height = max(map(abs, coeffs))
+        resid = abs(sum(c * v for c, v in zip(coeffs, values)))
+        if height <= cap and resid < tol and (best is None or (height, resid) < best[1:]):
+            best = (coeffs, height, resid)
+    assert answer == best
 
 
 def _assert_lll_reduced(reduced, basis):
