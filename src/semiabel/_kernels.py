@@ -68,13 +68,10 @@ def theta1_bundle(v, weights):
         t1 += ca * c
         t2 -= caa * s
         t3 -= caaa * c
-        x = abs(t3) + 1e-300
+        x = abs(t3)
         if x > scale:
             scale = x
-        if (
-            n >= 2
-            and abs_coeff * (abs(s) + abs(c) + 1e-300) * a * a * a < rel_eps * scale
-        ):
+        if n >= 2 and abs_coeff * (abs(s) + abs(c)) * a * a * a < rel_eps * scale:
             return t0, t1, t2, t3
     raise ConvergenceFailure(
         f"theta series did not converge at v={v} in {len(weights)} terms"

@@ -170,22 +170,13 @@ def reduce_to_fundamental(z, L):
 
 
 def reduce_centered(z, L):
-    """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2).
-    Every evaluation reduces its argument here, so the solve of
-    real_coordinates is inlined, reading the cached determinant once."""
-    zc = complex(z)
-    w1, w2 = L.omega1, L.omega2
-    # a basis determinant is never 0.0: a collinear basis caches None
-    det = L._cache.get("det") or _basis_determinant(L)
-    if det is None:
-        raise DegenerateLattice("basis numerically collinear")
-    a1 = (zc.real * w2.imag - w2.real * zc.imag) / det
-    a2 = (w1.real * zc.imag - zc.real * w1.imag) / det
+    """Like reduce_to_fundamental but with coordinates in [-1/2, 1/2)."""
+    a1, a2 = real_coordinates(z, L)
     if not (abs(a1) <= MAX_COORDINATE and abs(a2) <= MAX_COORDINATE):
         raise _beyond_precision(z, a1, a2)
     m = round(a1)
     n = round(a2)
-    return (a1 - m) * w1 + (a2 - n) * w2, m, n
+    return (a1 - m) * L.omega1 + (a2 - n) * L.omega2, m, n
 
 
 def near_lattice(z, L):

@@ -14,13 +14,7 @@ from .errors import (
     NotTorsion,
     PoleAtLatticePoint,
 )
-from .lattice import (
-    dual_lattice,
-    dual_to_primal,
-    duality_product,
-    lattice_coords,
-    real_coordinates,
-)
+from .lattice import dual_to_primal, duality_product, lattice_coords, real_coordinates
 
 TWO_PI_I = 2j * math.pi
 
@@ -67,13 +61,13 @@ def weil_pairing(z, zstar, L):
 
 
 def torsion_weil_pairing(p, qstar, N, L):
-    """weil_pairing(p, q*)^N for N-torsion arguments; an N-th root of unity."""
+    """weil_pairing(p, q*)^N for N-torsion arguments; an N-th root of unity.
+    N q* is tested on Lambda* through iota, as weil_pairing reads it."""
     N = int(N)
     if N < 1:
         raise NotTorsion("N must be a positive integer")
-    ds = dual_lattice(L)
     a = real_coordinates(N * complex(p), L)
-    b = real_coordinates(N * complex(qstar), ds)
+    b = real_coordinates(N * dual_to_primal(qstar, L), L)
     for c in (*a, *b):
         if abs(c - round(c)) > 1e-8:
             raise NotTorsion(f"argument is not {N}-torsion (coordinate {c})")
@@ -85,12 +79,11 @@ def poincare_automorphy(lmbda, lmbdastar, z, zstar, L):
     exp(pi (conj(lambda) mu* + z conj(mu*) + conj(lambda) zeta*) / |Im(w1 conj(w2))|),
     with the dual-frame arguments pulled back by iota so that the
     integrality Im(conj(lambda) mu*)/|D| in Z holds on lattice pairs."""
-    ds = dual_lattice(L)
     lattice_coords(lmbda, L)
-    lattice_coords(lmbdastar, ds)
+    mustar = dual_to_primal(lmbdastar, L)
+    lattice_coords(mustar, L)
     D = abs(L.covolume_factor())
     lmbda = complex(lmbda)
-    mustar = dual_to_primal(lmbdastar, L)
     zetastar = dual_to_primal(zstar, L)
     expo = (
         lmbda.conjugate() * mustar
@@ -129,18 +122,13 @@ def _entries(z, w, L):
     return constants, entries
 
 
-def _sigmas(z, w, L):
-    """[sigma(z), sigma(w), sigma(z + w)], one series each, after _entries."""
-    constants, entries = _entries(z, w, L)
-    return [_sigma(entry, constants) for entry in entries]
-
-
 def f_tilde(z, w, L):
     """sigma(z + w) / (sigma(z) sigma(w)) * exp(-eta(w) z), with the
     R-linear quasi-period form eta; both arguments in the primal frame."""
     z = complex(z)
     w = complex(w)
-    s_z, s_w, s_sum = _sigmas(z, w, L)
+    constants, entries = _entries(z, w, L)
+    s_z, s_w, s_sum = [_sigma(entry, constants) for entry in entries]
     return s_sum / (s_z * s_w) * cmath.exp(-eta_linear(w, L) * z)
 
 
@@ -158,11 +146,10 @@ def ratio_f_tilde(z, zstar, L):
 def hodge_weil(lmbda, lmbdastar, L):
     """eta(lambda) mu - eta(mu) lambda with mu = iota(lambda*), on
     Lambda x Lambda*; the value lies in 2 pi i Z (Legendre relation)."""
-    ds = dual_lattice(L)
     lattice_coords(lmbda, L)
-    lattice_coords(lmbdastar, ds)
-    lmbda = complex(lmbda)
     mu = dual_to_primal(lmbdastar, L)
+    lattice_coords(mu, L)
+    lmbda = complex(lmbda)
     val = eta_linear(lmbda, L) * mu - eta_linear(mu, L) * lmbda
     k = val / TWO_PI_I
     if abs(k - round(k.real)) > 1e-8 * max(1.0, abs(k)):

@@ -932,3 +932,44 @@ def test_confidence_flag():
     assert motivic_galois_dims(m).confidence == "numeric"
     m2 = _motive(L, _mu(L), _p(L), 0.3)
     assert motivic_galois_dims(m2).confidence == "numeric"
+
+
+# ---------------------------------------------------------------------------
+# computation mutants: motivic_galois_dims refuses a wrong dimension
+# ---------------------------------------------------------------------------
+
+
+def test_dim_B_of_one_without_its_relation_is_refused(monkeypatch):
+    """A dim B = 1 chain that lost its certificate leaves the deficiency
+    undecided: refused, not read as not deficient."""
+    L = _sq()
+    m = _motive(L, 2 * _p(L), _p(L), 0.3)
+    assert motivic_galois_dims(m).table_row == "dependent-not-deficient"
+    dim_B = classifier._MotiveAnalysis.dim_B.func
+    monkeypatch.setattr(
+        classifier._MotiveAnalysis, "dim_B", property(lambda a: dim_B(a)[:3] + ((),))
+    )
+    with pytest.raises(InternalInconsistency, match="no relation"):
+        motivic_galois_dims(m)
+
+
+def test_a_non_cm_deficient_row_is_refused(monkeypatch):
+    """The r-torsion motive has the deficient row's dim UR = 2, so only
+    the CM test stands between it and a non-CM deficient report."""
+    L = _noncm()
+    m = _motive(L, _mu(L), None, 0.0)
+    assert motivic_galois_dims(m).dim_UR == classifier._TABLE_DIMS["dependent-deficient"]
+    monkeypatch.setattr(
+        classifier._MotiveAnalysis, "table_row", property(lambda a: "dependent-deficient")
+    )
+    with pytest.raises(InternalInconsistency, match="non-CM deficient"):
+        motivic_galois_dims(m)
+
+
+@pytest.mark.parametrize("cm", (True, False))
+def test_a_row_against_another_dim_UR_is_refused(monkeypatch, cm):
+    L = _sq() if cm else _noncm()
+    m = _motive(L, _mu(L), _p(L), 0.3)
+    monkeypatch.setitem(classifier._TABLE_DIMS, "independent", _EXPECTED["independent"] + 1)
+    with pytest.raises(InternalInconsistency, match="expects dim UR"):
+        motivic_galois_dims(m)

@@ -12,9 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semiabel.classifier as classifier
 import semiabel.cli as cli
 import semiabel.verify as verify
-from semiabel.classifier import OneMotiveElliptic, motivic_galois_dims
+from semiabel.classifier import (
+    ClassificationReport,
+    OneMotiveElliptic,
+    motivic_galois_dims,
+)
 from semiabel.cli import JobConfig, _cplx, emit_json, main, parse_config, run_job
 from semiabel.elliptic import eisenstein_invariants, weierstrass
 from semiabel.errors import (
@@ -57,6 +62,11 @@ def test_emit_json_complex_and_nonfinite():
         emit_json({"v": float("nan")})
     with pytest.raises(ValueError):
         emit_json({"v": float("inf")})
+
+
+def test_emit_json_refuses_a_value_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        emit_json({"v": object()})
 
 
 def test_emit_json_deterministic():
@@ -741,6 +751,35 @@ def test_main_verify_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert len(failed) == 1
     assert failed[0].startswith("FAIL  kernel-lattice: max residual 1.000e+00 >= 1.0e-08")
     assert lines[-1] == "overall: FAIL"
+
+
+def test_verify_fails_on_a_wrong_table_row(tmp_path, capsys, monkeypatch):
+    """A classification that names a wrong row for the independent
+    instances fails dimension-table alone: overall false, exit 2."""
+
+    def wrong_row(motive):
+        rep = motivic_galois_dims(motive)
+        if rep.table_row != "independent":
+            return rep
+        fields = {f: getattr(rep, f) for f in rep._fields}
+        return ClassificationReport(**{**fields, "table_row": "dependent-not-deficient"})
+
+    monkeypatch.setattr(verify, "motivic_galois_dims", wrong_row)
+    path = _write(tmp_path, SQ)
+    assert main(["verify", "--config", path, "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall_pass"] is False
+    assert [e["name"] for e in doc["entries"] if not e["pass"]] == ["dimension-table"]
+
+
+def test_classify_of_a_row_against_another_dim_UR_exit_2(tmp_path, capsys, monkeypatch):
+    """The classifier's cross-check of the row against dim UR reaches the
+    user as an identity failure."""
+    m = next(m for m, row, *_ in verify._table_instances() if row == "independent")
+    monkeypatch.setitem(classifier._TABLE_DIMS, "independent", 6)
+    path = _write(tmp_path, _motive_config(m))
+    assert main(["classify", "--config", path, "--json"]) == 2
+    assert "identity failure: row 'independent' expects dim UR = 6" in capsys.readouterr().err
 
 
 def test_verify_reports_the_job_tolerance(tmp_path, capsys):

@@ -201,6 +201,15 @@ def test_theta1_bundle_raises_when_the_series_does_not_converge():
         theta1_bundle(0.1 + 0j, theta1_weights(1e-9j))
 
 
+def test_a_theta_series_whose_round_off_underflows_raises_convergence_failure():
+    """On Z + (0.1 + 1000i)Z the leading theta term underflows, so the
+    stop test's bound of |t3| is 0: the series does not stop, and the
+    lattice's constants are refused as a ConvergenceFailure, not a
+    division by the zero theta1'(0) it would return."""
+    with pytest.raises(ConvergenceFailure):
+        eisenstein_invariants(make_lattice(1.0, 0.1 + 1000j))
+
+
 def test_eisenstein_e4_e6_raises_when_the_nome_is_near_one():
     with pytest.raises(ConvergenceFailure):
         eisenstein_e4_e6(1e-7j)

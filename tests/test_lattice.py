@@ -43,6 +43,12 @@ def test_degenerate_lattice_rejected():
         make_lattice(1.0 + 1j, 2.0 + 2j)
 
 
+@pytest.mark.parametrize("w1,w2", ((0, 1j), (1, 0)))
+def test_a_zero_period_is_rejected(w1, w2):
+    with pytest.raises(DegenerateLattice, match="zero period"):
+        make_lattice(w1, w2)
+
+
 @pytest.mark.parametrize(
     "w1,w2,name",
     (
@@ -212,6 +218,11 @@ def test_dual_lattice_pairing_integrality():
         assert duality_product(L.omega2, d.omega2) == pytest.approx(0, abs=1e-9)
         assert duality_product(L.omega1, d.omega2) == pytest.approx(-1, abs=1e-9)
         assert duality_product(L.omega2, d.omega1) == pytest.approx(1, abs=1e-9)
+
+
+def test_dual_lattice_of_a_collinear_basis_is_refused():
+    with pytest.raises(DegenerateLattice, match="vanishing covolume"):
+        dual_lattice(Lattice(1, 2))
 
 
 def test_dual_to_primal_carries_dual_basis_to_basis():

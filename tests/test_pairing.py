@@ -201,7 +201,7 @@ def test_ratio_f_tilde_depends_on_sigma(generic_lattice, monkeypatch):
     z, zs = 0.3 + 0.2j, (0.45 + 0.61j) / L.covolume_factor()
     right = ratio_f_tilde(z, zs, L)
     monkeypatch.setattr(
-        pairing, "_sigmas", lambda z, w, L: [7.0 + 3j * u for u in (z, w, z + w)]
+        pairing, "_sigma", lambda entry, constants: 7.0 + 3j * entry[0]
     )
     try:
         moved = abs(ratio_f_tilde(z, zs, L) - right) > 1e-6
@@ -260,3 +260,42 @@ def test_poincare_automorphy_cocycle(generic_lattice):
     # ratio against the hodge pairing exponential
     ratio = lhs / rhs
     assert abs(abs(ratio) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# computation mutants: each cross-check refuses a value moved by 1e-3
+# ---------------------------------------------------------------------------
+
+
+def test_weil_pairing_refuses_a_wrong_duality_product(generic_lattice, monkeypatch):
+    L = generic_lattice
+    z, zs = 0.3 + 0.2j, (0.45 + 0.61j) / L.covolume_factor()
+    weil_pairing(z, zs, L)
+    monkeypatch.setattr(
+        pairing, "duality_product", lambda z, w: duality_product(z, w) + 1e-3
+    )
+    with pytest.raises(InternalInconsistency, match="coordinate form"):
+        weil_pairing(z, zs, L)
+
+
+def test_unitarized_factor_refuses_a_wrong_automorphy_factor(generic_lattice, monkeypatch):
+    L = generic_lattice
+    D = L.covolume_factor()
+    args = (L.omega1, L.omega2 / D, 0.21 + 0.13j, (0.17 - 0.23j) / D, L)
+    poincare_automorphy_a0(*args)
+    monkeypatch.setattr(
+        pairing,
+        "poincare_automorphy",
+        lambda *a: poincare_automorphy(*a) * cmath.exp(1e-3j),
+    )
+    with pytest.raises(InternalInconsistency, match="closed form"):
+        poincare_automorphy_a0(*args)
+
+
+def test_hodge_weil_refuses_a_wrong_quasi_period_form(generic_lattice, monkeypatch):
+    L = generic_lattice
+    lam, lams = L.omega1, L.omega2 / L.covolume_factor()
+    hodge_weil(lam, lams, L)
+    monkeypatch.setattr(pairing, "eta_linear", lambda z, L: eta_linear(z, L) + 1e-3)
+    with pytest.raises(InternalInconsistency, match="not in 2 pi i Z"):
+        hodge_weil(lam, lams, L)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from semiabel._kernels import carlson_rf
 from semiabel.elliptic import eisenstein_invariants, wp, wp_prime, zeta_w
 from semiabel.errors import (
     BeyondWorkingPrecision,
@@ -105,6 +106,44 @@ def test_defect_inside_a_root_ordering_propagates(monkeypatch):
 
     monkeypatch.setattr(periods, "eisenstein_invariants", broken)
     with pytest.raises(TypeError, match="defect"):
+        periods_from_invariants(CurveInvariants(4.0, 0.0))
+
+
+def _rf_raising_for(monkeypatch, orderings):
+    """Patch periods.carlson_rf to raise ConvergenceFailure for the given
+    root orderings, counted in permutation order (two RF calls each)."""
+    import semiabel.periods as periods
+
+    calls = []
+
+    def rf(x, y, z):
+        calls.append(None)
+        if (len(calls) - 1) // 2 in orderings:
+            raise ConvergenceFailure("RF did not converge")
+        return carlson_rf(x, y, z)
+
+    monkeypatch.setattr(periods, "carlson_rf", rf)
+
+
+@pytest.mark.parametrize("bad", range(6))
+def test_a_root_ordering_whose_rf_raises_is_skipped(monkeypatch, bad):
+    """The other orderings still give the lattice.  The basis is chosen
+    among the orderings that succeed, so losing the one that gives it
+    (the first, on this curve) moves the basis within the lattice; the
+    last ordering's failure leaves it as it was."""
+    inv = CurveInvariants(4.0, 0.0)
+    ref = periods_from_invariants(inv)
+    _rf_raising_for(monkeypatch, {bad})
+    L = periods_from_invariants(inv)
+    assert _same_lattice(L, ref)
+    if bad == 5:
+        assert abs(L.omega1 - ref.omega1) < 1e-12 * abs(ref.omega1)
+        assert abs(L.omega2 - ref.omega2) < 1e-12 * abs(ref.omega2)
+
+
+def test_rf_raising_for_every_root_ordering_is_a_convergence_failure(monkeypatch):
+    _rf_raising_for(monkeypatch, set(range(6)))
+    with pytest.raises(ConvergenceFailure, match="no root ordering"):
         periods_from_invariants(CurveInvariants(4.0, 0.0))
 
 
