@@ -13,6 +13,7 @@ internal callers read each argument's entry once, without changing a value.
 
 import cmath
 import math
+import sys
 
 from ._kernels import eisenstein_e4_e6, theta1_bundle, theta1_weights
 from ._value import Value
@@ -95,7 +96,7 @@ def _psi(m, n):
 
 
 # evaluations (reduction, series, (wp, wp', zeta), sigma) kept per lattice:
-# the four values, exp_G, log_G and ratio_f_tilde at one point: eight arguments, six series
+# the four values, exp_G, log_G and ratio_f_tilde at one point: seven arguments, five series
 MEMO_SIZE = 16
 
 
@@ -168,9 +169,13 @@ def _weierstrass(entry, constants):
     Lr, _, _, eta1r, eta2r, _, _ = constants
     t0, d1, d2, d3 = _series(entry, constants)
     w1 = Lr.omega1
+    t02 = t0 * t0
+    if abs(t02) < sys.float_info.min:  # subnormal or 0: wp loses its digits
+        z = z0 + m * w1 + n * Lr.omega2
+        raise BeyondWorkingPrecision(f"wp at {z:.6g} is beyond working precision")
     g = d1 / t0
-    gpp = d3 / t0 - 3 * d2 * d1 / (t0 * t0) + 2 * g**3
-    p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t0 * t0 * w1 * w1)
+    gpp = d3 / t0 - 3 * d2 * d1 / t02 + 2 * g**3
+    p = -eta1r / w1 - (d2 * t0 - d1 * d1) / (t02 * w1 * w1)
     zeta = eta1r * z0 / w1 + d1 / (w1 * t0) + m * eta1r + n * eta2r
     values = entry[6] = (p, -gpp / w1**3, zeta)
     return values
@@ -180,7 +185,7 @@ def weierstrass(z, L):
     """(wp(z), wp'(z), zeta(z)) from one reduction and one theta series,
     kept in z's memo entry; zeta is the principal value at the original z.
     Raises PoleAtLatticePoint within the pole guard of Lambda, before the
-    series."""
+    series, and BeyondWorkingPrecision where its theta1^2 is subnormal."""
     constants = _reduced(L)
     return _weierstrass(_entry(z, constants), constants)
 

@@ -160,6 +160,13 @@ def _branch_points(L):
     return L._cache["branch_points"]
 
 
+def _rf_wp_prime(d1, d2, d3):
+    """wp' at R_F(d1, d2, d3) for d_j = x - e_j: -2 sqrt(d1) sqrt(d2)
+    sqrt(d3) with principal roots, since along R_F's ray t = x + s each
+    t - e_j moves parallel to the real axis and crosses no cut."""
+    return -2 * cmath.sqrt(d1) * cmath.sqrt(d2) * cmath.sqrt(d3)
+
+
 def generalized_elliptic_log(P, L, inv=None):
     """Principal generalized elliptic logarithm (z, zeta(z)): z in the
     fundamental domain with wp(z) = x, wp'(z) = y, and zeta(z) from the
@@ -170,8 +177,13 @@ def generalized_elliptic_log(P, L, inv=None):
 
     P must lie on the curve of inv (by default the lattice's own
     invariants).  The branch points are wp at the half-periods of L; a
-    2-division point is its half-period, any other point is found by RF
-    and Newton."""
+    2-division point is its half-period.  Any other point starts from
+    R_F, its sign read from _rf_wp_prime before any evaluation, and is
+    polished by Newton at the principal argument: every series is summed
+    at a reduced z, and is both a step and the check of the z it is
+    summed at, so the returned z is the one that was checked.  Newton
+    steps while |step| >= 1e-14 |omega1|, at most 8 times, and a step
+    that raises the residual is not taken."""
     if P.is_identity:
         return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True)
     if inv is None:
@@ -186,36 +198,32 @@ def generalized_elliptic_log(P, L, inv=None):
     # 2-torsion (y = 0) is its half-period: Newton stalls at the critical
     # point of wp there
     if abs(P.y) < 1e-8 * (w**3 + abs(P.x) ** 1.5) and abs(P.x - e) < 1e-9 * x_size:
-        z = h
+        z = reduce_to_fundamental(h, L)[0]
+        p, dp, zeta = weierstrass(z, L)
     else:
-        (_, e1), (_, e2), (_, e3) = branch
-        z = carlson_rf(P.x - e1, P.x - e2, P.x - e3)
-        # RF determines z up to sign and lattice; pick the sign matching y.
-        # wp(-z) = wp(z) and wp'(-z) = -wp'(z) hold bit for bit (symmetric
-        # rounding, sin odd, cos even), so -z needs no evaluation of its own
-        p, d, _ = weierstrass(z, L)
+        # RF determines z up to sign and lattice; pick the sign matching y
+        diffs = [P.x - e for _, e in branch]
+        z = carlson_rf(*diffs)
+        d = _rf_wp_prime(*diffs)
         if abs(d - P.y) > abs(-d - P.y):
-            z, d = -z, -d
-        # Newton on wp(z) - x from the evaluation above.  A step that
-        # increased the residual is undone: near 2-torsion wp' is round-off
-        # sized, and one such step throws an already accurate z off the root.
-        z_prev, r_prev = z, cmath.inf
-        for k in range(8):
-            if k:
-                p, d, _ = weierstrass(z, L)
-            resid = p - P.x
-            if abs(resid) > r_prev:
-                z = z_prev
-                break
-            if d == 0:
-                break
-            step = resid / d
-            z_prev, r_prev = z, abs(resid)
-            z -= step
+            z = -z
+        z = reduce_to_fundamental(z, L)[0]
+        p, dp, zeta = weierstrass(z, L)
+        if abs(dp - P.y) > abs(-dp - P.y):
+            z = reduce_to_fundamental(-z, L)[0]
+            p, dp, zeta = weierstrass(z, L)
+        # Newton on wp(z) - x.  A step that would raise the residual is not
+        # taken: near 2-torsion wp' is round-off sized, and one such step
+        # throws an already accurate z off the root.
+        for _ in range(8):
+            step = (p - P.x) / dp if dp else 0j
             if abs(step) < 1e-14 * abs(L.omega1):
                 break
-    z = reduce_to_fundamental(z, L)[0]
-    p, dp, zeta = weierstrass(z, L)
+            z_new = reduce_to_fundamental(z - step, L)[0]
+            values = weierstrass(z_new, L)
+            if abs(values[0] - P.x) > abs(p - P.x):
+                break
+            z, (p, dp, zeta) = z_new, values
     if abs(p - P.x) > 1e-7 * x_size or abs(dp - P.y) > 1e-6 * y_size:
         raise ConvergenceFailure(
             f"logarithm failed to invert wp at {P.x}, {P.y}"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from semiabel import elliptic
 from semiabel._kernels import carlson_rf, eisenstein_e4_e6, theta1_bundle, theta1_weights
+from semiabel.cli import main
 from semiabel.elliptic import (
     eisenstein_invariants,
     eta_linear,
@@ -208,6 +210,41 @@ def test_a_theta_series_whose_round_off_underflows_raises_convergence_failure():
     division by the zero theta1'(0) it would return."""
     with pytest.raises(ConvergenceFailure):
         eisenstein_invariants(make_lattice(1.0, 0.1 + 1000j))
+
+
+def _thin(y):
+    """Z + (0.1 + iy)Z, whose nome exp(-pi y) is tiny for large y."""
+    return make_lattice(1.0, complex(0.1, y))
+
+
+@pytest.mark.parametrize("y", (460, 470, 600, 900))
+def test_wp_on_a_tiny_nome_is_beyond_working_precision(y, tmp_path, capsys):
+    """On Z + (0.1 + iy)Z past y = 452 the square of theta1 at z = 0.3 + 0.2i
+    is subnormal (0 from y = 480), so wp and wp' lose their digits
+    (relative error 1e-10 at y = 460, 1.4 at 475) or divide by 0.  Both
+    are refused, naming z, and the CLI exits 1 with an error line."""
+    z = 0.3 + 0.2j
+    for f in (weierstrass, wp_prime):
+        with pytest.raises(BeyondWorkingPrecision, match=r"at 0\.3\+0\.2j "):
+            f(z, _thin(y))
+    doc = {"curve": {"lattice": {"w1": 1.0, "w2": {"re": 0.1, "im": y}}},
+           "z": {"re": z.real, "im": z.imag}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beyond working precision" in err, err
+
+
+def test_wp_on_a_small_normal_nome_keeps_its_digits():
+    """At y = 450 theta1^2 is a normal double (4.6e-307), so wp and wp'
+    are still evaluated, and agree with the q -> 0 limit pi^2/sin^2(pi z)
+    - pi^2/3 of Z + tau Z and its derivative."""
+    z = 0.3 + 0.2j
+    p, dp, _ = weierstrass(z, _thin(450))
+    s = cmath.sin(math.pi * z)
+    assert p == pytest.approx(math.pi**2 / s**2 - math.pi**2 / 3, rel=1e-12)
+    assert dp == pytest.approx(-2 * math.pi**3 * cmath.cos(math.pi * z) / s**3, rel=1e-12)
 
 
 def test_eisenstein_e4_e6_raises_when_the_nome_is_near_one():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiabel import elliptic, lattice
+from semiabel import elliptic, lattice, periods
 from semiabel.elliptic import (
     eisenstein_invariants,
     quasi_periods,
@@ -29,6 +29,7 @@ from semiabel.pairing import f_tilde, ratio_f_tilde
 from semiabel.periods import (
     EllipticPoint,
     _branch_points,
+    _rf_wp_prime,
     elliptic_log,
     generalized_elliptic_log,
 )
@@ -224,12 +225,12 @@ def test_period_matrix_M_reduces_each_point_once(L, monkeypatch):
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
-    """The sign test's evaluation is Newton's first step, and a negated z
-    is not evaluated again: wp(-z) = wp(z) and wp'(-z) = -wp'(z) bit for
-    bit, so the branch that negates starts Newton from (p, -wp'(z)).  The
-    points (x, y) and (x, -y), each on a fresh lattice, sum the same
-    series, the first one at the same argument, and get logarithms that
-    are negatives of each other; a repeat on the warmed lattice sums none."""
+    """The sign of R_F's z is read from _rf_wp_prime before any series, and
+    Newton runs at the principal argument, so the one series at the start
+    is both its step and its check.  The points (x, y) and (x, -y), each
+    on a fresh lattice, sum one series each and get logarithms that are
+    negatives of each other mod Lambda, their series summed at negatives
+    of each other; a repeat on the warmed lattice sums none."""
     inv = eisenstein_invariants(L)
     z = 0.31 * L.omega1 + 0.22 * L.omega2
     p, dp, _ = weierstrass(z, L)
@@ -243,8 +244,8 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
         assert elliptic_log(EllipticPoint(p, y), F, inv).value == value
         assert args == []
     (args_y, z_y), (args_minus_y, z_minus_y) = runs
-    assert len(args_y) == len(args_minus_y)
-    assert args_y[0] == args_minus_y[0]
+    assert len(args_y) == len(args_minus_y) == 1
+    assert abs(args_y[0] + args_minus_y[0]) < 1e-12
     resid, _, _ = reduce_centered(z_y + z_minus_y, L)
     assert abs(resid) < 1e-12 * abs(L.omega1)
     assert wp_prime(z_y, L) == pytest.approx(dp, rel=1e-9)
@@ -252,11 +253,35 @@ def test_elliptic_log_starts_newton_from_the_sign_test(L, monkeypatch):
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
-def test_elliptic_eval_op_sums_six_theta_series(L, monkeypatch):
+def test_elliptic_log_falls_back_to_minus_z_on_a_wrong_sign(L, monkeypatch):
+    """With the predicted sign of wp' at R_F's z turned over, the series
+    at the start disagrees with y, and the logarithm falls back to the
+    reduced -z: it sums exactly one series more than with the right sign,
+    raises nothing, and returns the same logarithm."""
+    inv = eisenstein_invariants(L)
+    z = 0.31 * L.omega1 + 0.22 * L.omega2
+    p, dp, _ = weierstrass(z, L)
+    args = _theta_arguments(monkeypatch)
+    for y in (dp, -dp):
+        F = _fresh(L, args)
+        right = generalized_elliptic_log(EllipticPoint(p, y), F, inv)
+        series = len(args)
+        monkeypatch.setattr(periods, "_rf_wp_prime", lambda *d: -_rf_wp_prime(*d))
+        F = _fresh(L, args)
+        wrong = generalized_elliptic_log(EllipticPoint(p, y), F, inv)
+        monkeypatch.setattr(periods, "_rf_wp_prime", _rf_wp_prime)
+        assert len(args) == series + 1
+        assert abs(reduce_centered(wrong.z - right.z, L)[0]) < 1e-12 * abs(L.omega1)
+        assert wrong.w == pytest.approx(right.w, rel=1e-9)
+        assert wp_prime(wrong.z, L) == pytest.approx(y, rel=1e-9)
+
+
+@pytest.mark.parametrize("L", lattices_for_sweep())
+def test_elliptic_eval_op_sums_five_theta_series(L, monkeypatch):
     """One elliptic-eval op on a fresh lattice (wp, wp', zeta and sigma at
-    z, then exp_G, log_G and ratio_f_tilde) sums 6 series, none twice: z,
-    q, z + q, the logarithm's R_F start and its check, and that z + q;
-    ratio_f_tilde sums none."""
+    z, then exp_G, log_G and ratio_f_tilde) sums 5 series, none twice: z,
+    q, z + q, the logarithm's one series at its principal start, which is
+    its check, and that z + q; ratio_f_tilde sums none."""
     z = 0.31 * L.omega1 + 1.22 * L.omega2
     q = _q_of(L)
     zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
@@ -267,7 +292,7 @@ def test_elliptic_eval_op_sums_six_theta_series(L, monkeypatch):
     R = exp_G(z, 0.1 - 0.2j, q, F)
     log_G(R, q, F)
     ratio_f_tilde(z, zstar, F)
-    assert len(args) == len(set(args)) == 6
+    assert len(args) == len(set(args)) == 5
 
 
 class _CountingMemo(dict):
@@ -294,7 +319,7 @@ def test_each_argument_entry_is_read_once(L):
     memo entry once: serre_fq, exp_G and ratio_f_tilde read three (q, z
     and z + q; z, mu and z + mu), quasi_quasi_periods reads q's, and each
     one-point function reads its argument's.  The elliptic-eval op of
-    test_elliptic_eval_op_sums_six_theta_series reads at most 16."""
+    test_elliptic_eval_op_sums_five_theta_series reads at most 16."""
     z = 0.31 * L.omega1 + 1.22 * L.omega2
     q = _q_of(L)
     zstar = (0.45 * L.omega1 - 0.18 * L.omega2) / L.covolume_factor()
