@@ -18,7 +18,9 @@ confidence flag.
 
 dim B and dim Z(1) are ranks of one greedy chain of span questions.
 Torsion is the first question of dim B's chain, asked alike by
-`is_torsion`: is the elliptic logarithm in Q*omega1 + Q*omega2?
+`is_torsion`: is the elliptic logarithm in Q*omega1 + Q*omega2?  In
+dim Z(1)'s chain each third-kind value t is first asked the root-of-unity
+question that `table_row` asks too: is t in Q*2*pi*i?
 """
 
 import math
@@ -170,8 +172,6 @@ def _cm_field(L, max_height, tol, cm_override):
         field = None, None
         if cert is not None:
             c, b, a = cert.coefficients
-            if a < 0:
-                a, b, c = -a, -b, -c
             if a != 0 and b * b - 4 * a * c < 0:
                 field = b * b - 4 * a * c, 2 * a * tau + b
         L._cache[key] = field
@@ -342,12 +342,14 @@ class _MotiveAnalysis:
         # `deficient` is False exactly for the remaining dim B = 1 case
         if m.n == 1 and m.s == 1 and (self.dim_B[0] == 2 or self.deficient is False):
             return 1
-        # the chain over Q from 2*pi*i: the g_j, then the values.  Torsion
+        # the chain over Q from 2*pi*i: the g_j, then the values, each first
+        # asked table_row's root-of-unity question t in Q*2*pi*i.  Torsion
         # q = a1*omega1 + a2*omega2 has g_j = +-2*pi*i*a_(3-j) - d*omega_j,
         # d = zeta(q) - eta(q): d = 0 at order 2 keeps the g_j out, but from
         # order 3 on they enter (q = omega1/3 on Z + Zi: g1/2*pi*i ~ 0.2919i)
         g = [gj for pair in periods for gj in pair]
-        return self.chain([TWO_PI_I], g + values)[len(g):].count(None)
+        gens = [TWO_PI_I] + [gj for gj, c in zip(g, self.chain([TWO_PI_I], g)) if c is None]
+        return self.chain(gens, values, first=(TWO_PI_I,)).count(None)
 
     @cached_property
     def table_row(self):

@@ -72,7 +72,8 @@ def lll_reduce_gram(gram):
     Integral LLL (Cohen, Alg. 2.6.7): the Gram-Schmidt data are kept as
     integers, d[i + 1] = det Gram(b_0..b_i) and lam[k][j] = d[j + 1] * mu_kj,
     and updated exactly on each size reduction and swap, done on U alone.
-    Each row k is size-reduced against rows k-1..0 before its Lovasz test.
+    In Cohen's order, row k meets its Lovasz test reduced against row k-1
+    only, and rows k-2..0 once it passes: the same U as reducing all first.
     """
     n = len(gram)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -93,30 +94,37 @@ def lll_reduce_gram(gram):
     while k < n:
         uk, lk = u[k], lam[k]
         for j in range(k - 1, -1, -1):
-            # round(lk[j] / d[j + 1]) is nonzero only here
-            if 2 * abs(lk[j]) > d[j + 1]:
-                q = _round_half_even(lk[j], d[j + 1])
+            dj = d[j + 1]
+            # round(lk[j] / dj), ties to even, is nonzero only here
+            if 2 * abs(lk[j]) > dj:
+                q, r = divmod(lk[j], dj)
+                if 2 * r > dj or 2 * r == dj and q & 1:
+                    q += 1
                 uj, lj = u[j], lam[j]
                 for c in range(n):
                     uk[c] -= q * uj[c]
-                lk[j] -= q * d[j + 1]
+                lk[j] -= q * dj
                 for i in range(j):
                     lk[i] -= q * lj[i]
-        la, dk, dk1 = lk[k - 1], d[k], d[k + 1]
-        b = dk1 * d[k - 1] + la * la
-        if 100 * b >= 99 * dk * dk:
+            if j < k - 1:  # past the Lovasz test
+                continue
+            la, dk1 = lk[j], d[k + 1]
+            b = dk1 * d[j] + la * la
+            if 100 * b >= 99 * dj * dj:
+                continue
+            u[k], u[j] = u[j], uk
+            lam[k], lam[j] = lam[j], lk
+            lam[k][j] = la
+            d[k] = b = b // dj
+            for i in range(k + 1, n):
+                li = lam[i]
+                t = li[k]
+                li[k] = s = (dk1 * li[j] - la * t) // dj
+                li[j] = (b * t + la * s) // dk1
+            k = max(j, 1)
+            break
+        else:
             k += 1
-            continue
-        u[k], u[k - 1] = u[k - 1], uk
-        lam[k], lam[k - 1] = lam[k - 1], lk
-        lam[k][k - 1] = la
-        d[k] = b = b // dk
-        for i in range(k + 1, n):
-            li = lam[i]
-            t = li[k]
-            li[k] = s = (dk1 * li[k - 1] - la * t) // dk
-            li[k - 1] = (b * t + la * s) // dk1
-        k = max(k - 1, 1)
     return u
 
 

@@ -345,6 +345,31 @@ def test_table_instances_make_7_reductions(monkeypatch):
     assert sizes == {4: 4, 5: 3}
 
 
+@pytest.mark.parametrize("lattice", (_sq, _hex, _noncm))
+def test_a_root_of_unity_fiber_makes_no_four_value_reduction(lattice, monkeypatch):
+    """dim Z(1) asks each third-kind value t = 2*pi*i*k/N, k != 0, its
+    root-of-unity question first, the one table_row asks, and the
+    continued fraction settles it: the question [t, 2*pi*i, g1, g2] is
+    never reduced.  The motives are r-torsion: P = O with fiber e^t.  At
+    tol = 1e-4 the 4-value question's height cap is 2, below N, so only
+    the root-of-unity question, capped at max_height, finds t, and dim
+    Z(1) = 0 agrees with table_row."""
+    sizes = Counter()
+    reduce = relations.lll_reduce_gram
+    monkeypatch.setattr(
+        relations, "lll_reduce_gram", lambda gram: sizes.update([len(gram)]) or reduce(gram)
+    )
+    L = lattice()
+    mu = (math.sqrt(2) - 1.1) * L.omega1 + (math.sqrt(3) - 1.4) * L.omega2
+    for tol in (DEFAULT_TOL, 1e-4):
+        for k, N in ((1, 2), (1, 3), (-3, 4), (2, 5), (5, 7), (-7, 12)):
+            m = _motive(L, mu, None, 2j * math.pi * k / N)
+            rep = motivic_galois_dims(m, tol=tol)
+            assert (rep.table_row, rep.dim_Z1) == ("r-torsion", 0), (tol, k, N)
+    assert height_cap(4, DEFAULT_MAX_HEIGHT, 1e-4) == 2
+    assert sizes[4] == 0
+
+
 def _seeded_general_motives():
     """(2, 2) and (3, 2) motives on Z + Zi and Z + (0.31 + 1.23i)Z, each
     once generic and once planted: q2 of order 3, p1 = 2*mu1 and p2 of
@@ -386,24 +411,26 @@ def test_every_certificate_leads_with_a_positive_coefficient(monkeypatch):
     for m in motives + list(_seeded_general_motives()):
         motivic_galois_dims(m)
     found = [c.coefficients for c in certs if c is not None]
-    # 40 of 2 or 3 values, the CM question's once per CM lattice, and 10 of
-    # more: 7 from LLL and 3 settled on a first value t = 0 as (1, 0, 0, 0)
-    assert Counter(len(c) > 3 for c in found) == {False: 40, True: 10}
+    # 41 of 2 or 3 values, the CM question's once per CM lattice, and 7 of
+    # more, all from LLL: a first value t = 0 is settled as (1, 0) by its
+    # root-of-unity question, ahead of the 4-value one
+    assert Counter(len(c) > 3 for c in found) == {False: 41, True: 7}
     assert [c for c in found if next(x for x in c if x) < 0] == []
 
 
 # per motive, the number of values of each relation search, in order: the
 # CM question, asked by the first motive on each lattice only, dim B's
-# chain, then dim Z(1)'s chain
+# chain, then dim Z(1)'s chain: the g_j, then each third-kind value's
+# root-of-unity question (2 values) ahead of its span question
 _GENERAL_QUESTIONS = (
-    (3, 3, 3, 5, 3, 7, 3, 9, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 5, 3, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 5, 3, 7, 3, 9, 3, 11, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-    (3, 3, 3, 5, 3, 3, 5, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-    (3, 3, 3, 4, 3, 5, 3, 6, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 3, 4, 3, 2, 3, 4, 5, 6, 7, 8, 9),
-    (3, 3, 4, 3, 5, 3, 6, 3, 7, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-    (3, 3, 3, 4, 3, 3, 4, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+    (3, 3, 3, 5, 3, 7, 3, 9, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9),
+    (3, 3, 3, 5, 3, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9),
+    (3, 3, 5, 3, 7, 3, 9, 3, 11, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9, 2, 10, 2, 11),
+    (3, 3, 3, 5, 3, 3, 5, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9, 2, 10, 2, 11),
+    (3, 3, 3, 4, 3, 5, 3, 6, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9),
+    (3, 3, 3, 4, 3, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9),
+    (3, 3, 4, 3, 5, 3, 6, 3, 7, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9, 2, 10, 2, 11),
+    (3, 3, 3, 4, 3, 3, 4, 2, 3, 4, 5, 2, 6, 2, 7, 2, 8, 2, 9, 2, 10, 2, 11),
 )
 
 

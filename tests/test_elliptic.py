@@ -258,6 +258,21 @@ def test_carlson_rf_raises_where_the_integral_diverges():
         carlson_rf(0j, 0j, 0j)
 
 
+def test_eisenstein_e4_e6_raises_when_the_series_runs_out_of_terms():
+    """|q| = 1 - 2e-6 passes the nome guard, but after MAX_TERMS terms
+    |q|^n is still about 0.98: the series has not converged."""
+    tau = -math.log1p(-2e-6) / (2 * math.pi) * 1j
+    assert abs(cmath.exp(2j * math.pi * tau)) == pytest.approx(1 - 2e-6, abs=1e-15)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        eisenstein_e4_e6(tau)
+
+
+def test_carlson_rf_raises_when_the_duplication_never_stops():
+    """A NaN argument makes the stopping test false at every step."""
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        carlson_rf(complex(math.nan, 0), 1 + 0j, 2 + 0j)
+
+
 # ---------------------------------------------------------------------------
 # Laurent-series oracle (independent of theta functions)
 # ---------------------------------------------------------------------------

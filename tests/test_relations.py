@@ -295,6 +295,16 @@ def test_agreement_catches_a_mutated_settle(edits):
         _assert_settle_agrees(settle, 1000)
 
 
+def test_an_exact_dyadic_a_ends_the_continued_fraction():
+    """v0 = a + b*i over (1, i) with a = 3/512 exactly: Euclid on a ends
+    at the denominator 512 <= cap, where the remainder is 0, and no c0 up
+    to the cap passes the b-test, so the question is settled as having no
+    relation, the reduction's answer."""
+    values, cap, tol = [complex(3 / 512, math.sqrt(2) - 1), 1, 1j], 1000, 1e-9
+    assert _settle(values, cap, tol) == (True, None)
+    assert _search(values, cap, tol) is None
+
+
 def _certificate_from_search(values):
     """The certificate of the one reduction, without the continued
     fraction, its first nonzero coefficient made positive."""
@@ -539,6 +549,73 @@ def test_lll_on_exact_relation_agrees_with_float_reference_up_to_sign():
 def test_lll_size_reduction_rounds_ties_to_even(basis, reduced):
     """mu = 1/2 rounds to 0 and mu = 3/2 to 2, as round() on a float does."""
     assert lll_reduce(basis) == reduced == _reference_lll(basis)
+
+
+def _frozen_lll_reduce_gram(gram):
+    """`lll_reduce_gram` as it was before Cohen's order, frozen: each row k
+    is size-reduced against every row k-1..0 before its Lovasz test."""
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            s = gram[k][j]
+            for i in range(j):
+                s = (d[i + 1] * s - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = s
+            else:
+                d[k + 1] = s
+    k = 1
+    while k < n:
+        uk, lk = u[k], lam[k]
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(lk[j]) > d[j + 1]:
+                q = relations._round_half_even(lk[j], d[j + 1])
+                uj, lj = u[j], lam[j]
+                for c in range(n):
+                    uk[c] -= q * uj[c]
+                lk[j] -= q * d[j + 1]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        la, dk, dk1 = lk[k - 1], d[k], d[k + 1]
+        b = dk1 * d[k - 1] + la * la
+        if 100 * b >= 99 * dk * dk:
+            k += 1
+            continue
+        u[k], u[k - 1] = u[k - 1], uk
+        lam[k], lam[k - 1] = lam[k - 1], lk
+        lam[k][k - 1] = la
+        d[k] = b = b // dk
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = s = (dk1 * li[k - 1] - la * t) // dk
+            li[k - 1] = (b * t + la * s) // dk1
+        k = max(k - 1, 1)
+    return u
+
+
+@pytest.mark.parametrize("size", (2, 2**40))
+def test_cohens_order_gives_the_transform_of_full_size_reduction(size):
+    """Deferring the size reduction against rows k-2..0 until the Lovasz
+    test passes leaves U unchanged, row for row, on 600 seeded Gram
+    matrices of dims 2 to 7 from entries in [-size, size]: at 2 many mu
+    are exact half-integers, the ties the rounding breaks to even."""
+    rng = np.random.default_rng(size)
+    checked = 0
+    while checked < 600:
+        dim = int(rng.integers(2, 8))
+        rows = [[int(x) for x in rng.integers(-size, size + 1, size=dim + 1)]
+                for _ in range(dim)]
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        try:
+            got = lll_reduce_gram(gram)
+        except ValueError:  # dependent rows
+            continue
+        assert got == _frozen_lll_reduce_gram(gram), gram
+        checked += 1
 
 
 def test_lll_rejects_dependent_rows():
