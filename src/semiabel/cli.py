@@ -431,7 +431,10 @@ def main(argv=None):
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is bad input: 2 is an identity failure
+        return 1 if exc.code else 0
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -55,7 +55,7 @@ def _reduced(L):
     basis from make_lattice: Lr = Lattice(w1, w2), tau = w2/w1, weights =
     theta1_weights(tau), the quasi-periods of the reduced basis, and the
     memo of evaluations (_entry).  Every evaluation reads these with one
-    cache read; its reduction on Lr reads Lr's basis determinant once
+    cache read; its reduction on Lr divides by the determinant Lr keeps
     (lattice.reduce_centered)."""
     constants = L._cache.get("elliptic")
     if constants is None:
@@ -209,12 +209,11 @@ def quasi_periods(L):
     """(eta1, eta2) = 2*zeta(omega_i/2) for the lattice's own basis;
     computed once per lattice (Lattice._cache)."""
     if "quasi_periods" not in L._cache:
-        Lr, _, _, eta1r, eta2r, _, _ = _reduced(L)
-        # user basis in reduced-basis integer coordinates
-        m1, n1 = lattice_coords(L.omega1, Lr)
-        m2, n2 = lattice_coords(L.omega2, Lr)
+        _, _, _, eta1r, eta2r, _, _ = _reduced(L)
+        # exactly, on the reduced basis: omega1 = a*w1 - c*w2, omega2 = d*w2 - b*w1
+        a, b, c, d = L.reduced_basis()[2]
         L._cache["quasi_periods"] = QuasiPeriods(
-            m1 * eta1r + n1 * eta2r, m2 * eta1r + n2 * eta2r
+            a * eta1r + -c * eta2r, -b * eta1r + d * eta2r
         )
     return L._cache["quasi_periods"]
 
@@ -237,9 +236,7 @@ def rotate_real_frame(L):
     if "rotated" not in L._cache:
         phase = abs(L.omega1) / L.omega1
         w1 = abs(L.omega1)
-        w2 = L.omega2 * phase
-        if w2.imag > 0:
-            w2 = -w2
+        w2 = -(L.omega2 * phase)  # Im(omega2/omega1) > 0, so Im(w2) < 0
         Lr = make_lattice(L.omega1 * phase, L.omega2 * phase)
         L._cache["rotated"] = (Lr, phase, w1, w2, w1 * (-w2.imag))
     return L._cache["rotated"]

@@ -1,13 +1,14 @@
 """Rank-2 complex lattices: orientation, fundamental-domain reduction,
 dual lattice, duality product and real coordinates.
 
-A lattice is stored with its user-supplied (orientation-normalized) basis
-and, lazily, a modular-reduced basis of the same lattice on which the
-series evaluations of :mod:`semiabel.elliptic` converge quickly.
+A lattice is stored with its user-supplied basis, checked when it is
+built, and, lazily, a modular-reduced basis of the same lattice on which
+the series evaluations of :mod:`semiabel.elliptic` converge quickly.
 """
 
 import cmath
 import math
+import sys
 
 from ._value import Value
 from .errors import BeyondWorkingPrecision, DegenerateLattice, NotALatticePoint
@@ -26,24 +27,35 @@ TABLE_SIZE = 4
 _TABLE = {}
 
 
-def _tau_of(w1, w2):
-    if w1 == 0:
-        raise DegenerateLattice("omega1 is zero")
-    return w2 / w1
-
-
 class Lattice(Value):
-    """Oriented lattice Z*omega1 + Z*omega2 with Im(omega2/omega1) > 0.
-
-    ``_cache`` holds the lattice's constants, computed once per object and
-    so, for lattices from make_lattice, once per basis; it is not a field,
-    so equality, hashing and repr ignore it."""
+    """Lattice Z*omega1 + Z*omega2: DegenerateLattice unless its periods are
+    finite and nonzero and Im(omega2/omega1) > DEGENERACY_TOL*|omega2/omega1|
+    (never collinear or clockwise), BeyondWorkingPrecision unless ``_det`` =
+    Im(conj(omega1)*omega2) is a normal double.  ``_det`` and ``_cache``, the
+    constants (once per object, so once per basis from make_lattice), are
+    not fields, so equality, hashing and repr ignore them."""
 
     _fields = ("omega1", "omega2")
 
     def __init__(self, omega1, omega2):
+        for name, w in (("w1", omega1), ("w2", omega2)):
+            if not cmath.isfinite(w):
+                raise DegenerateLattice(f"period {name} = {w} is not finite")
+        if omega1 == 0 or omega2 == 0:
+            raise DegenerateLattice("zero period")
+        ratio = omega2 / omega1  # scale-free, unlike det
+        bound = DEGENERACY_TOL * abs(ratio)
+        if not ratio.imag > bound:
+            side = "~ 0" if ratio.imag >= -bound else "< 0"
+            raise DegenerateLattice(f"Im(w2/w1) {side} for ratio {ratio}")
+        det = omega1.real * omega2.imag - omega2.real * omega1.imag
+        if not sys.float_info.min <= det < math.inf:
+            raise BeyondWorkingPrecision(
+                f"periods at |w1| = {abs(omega1):.3g} are beyond working precision"
+            )
         object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "omega2", omega2)
+        object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -51,8 +63,8 @@ class Lattice(Value):
         return self.omega2 / self.omega1
 
     def covolume_factor(self):
-        """Im(omega1 * conj(omega2)); negative for an oriented basis."""
-        return (self.omega1 * self.omega2.conjugate()).imag
+        """Im(omega1 * conj(omega2)) = -_det, negative."""
+        return -self._det
 
     def reduced_basis(self):
         """Basis (w1, w2) of the same lattice with w2/w1 in the standard
@@ -64,7 +76,7 @@ class Lattice(Value):
 
 
 def _reduce_basis(w1, w2):
-    tau = _tau_of(w1, w2)
+    tau = w2 / w1
     a, b, c, d = 1, 0, 0, 1
     for _ in range(10_000):
         n = round(tau.real)
@@ -76,35 +88,20 @@ def _reduce_basis(w1, w2):
             a, b, c, d = -c, -d, a, b
         else:
             break
-    nw1 = c * w2 + d * w1
-    nw2 = a * w2 + b * w1
-    if (nw2 / nw1).imag < 0:  # keep orientation
-        nw2 = -nw2
-        a, b = -a, -b
-    return nw1, nw2, (a, b, c, d)
+    # each step is in SL2(Z), so the reduced basis keeps the orientation
+    return c * w2 + d * w1, a * w2 + b * w1, (a, b, c, d)
 
 
 def make_lattice(w1, w2):
-    """Orientation-normalized lattice from two independent periods.
-
-    Reorders/negates the basis so that Im(omega2/omega1) > 0; raises
-    DegenerateLattice when a period is not finite or the periods are
-    (numerically) collinear.  The last TABLE_SIZE lattices are kept, keyed
-    by the exact bits of the normalized periods, so the same periods
-    return the Lattice built for them, with its constants; object identity
-    is not a contract.
+    """Counter-clockwise lattice from two independent periods: negates w2
+    when Im(w2/w1) < 0, never reorders the basis, and leaves the refusals
+    to Lattice.  The last TABLE_SIZE lattices are kept, keyed by the exact
+    bits of the normalized periods, so the same periods return the Lattice
+    built for them, with its constants; object identity is not a contract.
     """
     w1 = complex(w1)
     w2 = complex(w2)
-    for name, w in (("w1", w1), ("w2", w2)):
-        if not cmath.isfinite(w):
-            raise DegenerateLattice(f"period {name} = {w} is not finite")
-    if w1 == 0 or w2 == 0:
-        raise DegenerateLattice("zero period")
-    ratio = _tau_of(w1, w2)
-    if abs(ratio.imag) <= DEGENERACY_TOL * abs(ratio):
-        raise DegenerateLattice(f"Im(w2/w1) ~ 0 for ratio {ratio}")
-    if ratio.imag < 0:
+    if w1 and (w2 / w1).imag < 0:
         w2 = -w2
     key = (w1, w2)
     if not (w1.real and w1.imag and w2.real and w2.imag):
@@ -112,31 +109,17 @@ def make_lattice(w1, w2):
         key += tuple(math.copysign(1.0, x) for x in (w1.real, w1.imag, w2.real, w2.imag))
     L = _TABLE.get(key)
     if L is None:
+        L = Lattice(w1, w2)
         if len(_TABLE) >= TABLE_SIZE:
             del _TABLE[next(iter(_TABLE))]
-        L = _TABLE[key] = Lattice(w1, w2)
+        _TABLE[key] = L
     return L
-
-
-def _basis_determinant(L):
-    """w1.real*w2.imag - w2.real*w1.imag of L's basis, or None when the
-    basis is numerically collinear; kept in L._cache."""
-    if "det" not in L._cache:
-        w1, w2 = L.omega1, L.omega2
-        det = w1.real * w2.imag - w2.real * w1.imag
-        if abs(det) <= DEGENERACY_TOL * (abs(w1) * abs(w2)):
-            det = None
-        L._cache["det"] = det
-    return L._cache["det"]
 
 
 def real_coordinates(z, L):
     """(alpha1, alpha2) with z = alpha1*omega1 + alpha2*omega2, exact 2x2 solve."""
     z = complex(z)
-    w1, w2 = L.omega1, L.omega2
-    det = _basis_determinant(L)
-    if det is None:
-        raise DegenerateLattice("basis numerically collinear")
+    w1, w2, det = L.omega1, L.omega2, L._det
     a1 = (z.real * w2.imag - w2.real * z.imag) / det
     a2 = (w1.real * z.imag - z.real * w1.imag) / det
     return a1, a2
@@ -198,8 +181,6 @@ def dual_lattice(L):
     Im(conj(w1) w2*) = -1, Im(conj(w2) w2*) = 0.
     """
     D = L.covolume_factor()  # Im(w1 conj(w2)) = -Im(conj(w1) w2)
-    if abs(D) <= DEGENERACY_TOL * abs(L.omega1) * abs(L.omega2):
-        raise DegenerateLattice("vanishing covolume")
     # conj(w1)*w1 real and Im(conj(w2) * r*w1) = r*Im(conj(w2)w1) = r*D
     return Lattice(L.omega1 / D, L.omega2 / D)
 

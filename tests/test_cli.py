@@ -331,6 +331,25 @@ def test_main_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["verify"], ["verify", "--config", "cfg.json", "--seed", "abc"],
+     ["nosuchtask", "--config", "cfg.json"]),
+    ids=("no-config", "seed-abc", "unknown-task"),
+)
+def test_main_usage_errors_exit_1(argv, capsys):
+    """A usage error is bad input, exit 1 with argparse's usage line: exit 2
+    is kept for an identity failure."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: semiabel") and "error:" in err, err
+
+
+def test_main_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: semiabel")
+
+
 def test_main_schema_error_exit_1(tmp_path, capsys):
     path = _write(tmp_path, {"curve": {"g2": 4.0}})
     assert main(["periods", "--config", path]) == 1

@@ -30,9 +30,10 @@ from semiabel.elliptic import (
 from semiabel.errors import (
     BeyondWorkingPrecision,
     ConvergenceFailure,
+    NotALatticePoint,
     PoleAtLatticePoint,
 )
-from semiabel.lattice import Lattice, make_lattice, near_lattice
+from semiabel.lattice import Lattice, lattice_coords, make_lattice, near_lattice
 
 from conftest import VARPI, lattices_for_sweep
 
@@ -259,8 +260,9 @@ def test_carlson_rf_raises_where_the_integral_diverges():
 
 
 def test_eisenstein_e4_e6_raises_when_the_series_runs_out_of_terms():
-    """|q| = 1 - 2e-6 passes the nome guard, but after MAX_TERMS terms
-    |q|^n is still about 0.98: the series has not converged."""
+    """At |q| = 1 - 2e-6, far outside the reduced tau's |q| <= exp(-pi sqrt 3),
+    |q|^n is still about 0.98 after MAX_TERMS terms: the series has not
+    converged."""
     tau = -math.log1p(-2e-6) / (2 * math.pi) * 1j
     assert abs(cmath.exp(2j * math.pi * tau)) == pytest.approx(1 - 2e-6, abs=1e-15)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
@@ -326,8 +328,6 @@ def test_quasi_periods_match_laurent_half_period(L):
     qp = quasi_periods(L)
     # Laurent series converges at half periods of the reduced basis
     w1, w2, _ = L.reduced_basis()
-    from semiabel.lattice import lattice_coords
-
     Lr = make_lattice(w1, w2)
     eta1r = 2.0 * _zeta_series(w1 / 2.0, c)
     eta2r = (eta1r * w2 - TWO_PI_I) / w1
@@ -390,6 +390,50 @@ def test_invariants_past_the_double_range_are_beyond_working_precision(lam):
 def test_legendre_relation(L):
     qp = quasi_periods(L)
     assert abs(qp.eta1 * L.omega2 - qp.eta2 * L.omega1 - TWO_PI_I) < 1e-9
+
+
+# SL2(Z) matrices (a, b; c, d) of consecutive Fibonacci numbers, taking the
+# basis (omega1, omega2) to (a*omega1 + b*omega2, c*omega1 + d*omega2)
+FIBONACCI_REBASINGS = ((2, 1, 1, 1), (5, 3, 3, 2), (13, 8, 8, 5), (34, 21, 21, 13),
+                       (89, 55, 55, 34), (233, 144, 144, 89), (610, 377, 377, 233))
+
+
+def _rebasing(L, a, b, c, d):
+    return make_lattice(a * L.omega1 + b * L.omega2, c * L.omega1 + d * L.omega2)
+
+
+def test_quasi_periods_on_a_long_basis_satisfy_legendre():
+    """On Z + (0.31 + 1.1i)Z given by (610, 377; 377, 233) the user basis is
+    read from the reduction's integer matrix: a float solve for its
+    coordinates is off by about 1e-8 there and refuses it as not a
+    lattice point."""
+    L = _rebasing(make_lattice(1.0, 0.31 + 1.1j), *FIBONACCI_REBASINGS[-1])
+    qp = quasi_periods(L)
+    scale = abs(qp.eta1 * L.omega2) + abs(qp.eta2 * L.omega1)
+    assert abs(qp.eta1 * L.omega2 - qp.eta2 * L.omega1 - TWO_PI_I) < 1e-12 * scale
+
+
+def test_quasi_periods_keep_the_bits_of_the_coordinate_solve():
+    """Wherever lattice_coords places the user basis on the reduced one, the
+    quasi-periods are m*eta1r + n*eta2r of its coordinates, bit for bit."""
+    rng = random.Random(37)
+    compared = 0
+    for _ in range(300):
+        w1 = cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        base = make_lattice(w1, w1 * complex(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 3.0)))
+        for matrix in FIBONACCI_REBASINGS:
+            L = _rebasing(base, *matrix)
+            Lr, _, _, eta1r, eta2r, _, _ = elliptic._reduced(L)
+            try:
+                m1, n1 = lattice_coords(L.omega1, Lr)
+                m2, n2 = lattice_coords(L.omega2, Lr)
+            except NotALatticePoint:
+                continue
+            expected = (m1 * eta1r + n1 * eta2r, m2 * eta1r + n2 * eta2r)
+            qp = quasi_periods(L)
+            assert repr((qp.eta1, qp.eta2)) == repr(expected), (matrix, L)
+            compared += 1
+    assert compared > 1500
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())

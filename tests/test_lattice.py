@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,9 @@ finite = st.floats(
 
 
 def test_make_lattice_orientation():
-    L = make_lattice(1.0, -1j)  # clockwise input gets reordered
+    L = make_lattice(1.0, -1j)  # a clockwise input has w2 negated
     assert (L.omega2 / L.omega1).imag > 0
+    assert (L.omega1, L.omega2) == (1.0, 1j)
 
 
 def test_degenerate_lattice_rejected():
@@ -115,12 +117,41 @@ def test_the_table_holds_at_most_its_bound():
 
 
 def test_real_coordinates_of_a_degenerate_basis_raise_on_every_call():
-    """The determinant is kept on the lattice, and so is the verdict that
-    the basis is collinear: each call raises again."""
-    L = Lattice(1.0 + 1j, 2.0 + 2j)
+    """A collinear basis is refused where its Lattice is built, on every
+    call, so real_coordinates never sees one; a valid lattice keeps the
+    determinant its coordinates divide by."""
     for _ in range(3):
-        with pytest.raises(DegenerateLattice):
-            real_coordinates(0.5 + 0.1j, L)
+        with pytest.raises(DegenerateLattice, match=r"Im\(w2/w1\) ~ 0"):
+            real_coordinates(0.5 + 0.1j, Lattice(1.0 + 1j, 2.0 + 2j))
+    L = Lattice(1.3 + 0.2j, 0.4 + 1.7j)
+    assert L._det == 1.3 * 1.7 - 0.4 * 0.2
+    assert real_coordinates(L.omega2, L) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "w1, w2, message",
+    (
+        (0, 1, "zero period"),
+        (1j, 1, r"Im\(w2/w1\) < 0"),  # clockwise
+        (math.nan, 1, "period w1 = nan is not finite"),
+        (1, 2, r"Im\(w2/w1\) ~ 0"),
+    ),
+)
+def test_a_lattice_is_valid_by_construction(w1, w2, message):
+    """Lattice refuses a zero, non-finite, collinear or clockwise basis
+    when it is built, before any constant is asked of it."""
+    with pytest.raises(DegenerateLattice, match=message):
+        Lattice(w1, w2)
+
+
+@pytest.mark.parametrize("lam", (1e155, -1e155, 1e-155, -1e-155))
+def test_a_basis_whose_determinant_leaves_the_double_range_is_beyond_working_precision(lam):
+    """Past |omega| ~ 1e154 the determinant overflows, and below ~1e-154 it
+    is subnormal: the basis is refused as beyond working precision, not as
+    collinear, and make_lattice orients it (a negative lam flips it) by
+    the scale-free ratio first."""
+    with pytest.raises(BeyondWorkingPrecision, match=re.escape(f"|w1| = {abs(lam):.3g} are")):
+        make_lattice(abs(lam), lam * complex(0.3, 1.1))
 
 
 def test_reduced_basis_fundamental_domain():
@@ -221,7 +252,9 @@ def test_dual_lattice_pairing_integrality():
 
 
 def test_dual_lattice_of_a_collinear_basis_is_refused():
-    with pytest.raises(DegenerateLattice, match="vanishing covolume"):
+    """The collinear basis is refused when its Lattice is built, before
+    dual_lattice could divide by its vanishing covolume."""
+    with pytest.raises(DegenerateLattice, match=r"Im\(w2/w1\) ~ 0"):
         dual_lattice(Lattice(1, 2))
 
 
