@@ -146,6 +146,8 @@ def _sigma(entry, constants):
         lam = m * w1 + n * Lr.omega2
         eta_lam = m * eta1r + n * eta2r
         s = _psi(m, n) * cmath.exp(eta_lam * (z0 + lam / 2)) * s
+        if not cmath.isfinite(s):  # the product overflows without raising
+            raise OverflowError(f"sigma at {z0 + lam} leaves the double range")
     entry[5] = s
     return s
 
@@ -154,7 +156,8 @@ def sigma_w(z, L):
     """Weierstrass sigma; entire, principal value at the original z, from
     one reduction and one theta series, kept in z's memo entry.  Its
     quasi-periodicity factor is not in weierstrass(): it overflows at far
-    translates where wp is finite, and then the entry keeps no sigma."""
+    translates where wp is finite, and so may its product with the series;
+    either raises OverflowError (never inf or NaN) and the entry keeps no sigma."""
     constants = _reduced(L)
     return _sigma(_entry(z, constants), constants)
 

@@ -15,13 +15,7 @@ from itertools import permutations
 from ._kernels import carlson_rf
 from ._value import Value
 from .elliptic import CurveInvariants, eisenstein_invariants, weierstrass, wp
-from .errors import (
-    BeyondWorkingPrecision,
-    ConvergenceFailure,
-    NotOnCurve,
-    SemiabelError,
-    SingularCurve,
-)
+from .errors import BeyondWorkingPrecision, ConvergenceFailure, NotOnCurve, SingularCurve
 from .lattice import make_lattice, reduce_to_fundamental
 
 DISCRIMINANT_TOL = 1e-12
@@ -113,10 +107,17 @@ def _shortest(lattices, period):
 def periods_from_invariants(c):
     """Lattice with the given Eisenstein invariants (g2, g3).
 
-    Half-periods are RF integrals between branch points.  Of the root
-    orderings whose lattice reproduces the invariants, the basis is the
-    one with the shortest omega1, then the shortest omega2 (ties by the
-    smaller phase), so it does not depend on the order of the roots.
+    Half-periods are RF integrals between branch points: root ordering
+    (e1, e2, e3) takes omega1 = 2 RF(0, e1 - e2, e1 - e3) and omega2 =
+    2 RF(0, e3 - e1, e3 - e2), which is ordering (e3, e1, e2)'s omega1, so
+    six RF values serve the six orderings.  The basis is the candidate with
+    the shortest omega1, then the shortest omega2 (ties by the smaller
+    phase), so it does not depend on the order of the roots.  Only that
+    pick is checked: one whose lattice does not reproduce the invariants
+    gives way to the next, and ConvergenceFailure is raised when none is
+    left.  A refusal on the way (RF's non-convergence, a candidate basis
+    make_lattice refuses, the pick's invariants beyond working precision)
+    propagates with its own type.
     BeyondWorkingPrecision where the discriminant g2^3 - 27 g3^2 overflows.
     """
     g2, g3 = complex(c.g2), complex(c.g3)
@@ -131,21 +132,17 @@ def periods_from_invariants(c):
     if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
         raise SingularCurve(f"discriminant {disc}")
     scale = max(abs(g2), abs(g3), 1.0)
-    candidates = []
-    for e1, e2, e3 in permutations(_cubic_roots(g2, g3)):
-        try:
-            w1 = 2.0 * carlson_rf(0j, e1 - e2, e1 - e3)
-            w2 = 2.0 * carlson_rf(0j, e3 - e1, e3 - e2)
-            L = make_lattice(w1, w2)
-            inv = eisenstein_invariants(L)
-        except (SemiabelError, ArithmeticError):
-            continue
+    e = _cubic_roots(g2, g3)
+    W = {(i, j, k): 2.0 * carlson_rf(0j, e[i] - e[j], e[i] - e[k])
+         for i, j, k in permutations(range(3))}
+    candidates = [make_lattice(W[i, j, k], W[k, i, j]) for i, j, k in W]
+    while candidates:
+        L = _shortest(_shortest(candidates, lambda L: L.omega1), lambda L: L.omega2)[0]
+        inv = eisenstein_invariants(L)
         if abs(inv.g2 - g2) + abs(inv.g3 - g3) <= 1e-6 * scale:
-            candidates.append(L)
-    if not candidates:
-        raise ConvergenceFailure("no root ordering reproduced the invariants")
-    candidates = _shortest(candidates, lambda L: L.omega1)
-    return _shortest(candidates, lambda L: L.omega2)[0]
+            return L
+        candidates.remove(L)
+    raise ConvergenceFailure("no root ordering reproduced the invariants")
 
 
 def _branch_points(L):

@@ -67,7 +67,8 @@ def serre_fq(z, q, L):
     z + q; the pole checks (q, then z, on Lambda) and the zero check read
     the reductions before any series is summed.
 
-    Returns exactly 0 at the zero z = -q (mod Lambda) of the section.
+    Returns exactly 0 at the zero z = -q (mod Lambda) of the section;
+    OverflowError, never inf or NaN, where a sigma or the quotient overflows.
     """
     z = complex(z)
     constants = _reduced(L)
@@ -75,7 +76,10 @@ def serre_fq(z, q, L):
     z_entry = _entry(z, constants)
     if z_entry[4]:
         raise PoleAtLatticePoint("f_q has a pole on Lambda")
-    return _fq(z, z_entry, qp, q_entry, constants)
+    f = _fq(z, z_entry, qp, q_entry, constants)
+    if not cmath.isfinite(f):  # a sigma quotient overflows without raising
+        raise OverflowError(f"f_q at {z} leaves the double range")
+    return f
 
 
 def _fq(z, z_entry, qp, q_entry, constants):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -578,6 +579,76 @@ def test_main_nonfinite_input_exit_1(tmp_path, capsys, task, doc, bad):
     assert main([task, "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _one_error_line(code, capsys):
+    """Exit 1 with nothing on stdout and one `error:` line on stderr."""
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "", (code, out)
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_main_sigma_and_f_q_past_the_double_range_exit_1(tmp_path, capsys):
+    """On Z*1e6 + Z*1e6i sigma at z = 21.15e6, and f_q at the log of P =
+    (wp, wp')(0.37e6 + 0.21e6i) for log q = 20.7e6 + 0.3e6i, leave the
+    double range: one `error:` line and exit 1.  They used to come out inf
+    and NaN, and the report's writer ended in a traceback."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    curve = {"lattice": {"w1": 1e6, "w2": J(1e6j)}}
+    p, dp, _ = weierstrass(0.37e6 + 0.21e6j, make_lattice(1e6, 1e6j))
+    point = {"base": {"x": J(p), "y": J(dp)}, "fiber": 2.0}
+    for task, doc in (
+        ("eval", {"curve": curve, "z": 21.15e6}),
+        ("logg", {"curve": curve, "q": {"log": J(20.7e6 + 0.3e6j)}, "point": point}),
+    ):
+        code = main([task, "--json", "--config", _write(tmp_path, doc)])
+        _one_error_line(code, capsys)
+
+
+def _far_argument_configs(n, seed):
+    """n seeded (task, config) pairs, eval, expg and logg in turn, on
+    lattices Z*w1 + Z*w1*tau turned by a random phase, |w1| in 1e5 ... 1e8,
+    with every argument 15 to 40 periods out: eval's z, expg's z and log
+    q, logg's log q (its point is (wp, wp') at a cell point)."""
+    rng = random.Random(seed)
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+
+    def far(w1, w2):
+        r, a = rng.uniform(15, 40), rng.uniform(0, 2 * math.pi)
+        return r * math.cos(a) * w1 + r * math.sin(a) * w2
+
+    for i in range(n):
+        w1 = 10 ** rng.uniform(5, 8) * cmath.exp(2j * math.pi * rng.random())
+        w2 = w1 * complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 1.5))
+        doc = {"curve": {"lattice": {"w1": J(w1), "w2": J(w2)}}}
+        task = ("eval", "expg", "logg")[i % 3]
+        if task == "eval":
+            doc["z"] = J(far(w1, w2))
+        elif task == "expg":
+            doc.update(z=J(far(w1, w2)), q={"log": J(far(w1, w2))}, t=0.5)
+        else:
+            z = rng.uniform(0.1, 0.9) * w1 + rng.uniform(0.1, 0.9) * w2
+            p, dp, _ = weierstrass(z, make_lattice(w1, w2))
+            doc["q"] = {"log": J(far(w1, w2))}
+            doc["point"] = {"base": {"x": J(p), "y": J(dp)}, "fiber": 2.0}
+        yield task, doc
+
+
+def test_main_far_arguments_exit_0_or_one_error_line(tmp_path, capsys):
+    """Nothing escapes cli.main at far arguments on large lattices: each
+    of 300 seeded configs (_far_argument_configs) exits 0, or exits 1
+    with an empty stdout and one `error:` line.  Before sigma and f_q
+    refused to leave the double range, 3 eval and 3 logg configs of this
+    seed ended in a traceback (an inf or NaN in the report)."""
+    codes = []
+    for k, (task, doc) in enumerate(_far_argument_configs(300, 4)):
+        code = main([task, "--json", "--config", _write(tmp_path, doc, f"{k}.json")])
+        if code == 0:
+            capsys.readouterr()
+        else:
+            _one_error_line(code, capsys)
+        codes.append(code)
+    assert 0 in codes and 1 in codes
 
 
 def test_main_logg_with_the_identity_as_extension_parameter_exit_1(tmp_path, capsys):

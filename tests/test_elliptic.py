@@ -594,6 +594,19 @@ def test_memo_stores_no_error(generic_lattice):
     assert elliptic._reduced(L)[6] == held
 
 
+def test_sigma_whose_product_leaves_the_double_range_raises():
+    """On Z*1e6 + Z*1e6i at z = 21.15e6 sigma's quasi-periodicity factor
+    (exponent about 702.6) is finite, and its product with sigma at the
+    reduced argument (about 1.5e5) overflows without raising.  sigma
+    raises OverflowError, as the factor itself does a little farther out,
+    on every call; it never returns inf, and the entry keeps no sigma."""
+    L = make_lattice(1e6, 1e6j)
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="leaves the double range"):
+            sigma_w(21.15e6, L)
+        assert elliptic._entry(21.15e6, elliptic._reduced(L))[5] is None
+
+
 def test_sigma_overflow_leaves_the_slot_empty():
     """sigma at a far translate raises OverflowError on every call, and
     the argument's memo entry keeps its reduction but no sigma."""

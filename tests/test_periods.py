@@ -19,6 +19,7 @@ from semiabel.errors import (
     BeyondWorkingPrecision,
     ConvergenceFailure,
     NotOnCurve,
+    SemiabelError,
     SingularCurve,
 )
 from semiabel.lattice import Lattice, make_lattice, reduce_centered
@@ -109,42 +110,207 @@ def test_defect_inside_a_root_ordering_propagates(monkeypatch):
         periods_from_invariants(CurveInvariants(4.0, 0.0))
 
 
-def _rf_raising_for(monkeypatch, orderings):
-    """Patch periods.carlson_rf to raise ConvergenceFailure for the given
-    root orderings, counted in permutation order (two RF calls each)."""
+def _reference_periods_from_invariants(c):
+    """periods_from_invariants as it was before six RF values served the
+    six root orderings, frozen as the reference: twelve RF calls,
+    an Eisenstein check of every ordering's lattice, and an ordering whose
+    RF, lattice or check raises is skipped.  It reads carlson_rf,
+    make_lattice and eisenstein_invariants from the module at call time,
+    so a test's patch reaches both versions."""
+    import semiabel.periods as periods
+
+    g2, g3 = complex(c.g2), complex(c.g3)
+    try:
+        disc = complex(c.discriminant())
+    except OverflowError:
+        disc = complex(math.inf)
+    if not cmath.isfinite(disc):
+        raise BeyondWorkingPrecision(
+            f"the discriminant of g2 = {c.g2}, g3 = {c.g3} is beyond working precision"
+        )
+    if abs(disc) <= periods.DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
+        raise SingularCurve(f"discriminant {disc}")
+    scale = max(abs(g2), abs(g3), 1.0)
+    candidates = []
+    for e1, e2, e3 in permutations(periods._cubic_roots(g2, g3)):
+        try:
+            w1 = 2.0 * periods.carlson_rf(0j, e1 - e2, e1 - e3)
+            w2 = 2.0 * periods.carlson_rf(0j, e3 - e1, e3 - e2)
+            L = periods.make_lattice(w1, w2)
+            inv = periods.eisenstein_invariants(L)
+        except (SemiabelError, ArithmeticError):
+            continue
+        if abs(inv.g2 - g2) + abs(inv.g3 - g3) <= 1e-6 * scale:
+            candidates.append(L)
+    if not candidates:
+        raise ConvergenceFailure("no root ordering reproduced the invariants")
+    candidates = periods._shortest(candidates, lambda L: L.omega1)
+    return periods._shortest(candidates, lambda L: L.omega2)[0]
+
+
+def _sweep_curves(n, seed):
+    """n seeded curves (g2, g3), a fifth from each family: independent
+    scales of g2 and g3 in 1e-30 ... 1e30; a unit-sized curve at
+    homogeneous scale s in 1e-40 ... 1e40 (g2 s^2, g3 s^3); near-singular,
+    with relative discriminant down to 1e-11.5; real; and g2 = 0 or
+    g3 = 0."""
+    rng = random.Random(seed)
+
+    def unit():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    for i in range(n):
+        family = i % 5
+        if family == 0:
+            yield unit() * 10 ** rng.uniform(-30, 30), unit() * 10 ** rng.uniform(-30, 30)
+        elif family == 1:
+            s = 10 ** rng.uniform(-40, 40)
+            yield unit() * s * s, unit() * s**3
+        elif family == 2:
+            # g2 = 3t^2, g3 = t^3 is singular; the relative discriminant is
+            # about 2|eps|
+            t = unit() * 10 ** rng.uniform(-5, 5)
+            eps = cmath.exp(2j * math.pi * rng.random()) * 10 ** rng.uniform(-11.5, -1) / 2
+            yield 3 * t * t, t**3 * (1 + eps)
+        elif family == 3:
+            yield complex(rng.uniform(-5, 5)), complex(rng.uniform(-5, 5))
+        else:
+            g = unit() * 10 ** rng.uniform(-10, 10)
+            yield (0j, g) if rng.random() < 0.5 else (g, 0j)
+
+
+def _basis_or_error(f, g2, g3):
+    """The repr of f's basis for (g2, g3), bit for bit, or the type of the
+    error f raises."""
+    try:
+        L = f(CurveInvariants(g2, g3))
+    except (SemiabelError, ArithmeticError) as exc:
+        return type(exc)
+    return repr((L.omega1, L.omega2))
+
+
+def test_basis_matches_the_reference_version_bit_for_bit():
+    """On 2 000 seeded curves from five families (_sweep_curves) the
+    returned omega1 and omega2 are the frozen reference version's, bit
+    for bit, or both raise the same type.  A run over 20 000 curves
+    (seeds 0 ... 9) found no difference either."""
+    outcomes = {}
+    for g2, g3 in _sweep_curves(2000, 38):
+        got = _basis_or_error(periods_from_invariants, g2, g3)
+        assert got == _basis_or_error(_reference_periods_from_invariants, g2, g3), (g2, g3)
+        kind = "basis" if isinstance(got, str) else got.__name__
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # most curves have a basis; some with g2 and g3 at independent scales
+    # have no candidate that reproduces both, in either version
+    assert outcomes["basis"] >= 1800 and outcomes.get("ConvergenceFailure", 0) > 0, outcomes
+
+
+GOLDEN_EVAL_CURVE = CurveInvariants(1.7 + 0.3j, -0.4 + 0.9j)
+
+
+def test_work_per_call_is_six_rf_values_and_one_check(monkeypatch):
+    """One call on the golden eval curve makes 6 carlson_rf calls and
+    sums one E4/E6 series, for the pick alone (12 and 6 when every root
+    ordering had its own RF pair and check)."""
+    import semiabel.elliptic as elliptic
+    import semiabel.periods as periods
+
+    counts = {"rf": 0, "e4e6": 0}
+
+    def counted(name, f):
+        def g(*args):
+            counts[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(periods, "carlson_rf", counted("rf", periods.carlson_rf))
+    monkeypatch.setattr(
+        elliptic, "eisenstein_e4_e6", counted("e4e6", elliptic.eisenstein_e4_e6)
+    )
+    periods_from_invariants(GOLDEN_EVAL_CURVE)
+    assert counts == {"rf": 6, "e4e6": 1}
+
+
+def _rf_raising_at(monkeypatch, bad):
+    """Patch periods.carlson_rf to raise ConvergenceFailure at its calls
+    numbered in bad (from 0)."""
     import semiabel.periods as periods
 
     calls = []
 
     def rf(x, y, z):
         calls.append(None)
-        if (len(calls) - 1) // 2 in orderings:
+        if len(calls) - 1 in bad:
             raise ConvergenceFailure("RF did not converge")
         return carlson_rf(x, y, z)
 
     monkeypatch.setattr(periods, "carlson_rf", rf)
+    return calls
 
 
 @pytest.mark.parametrize("bad", range(6))
-def test_a_root_ordering_whose_rf_raises_is_skipped(monkeypatch, bad):
-    """The other orderings still give the lattice.  The basis is chosen
-    among the orderings that succeed, so losing the one that gives it
-    (the first, on this curve) moves the basis within the lattice; the
-    last ordering's failure leaves it as it was."""
-    inv = CurveInvariants(4.0, 0.0)
-    ref = periods_from_invariants(inv)
-    _rf_raising_for(monkeypatch, {bad})
-    L = periods_from_invariants(inv)
-    assert _same_lattice(L, ref)
-    if bad == 5:
-        assert abs(L.omega1 - ref.omega1) < 1e-12 * abs(ref.omega1)
-        assert abs(L.omega2 - ref.omega2) < 1e-12 * abs(ref.omega2)
+def test_an_rf_value_that_raises_propagates(monkeypatch, bad):
+    """Each of the six RF values serves two root orderings, and a basis
+    chosen among the orderings that succeed could turn omega1 by a quarter
+    turn; so RF's ConvergenceFailure at any one of them propagates."""
+    calls = _rf_raising_at(monkeypatch, {bad})
+    with pytest.raises(ConvergenceFailure, match="RF did not converge"):
+        periods_from_invariants(CurveInvariants(4.0, 0.0))
+    assert len(calls) == bad + 1
 
 
 def test_rf_raising_for_every_root_ordering_is_a_convergence_failure(monkeypatch):
-    _rf_raising_for(monkeypatch, set(range(6)))
-    with pytest.raises(ConvergenceFailure, match="no root ordering"):
+    """RF's own error, from its first call, not the check's "no root
+    ordering reproduced the invariants"."""
+    calls = _rf_raising_at(monkeypatch, set(range(6)))
+    with pytest.raises(ConvergenceFailure, match="RF did not converge"):
         periods_from_invariants(CurveInvariants(4.0, 0.0))
+    assert len(calls) == 1
+
+
+def _misreporting(monkeypatch, refused):
+    """Patch periods.eisenstein_invariants to report (g2 + 1, g3) for a
+    lattice whose basis is in refused, or for every lattice when refused
+    is None; return the bases it was asked about."""
+    import semiabel.periods as periods
+
+    true_invariants, asked = periods.eisenstein_invariants, []
+
+    def invariants(L):
+        asked.append((L.omega1, L.omega2))
+        inv = true_invariants(L)
+        if refused is None or (L.omega1, L.omega2) in refused:
+            return CurveInvariants(inv.g2 + 1, inv.g3)
+        return inv
+
+    monkeypatch.setattr(periods, "eisenstein_invariants", invariants)
+    return asked
+
+
+@pytest.mark.parametrize("g2,g3", ((4.0, 0.0), (1.7 + 0.3j, -0.4 + 0.9j), (0.0, 1 + 1j)))
+def test_a_pick_that_misreports_gives_way_to_the_next(monkeypatch, g2, g3):
+    """Where the first pick does not reproduce the invariants, the next
+    pick is returned: the basis the frozen reference version returns, which
+    checked every ordering, under the same patch.  Two checks are made,
+    of the first pick and of the next."""
+    inv = CurveInvariants(g2, g3)
+    first = periods_from_invariants(inv)
+    asked = _misreporting(monkeypatch, {(first.omega1, first.omega2)})
+    L = periods_from_invariants(inv)
+    assert asked[0] == (first.omega1, first.omega2) and len(asked) == 2
+    assert (L.omega1, L.omega2) != (first.omega1, first.omega2)
+    ref = _reference_periods_from_invariants(inv)
+    assert repr((L.omega1, L.omega2)) == repr((ref.omega1, ref.omega2))
+    assert _same_lattice(L, first)
+
+
+def test_no_pick_reproducing_the_invariants_is_a_convergence_failure(monkeypatch):
+    """Every pick misreports: all six candidates are checked, then
+    ConvergenceFailure."""
+    asked = _misreporting(monkeypatch, None)
+    with pytest.raises(ConvergenceFailure, match="no root ordering"):
+        periods_from_invariants(GOLDEN_EVAL_CURVE)
+    assert len(asked) == 6
 
 
 def _cubic_cases():

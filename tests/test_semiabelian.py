@@ -75,6 +75,20 @@ def test_serre_fq_zero_and_poles(generic_lattice):
         serre_fq(L.omega2, q, L)
 
 
+@pytest.mark.parametrize(
+    "z,q", ((0.37e6 + 0.21e6j, 20.7e6 + 0.3e6j), (-19.63e6 + 2.93e6j, 12.18e6 + 10.47e6j))
+)
+def test_serre_fq_that_leaves_the_double_range_raises(z, q):
+    """On Z*1e6 + Z*1e6i f_q raises OverflowError, never returns inf or
+    NaN.  At the first (z, q) sigma(z + q) overflows in the product with
+    its quasi-periodicity factor.  At the second every sigma is finite
+    (about 1e166, 1e274 and 1e181), but sigma(z + q) exp(-zeta(q) z) and
+    sigma(z) sigma(q) both overflow, and their quotient was NaN."""
+    L = make_lattice(1e6, 1e6j)
+    with pytest.raises(OverflowError, match="leaves the double range"):
+        serre_fq(z, q, L)
+
+
 def test_serre_fq_quasi_symmetry(generic_lattice):
     """f_q(z) / f_z(q) = exp(zeta(z) q - zeta(q) z)."""
     L = generic_lattice
