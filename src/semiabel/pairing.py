@@ -124,12 +124,16 @@ def _entries(z, w, L):
 
 def f_tilde(z, w, L):
     """sigma(z + w) / (sigma(z) sigma(w)) * exp(-eta(w) z), with the
-    R-linear quasi-period form eta; both arguments in the primal frame."""
+    R-linear quasi-period form eta; both arguments in the primal frame.
+    OverflowError where the quotient leaves the double range."""
     z = complex(z)
     w = complex(w)
     constants, entries = _entries(z, w, L)
     s_z, s_w, s_sum = [_sigma(entry, constants) for entry in entries]
-    return s_sum / (s_z * s_w) * cmath.exp(-eta_linear(w, L) * z)
+    f = s_sum / (s_z * s_w) * cmath.exp(-eta_linear(w, L) * z)
+    if not cmath.isfinite(f):  # a sigma product overflows without raising
+        raise OverflowError(f"f~ at {z}, {w} leaves the double range")
+    return f
 
 
 def ratio_f_tilde(z, zstar, L):

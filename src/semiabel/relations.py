@@ -65,15 +65,19 @@ def lll_reduce(basis):
             for row in lll_reduce_gram(gram)]
 
 
-def lll_reduce_gram(gram):
+def lll_reduce_gram(gram, bound=None):
     """Rows of the unimodular U that LLL-reduces (delta = 99/100) the rows
-    of any basis with Gram matrix `gram`, positive definite.
+    of any basis with Gram matrix `gram`, positive definite; or None once
+    every ||b_i*||^2 exceeds an integer `bound`, if one is given.
 
     Integral LLL (Cohen, Alg. 2.6.7): the Gram-Schmidt data are kept as
     integers, d[i + 1] = det Gram(b_0..b_i) and lam[k][j] = d[j + 1] * mu_kj,
     and updated exactly on each size reduction and swap, done on U alone.
     In Cohen's order, row k meets its Lovasz test reduced against row k-1
     only, and rows k-2..0 once it passes: the same U as reducing all first.
+    ||b_i*||^2 = d[i + 1] / d[i] changes only on a swap, at i = k-1, k.
+    No lattice vector is shorter than the shortest b_i*, so None proves
+    that none has norm^2 <= bound.
     """
     n = len(gram)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -90,6 +94,9 @@ def lll_reduce_gram(gram):
                 d[k + 1] = s
         if d[k + 1] == 0:
             raise ValueError("basis rows must be linearly independent")
+    short = [bound is None or d[i + 1] <= bound * d[i] for i in range(n)]
+    if not any(short):
+        return None
     k = 1
     while k < n:
         uk, lk = u[k], lam[k]
@@ -116,6 +123,10 @@ def lll_reduce_gram(gram):
             lam[k], lam[j] = lam[j], lk
             lam[k][j] = la
             d[k] = b = b // dj
+            if bound is not None:
+                short[j], short[k] = b <= bound * d[j], dk1 <= bound * b
+                if not any(short):
+                    return None
             for i in range(k + 1, n):
                 li = lam[i]
                 t = li[k]
@@ -140,14 +151,23 @@ def height_cap(k, max_height, tol):
 
 
 def _search(values, max_height, tol):
+    """(coefficients, height, residual) of the least (height, residual)
+    reduced row with height <= max_height and direct residual below tol, or
+    None.  Such a row has norm^2 <= k max_height^2 + E^2, E = S slack +
+    0.71 k max_height + 1: slack as in _settle (its 8 ulps a term also cover
+    the product S v_i) and the rounding of round(S v_i).  So the reduction
+    stops at None once no lattice vector is that short."""
+    k = len(values)
     # the Gram matrix of the rows [e_i | round(S Re v_i) | round(S Im v_i)]
     scale = 1000.0 / tol
     xy = [(round(v.real * scale), round(v.imag * scale)) for v in values]
     gram = [[(i == j) + x * a + y * b for j, (a, b) in enumerate(xy)]
             for i, (x, y) in enumerate(xy)]
+    slack = (tol + _ULP * k * max_height * sum(abs(v) for v in values)) * (1 + _ULP)
+    e = math.ceil(scale * slack + 0.71 * k * max_height) + 1
     best = None
-    # rows of the unimodular transform: never zero
-    for coeffs in lll_reduce_gram(gram):
+    # rows of the unimodular transform: never zero; none once the bound stops it
+    for coeffs in lll_reduce_gram(gram, k * max_height * max_height + e * e) or ():
         height = max(abs(c) for c in coeffs)
         if height > max_height:
             continue

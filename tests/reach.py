@@ -1,4 +1,5 @@
-"""Print the statements of src/semiabel that no tier-1 test executes.
+"""Print the statements of src/semiabel that no tier-1 test executes, and
+those that only tests requesting monkeypatch reach.
 
 Usage:
     python tests/reach.py              # the tier-1 suite, as pytest runs it
@@ -11,6 +12,14 @@ that never ran is printed as ``file:line  source``.  A compound statement
 body; its body's statements count on their own.  Processes the tests
 start (the CLI process tests) are not traced, so a statement only they
 run is listed.  The exit status is pytest's.
+
+The lines run from the set-up to the teardown of a test that requests
+the monkeypatch fixture are counted apart, and a second list prints the
+statements that only such tests reach: code that no real input runs
+unless a patch plants a defect or a wrong value.  A statement left in
+that list is either a safety check, which no correct computation trips
+(an identity cross-check, a failure count, the exit-2 path), or dead
+code.
 
 Standard library only, besides the pytest the suite needs; pytest does
 not collect this file, as it does not match test_*.py.  Tracing makes the
@@ -61,25 +70,47 @@ def unreached(path, hit):
     return sorted(out)
 
 
-def _line_tracer(hit):
+class PatchedTests:
+    """pytest plugin: `patched` is True from the set-up to the teardown of
+    a test that requests the monkeypatch fixture."""
+
+    def __init__(self):
+        self.ids, self.patched = set(), False
+
+    def pytest_collection_modifyitems(self, items):
+        self.ids = {item.nodeid for item in items if "monkeypatch" in item.fixturenames}
+
+    def pytest_runtest_logstart(self, nodeid):
+        self.patched = nodeid in self.ids
+
+    def pytest_runtest_logfinish(self, nodeid):
+        self.patched = False
+
+
+def _line_tracer(hit, patched_hit, tests):
     def local(frame, event, arg):
         if event == "line":
-            hit.add(frame.f_lineno)
+            (patched_hit if tests.patched else hit).add(frame.f_lineno)
         return local
 
     return local
 
 
 def traced_run(args):
-    """pytest's exit status on args, and the lines run in each source file."""
+    """pytest's exit status on args, and the lines run in each source file
+    outside and inside the tests that request monkeypatch."""
     hits = {p: set() for p in SRC.glob("*.py")}
+    patched = {p: set() for p in hits}
+    tests = PatchedTests()
     tracers = {}
 
     def trace(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in tracers:
             path = Path(name).resolve()
-            tracers[name] = _line_tracer(hits[path]) if path in hits else None
+            tracers[name] = (
+                _line_tracer(hits[path], patched[path], tests) if path in hits else None
+            )
         return tracers[name]
 
     import pytest
@@ -87,24 +118,34 @@ def traced_run(args):
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(args)
+        status = pytest.main(args, plugins=[tests])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return status, hits
+    return status, hits, patched
 
 
 def main(argv):
     os.chdir(ROOT)
-    status, hits = traced_run(
+    status, hits, patched = traced_run(
         ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *argv]
     )
-    total = 0
+    never, only_patched = [], []
     for path in sorted(hits):
-        for line, text in unreached(path, hits[path]):
+        missed = unreached(path, hits[path] | patched[path])
+        never += [(path, line, text) for line, text in missed]
+        only_patched += [
+            (path, line, text)
+            for line, text in unreached(path, hits[path])
+            if (line, text) not in missed
+        ]
+    for label, found in (
+        ("not executed", never),
+        ("reached only by tests that request monkeypatch", only_patched),
+    ):
+        for path, line, text in found:
             print(f"{path.relative_to(ROOT)}:{line}  {text}")
-            total += 1
-    print(f"{total} statements of src/semiabel not executed")
+        print(f"{len(found)} statements of src/semiabel {label}")
     return int(status)
 
 

@@ -338,7 +338,9 @@ def test_table_instances_make_7_reductions(monkeypatch):
     sizes = Counter()
     reduce = relations.lll_reduce_gram
     monkeypatch.setattr(
-        relations, "lll_reduce_gram", lambda gram: sizes.update([len(gram)]) or reduce(gram)
+        relations,
+        "lll_reduce_gram",
+        lambda gram, bound=None: sizes.update([len(gram)]) or reduce(gram, bound),
     )
     for m, *_ in verify._table_instances():
         motivic_galois_dims(m)
@@ -357,7 +359,9 @@ def test_a_root_of_unity_fiber_makes_no_four_value_reduction(lattice, monkeypatc
     sizes = Counter()
     reduce = relations.lll_reduce_gram
     monkeypatch.setattr(
-        relations, "lll_reduce_gram", lambda gram: sizes.update([len(gram)]) or reduce(gram)
+        relations,
+        "lll_reduce_gram",
+        lambda gram, bound=None: sizes.update([len(gram)]) or reduce(gram, bound),
     )
     L = lattice()
     mu = (math.sqrt(2) - 1.1) * L.omega1 + (math.sqrt(3) - 1.4) * L.omega2

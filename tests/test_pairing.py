@@ -13,7 +13,7 @@ from semiabel.errors import (
     NotTorsion,
     PoleAtLatticePoint,
 )
-from semiabel.lattice import dual_lattice, dual_to_primal, duality_product
+from semiabel.lattice import dual_lattice, dual_to_primal, duality_product, make_lattice
 from semiabel.pairing import (
     UnitCircleValue,
     f_tilde,
@@ -145,6 +145,19 @@ def test_f_tilde_pole_guard(generic_lattice):
     z = 0.3 * L.omega1 + 0.1 * L.omega2
     with pytest.raises(PoleAtLatticePoint):
         f_tilde(z, -z, L)  # z + w on the lattice
+
+
+@pytest.mark.parametrize(
+    "z,w", ((0.37e6 + 0.21e6j, 20.7e6 + 0.3e6j), (-19.63e6 + 2.93e6j, 12.18e6 + 10.47e6j))
+)
+def test_f_tilde_that_leaves_the_double_range_raises(z, w):
+    """On Z*1e6 + Z*1e6i f~ raises OverflowError, never returns inf or NaN:
+    at the first (z, w) sigma(z + w) overflows in its own product, and at
+    the second every sigma is finite (about 1e166, 1e274 and 1e181) but
+    the quotient of their overflowing products was NaN."""
+    L = make_lattice(1e6, 1e6j)
+    with pytest.raises(OverflowError, match="leaves the double range"):
+        f_tilde(z, w, L)
 
 
 @pytest.mark.parametrize("name", ("square_lattice", "hexagonal_lattice", "noncm_lattice"))

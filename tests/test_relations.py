@@ -330,7 +330,9 @@ def test_no_relation_questions_of_three_values_make_no_reduction(monkeypatch):
     division_cert = _certificate_from_search([x / scale for x in (division, *basis)])
     calls = []  # the size of each reduced Gram matrix
     monkeypatch.setattr(
-        relations, "lll_reduce_gram", lambda gram: calls.append(len(gram)) or lll_reduce_gram(gram)
+        relations,
+        "lll_reduce_gram",
+        lambda gram, bound=None: calls.append(len(gram)) or lll_reduce_gram(gram, bound),
     )
     # the positive control: a question of 4 values is one reduction
     assert detect_integer_relation([1.0, tau, tau * tau, tau**3]) is None
@@ -497,7 +499,9 @@ def test_search_reduces_the_gram_matrix_of_its_rows(dim, kind, monkeypatch):
     cap = height_cap(dim, DEFAULT_MAX_HEIGHT, tol)
     grams = []
     monkeypatch.setattr(
-        relations, "lll_reduce_gram", lambda gram: grams.append(gram) or lll_reduce_gram(gram)
+        relations,
+        "lll_reduce_gram",
+        lambda gram, bound=None: grams.append(gram) or lll_reduce_gram(gram, bound),
     )
     answer = _search(values, cap, tol)
     assert grams == [[[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]]
@@ -621,3 +625,156 @@ def test_cohens_order_gives_the_transform_of_full_size_reduction(size):
 def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError):
         lll_reduce([[1, 2, 3], [2, 4, 6]])
+
+
+def _full_search(values, cap, tol):
+    """`_search` as it was before the bound, frozen: the least (height,
+    residual) passing row of the finished reduction, or None."""
+    scale = 1000.0 / tol
+    xy = [(round(v.real * scale), round(v.imag * scale)) for v in values]
+    gram = [[(i == j) + x * a + y * b for j, (a, b) in enumerate(xy)]
+            for i, (x, y) in enumerate(xy)]
+    best = None
+    for coeffs in lll_reduce_gram(gram):
+        height = max(abs(c) for c in coeffs)
+        resid = abs(sum(c * v for c, v in zip(coeffs, values)))
+        if height <= cap and resid < tol and (best is None or (height, resid) < best[1:]):
+            best = (coeffs, height, resid)
+    return best
+
+
+def _bound_question(rng, small_cap=False):
+    """A seeded `_search` question: k = 3-5 values on the unit disc, tol
+    log-uniform in 1e-9 ... 1e-3, the cap `height_cap` gives or one of 2-6,
+    and in 70% of draws one value planted in a relation, its coefficients
+    uniform under the cap or all within 1 of it, and its residual 0, 0.5,
+    0.9, 0.99 or 0.999 tol.  In one draw of five the values are scaled so
+    that the rounding of a direct sum, about k cap |v| 2^-53, is 0.1 to 10
+    tol: there a row may pass whose exact residual is above tol."""
+    k = int(rng.integers(3, 6))
+    tol = 10 ** rng.uniform(-9, -3)
+    if small_cap or rng.random() < 0.5:
+        cap = int(rng.integers(2, 7 if k < 5 else 5))
+    else:
+        cap = height_cap(k, DEFAULT_MAX_HEIGHT, tol)
+    values = [cmath.rect(math.sqrt(rng.random()), rng.uniform(0, 2 * math.pi))
+              for _ in range(k)]
+    if rng.random() < 0.2:
+        scale = tol * 10 ** rng.uniform(-1, 1) / (k * cap * 2.0**-53)
+        values = [scale * v for v in values]
+    if rng.random() < 0.7:
+        if rng.random() < 0.5:
+            c = [int(rng.choice([-1, 1])) * (cap - int(rng.integers(2))) for _ in range(k)]
+        else:
+            c = [int(x) for x in rng.integers(-cap, cap + 1, size=k)]
+        i = int(rng.integers(k))
+        c[i] = c[i] or 1
+        size = float(rng.choice([0, 0.5, 0.9, 0.99, 0.999])) * tol
+        eps = size * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        values[i] = (eps - sum(c[j] * values[j] for j in range(k) if j != i)) / c[i]
+    return values, cap, tol
+
+
+def _stopped_reductions(namespace, monkeypatch):
+    """The list to which each later reduction of namespace's `_search`
+    appends True when the bound stopped it."""
+    reduce, stops = namespace["lll_reduce_gram"], []
+
+    def recorded(gram, bound=None):
+        rows = reduce(gram, bound)
+        stops.append(rows is None)
+        return rows
+
+    monkeypatch.setitem(namespace, "lll_reduce_gram", recorded)
+    return stops
+
+
+def _assert_same_answers(namespace, monkeypatch, draws):
+    """namespace's `_search` answers as the finished reduction does, and
+    the bound stops more than a fifth of the reductions."""
+    stops = _stopped_reductions(namespace, monkeypatch)
+    rng = np.random.default_rng(39)
+    for _ in range(draws):
+        values, cap, tol = _bound_question(rng)
+        assert namespace["_search"](values, cap, tol) == _full_search(values, cap, tol), (
+            values, cap, tol)
+    assert len(stops) == draws and sum(stops) > draws / 5
+
+
+_GRIDS = {}
+
+
+def _brute_force_relation(values, cap, tol):
+    """Some nonzero c with max |c_i| <= cap and a direct residual below tol,
+    summed as `_search` sums it, or None.  numpy screens first, with room
+    for the rounding of both sums, 32 unit roundoffs a term."""
+    k = len(values)
+    if (k, cap) not in _GRIDS:
+        axes = [np.arange(-cap, cap + 1)] * k
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, k)
+        _GRIDS[k, cap] = grid[np.any(grid != 0, axis=1)]
+    grid = _GRIDS[k, cap]
+    screen = tol + 2.0**-48 * k * cap * sum(abs(v) for v in values)
+    for row in grid[np.abs(grid @ np.array(values)) < screen]:
+        c = [int(x) for x in row]
+        if abs(sum(x * v for x, v in zip(c, values))) < tol:
+            return c
+    return None
+
+
+def _assert_stops_are_proved(namespace, monkeypatch, draws):
+    """Every reduction of namespace's `_search` that the bound stops, at
+    caps of 2-6 (2-4 for 5 values), is a None that brute force over the
+    whole box of coefficients confirms; more than a fifth stop."""
+    stops = _stopped_reductions(namespace, monkeypatch)
+    rng = np.random.default_rng(3939)
+    for _ in range(draws):
+        values, cap, tol = _bound_question(rng, small_cap=True)
+        namespace["_search"](values, cap, tol)
+        if stops[-1]:
+            assert _brute_force_relation(values, cap, tol) is None, (values, cap, tol)
+    assert len(stops) == draws and sum(stops) > draws / 5
+
+
+def test_a_stopped_reduction_keeps_every_answer(monkeypatch):
+    """On 2 400 seeded questions `_search` gives the finished reduction's
+    answer, coefficients, height and residual bits, while the bound stops
+    the reduction in more than a fifth of them."""
+    _assert_same_answers(vars(relations), monkeypatch, 2400)
+
+
+def test_a_stopped_reduction_is_a_proved_none(monkeypatch):
+    """No reduction that the bound stops had a passing row to find: brute
+    force over every coefficient vector under the cap finds none."""
+    _assert_stops_are_proved(vars(relations), monkeypatch, 600)
+
+
+def _bound_mutant(old, new):
+    """A namespace of the relations module in which `lll_reduce_gram` and
+    `_search` have old replaced by new wherever it occurs."""
+    assert old in inspect.getsource(relations), old
+    namespace = dict(vars(relations))
+    for function in (relations.lll_reduce_gram, _search):
+        exec(inspect.getsource(function).replace(old, new), namespace)
+    return namespace
+
+
+@pytest.mark.parametrize(
+    "edit",
+    (
+        # the rounding of round(S v_i) left out of E
+        ("+ 0.71 * k * max_height) + 1", ") + 1"),
+        # the slack for the rounding of the direct sum left out: tol alone
+        ("(tol + _ULP * k * max_height * sum(abs(v) for v in values)) * (1 + _ULP)", "tol"),
+        # the largest Gram-Schmidt norm tested in place of the smallest
+        ("if not any(short):", "if not all(short):"),
+    ),
+    ids=("no-rounding-term", "no-float-sum-slack", "largest-norm"),
+)
+def test_both_checks_catch_a_mutated_bound(edit, monkeypatch):
+    """Each mutant stops a reduction that had a passing row to find: it
+    changes an answer, and brute force finds a relation it missed."""
+    with pytest.raises(AssertionError, match="_full_search"):
+        _assert_same_answers(_bound_mutant(*edit), monkeypatch, 2400)
+    with pytest.raises(AssertionError, match="_brute_force_relation"):
+        _assert_stops_are_proved(_bound_mutant(*edit), monkeypatch, 600)

@@ -290,6 +290,25 @@ def test_elliptic_log_falls_back_to_minus_z_on_a_wrong_sign(L, monkeypatch):
         assert wp_prime(wrong.z, L) == pytest.approx(y, rel=1e-9)
 
 
+def test_elliptic_log_falls_back_on_a_negative_zero_imaginary_part():
+    """An input that needs the fallback: on Z(-0.5) + Z(-0.25i), P is wp and
+    wp' at z = -0.00625i, with x = -25600.07 given a -0.0 imaginary part.
+    Then x - e_1 lies on the negative real axis with a -0.0 imaginary part,
+    its principal square root takes the other side of the cut from R_F's
+    ray, and _rf_wp_prime predicts the wrong sign of wp' at R_F's z (without
+    the fallback the logarithm raises ConvergenceFailure).  It sums one
+    series more than at +0.0 and returns z to 5e-18 mod Lambda."""
+    L = make_lattice(-0.5, -0.25j)
+    series = []
+    for x_imag in (0.0, -0.0):
+        F = _fresh(L)
+        P = EllipticPoint(complex(-25600.065057274758, x_imag), 8191979.161325738j)
+        z = generalized_elliptic_log(P, F).z
+        assert abs(reduce_centered(z + 0.00625j, L)[0]) < 1e-17
+        series.append(sum(entry[3] is not None for entry in F._cache["elliptic"][6].values()))
+    assert series[1] == series[0] + 1
+
+
 @pytest.mark.parametrize("L", lattices_for_sweep())
 def test_elliptic_eval_op_sums_five_theta_series(L, monkeypatch):
     """One elliptic-eval op on a fresh lattice (wp, wp', zeta and sigma at
