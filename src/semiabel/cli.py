@@ -41,49 +41,27 @@ from .semiabelian import ExtensionParam, SemiAbelianPoint, exp_G, generalized_lo
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite number in report: {x}")
-    s = f"{x:.17g}"
-    return s
+def _json_text(v):
+    """The text of one value (private: a trace sees one emit_json call per report)."""
+    if isinstance(v, dict):
+        pairs = (f"{json.dumps(k)}:{_json_text(v[k])}" for k in sorted(v))
+        return "{" + ",".join(pairs) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(map(_json_text, v)) + "]"
+    if isinstance(v, complex):
+        return _json_text({"re": v.real, "im": v.imag})
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite number in report: {v}")
+        return f"{v:.17g}"
+    if v is None or isinstance(v, (bool, int, str)):
+        return json.dumps(v)
+    raise TypeError(f"cannot serialize {type(v)}")
 
 
 def emit_json(doc):
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    out = []
-
-    def walk(v):
-        if isinstance(v, dict):
-            out.append("{")
-            for i, k in enumerate(sorted(v)):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(k))
-                out.append(":")
-                walk(v[k])
-            out.append("}")
-        elif isinstance(v, (list, tuple)):
-            out.append("[")
-            for i, item in enumerate(v):
-                if i:
-                    out.append(",")
-                walk(item)
-            out.append("]")
-        elif isinstance(v, bool) or v is None:
-            out.append(json.dumps(v))
-        elif isinstance(v, int):
-            out.append(str(v))
-        elif isinstance(v, float):
-            out.append(_fmt_float(v))
-        elif isinstance(v, complex):
-            walk({"re": v.real, "im": v.imag})
-        elif isinstance(v, str):
-            out.append(json.dumps(v))
-        else:
-            raise TypeError(f"cannot serialize {type(v)}")
-
-    walk(doc)
-    return "".join(out)
+    return _json_text(doc)
 
 
 def _cplx(v):

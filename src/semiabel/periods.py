@@ -175,12 +175,13 @@ def generalized_elliptic_log(P, L, inv=None):
     P must lie on the curve of inv (by default the lattice's own
     invariants).  The branch points are wp at the half-periods of L; a
     2-division point is its half-period.  Any other point starts from
-    R_F, its sign read from _rf_wp_prime before any evaluation, and is
-    polished by Newton at the principal argument: every series is summed
-    at a reduced z, and is both a step and the check of the z it is
-    summed at, so the returned z is the one that was checked.  Newton
-    steps while |step| >= 1e-14 |omega1|, at most 8 times, and a step
-    that raises the residual is not taken."""
+    R_F, its sign read from _rf_wp_prime before any evaluation (both
+    read x - e_j + 0j: the sign of a zero part of x does not change the
+    answer), and is polished by Newton at the principal argument: every
+    series is summed at a reduced z, and is both a step and the check of
+    the z it is summed at, so the returned z is the one that was checked.
+    Newton steps while |step| >= 1e-14 |omega1|, at most 8 times, and a
+    step that raises the residual is not taken."""
     if P.is_identity:
         return GeneralizedAbelianLog(0j, complex("inf"), is_identity=True)
     if inv is None:
@@ -199,7 +200,7 @@ def generalized_elliptic_log(P, L, inv=None):
         p, dp, zeta = weierstrass(z, L)
     else:
         # RF determines z up to sign and lattice; pick the sign matching y
-        diffs = [P.x - e for _, e in branch]
+        diffs = [P.x - e + 0j for _, e in branch]
         z = carlson_rf(*diffs)
         d = _rf_wp_prime(*diffs)
         if abs(d - P.y) > abs(-d - P.y):

@@ -41,6 +41,7 @@ def _build(tmp):
         "golden_verify_reports.jsonl": [
             test_cli.verify_report_line(tmp, seed) for seed in test_cli.VERIFY_GOLDEN_SEEDS
         ],
+        "golden_task_reports.jsonl": test_cli.task_report_lines(tmp),
     }
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semiabel.classifier as classifier
 import semiabel.cli as cli
@@ -73,6 +75,112 @@ def test_emit_json_refuses_a_value_it_cannot_serialize():
 def test_emit_json_deterministic():
     doc = {"values": [0.1 + 0.2, math.pi, [1e-300, -0.0]], "n": 7}
     assert emit_json(doc) == emit_json(dict(reversed(list(doc.items()))))
+
+
+def _reference_emit_json(doc):
+    """emit_json as it was before it returned each value's text, frozen as
+    the reference: one walk appends every token to a shared list."""
+    out = []
+
+    def fmt_float(x):
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite number in report: {x}")
+        return f"{x:.17g}"
+
+    def walk(v):
+        if isinstance(v, dict):
+            out.append("{")
+            for i, k in enumerate(sorted(v)):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(k))
+                out.append(":")
+                walk(v[k])
+            out.append("}")
+        elif isinstance(v, (list, tuple)):
+            out.append("[")
+            for i, item in enumerate(v):
+                if i:
+                    out.append(",")
+                walk(item)
+            out.append("]")
+        elif isinstance(v, bool) or v is None:
+            out.append(json.dumps(v))
+        elif isinstance(v, int):
+            out.append(str(v))
+        elif isinstance(v, float):
+            out.append(fmt_float(v))
+        elif isinstance(v, complex):
+            walk({"re": v.real, "im": v.imag})
+        elif isinstance(v, str):
+            out.append(json.dumps(v))
+        else:
+            raise TypeError(f"cannot serialize {type(v)}")
+
+    walk(doc)
+    return "".join(out)
+
+
+def _writer_outcome(write, doc):
+    """The text a writer returns for doc, or its exception's type and message."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_REPORT_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**63, max_value=2**200).flatmap(
+            lambda n: st.sampled_from((n, -n))
+        ),
+        st.floats(),
+        st.sampled_from(_EDGE_FLOATS),
+        st.complex_numbers(),
+        st.builds(complex, st.sampled_from(_EDGE_FLOATS), st.sampled_from(_EDGE_FLOATS)),
+        st.text(max_size=6),
+        st.builds(object),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(doc=_REPORT_VALUES)
+@example(doc={"a": math.nan, "b": object()})
+@example(doc={"a": [object()], "b": math.inf})
+@example(doc=[complex(math.nan, math.inf), -math.inf])
+def test_emit_json_matches_the_reference_walk(doc):
+    """Every document gives the reference's text, or its exception with its
+    message; of two bad values the first in output order raises."""
+    assert _writer_outcome(emit_json, doc) == _writer_outcome(_reference_emit_json, doc)
+
+
+def test_main_calls_the_writer_once_per_report(tmp_path, capsys, monkeypatch):
+    """verify --json and classify --json each write their report with one
+    emit_json call (semibench traces one span per public call)."""
+    calls = []
+
+    def counted(doc, write=cli.emit_json):
+        calls.append(doc)
+        return write(doc)
+
+    monkeypatch.setattr(cli, "emit_json", counted)
+    motive = verify._table_instances()[0][0]
+    for task, doc in (("verify", SQ), ("classify", _motive_config(motive))):
+        calls.clear()
+        assert main([task, "--config", _write(tmp_path, doc), "--json"]) == 0
+        assert len(calls) == 1, task
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -1036,6 +1144,39 @@ def eval_expg_logg_lines(tmp_path):
 def test_eval_expg_logg_match_golden_bytes(tmp_path):
     golden = Path(__file__).with_name("golden_eval_reports.jsonl").read_text()
     assert eval_expg_logg_lines(tmp_path) == golden.splitlines(keepends=True)
+
+
+# (cm, row) of the table instances whose bounds report is a golden line
+BOUNDS_GOLDEN_ROWS = ((True, "dependent-deficient"), (False, "independent"))
+
+
+def task_report_lines(tmp_path):
+    """The golden lines of golden_task_reports.jsonl: periods, pairing and
+    3-torsion pairing --json on both eval curves, then bounds --json on
+    the table configs of BOUNDS_GOLDEN_ROWS."""
+    J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
+    lines = []
+    for curve in EVAL_CURVES:
+        base = {"curve": curve}
+        lines.append(_run_json(tmp_path, "periods", base))
+        pair = {**base, "z": J(EVAL_ZS[0]), "zstar": J(EVAL_ZS[1])}
+        lines.append(_run_json(tmp_path, "pairing", pair))
+        L = parse_config(json.dumps(base), task="periods").lattice
+        z = (L.omega1 + 2 * L.omega2) / 3
+        zstar = (2 * L.omega1 - L.omega2) / (3 * L.covolume_factor())
+        pair = {**base, "z": J(z), "zstar": J(zstar), "N": 3}
+        lines.append(_run_json(tmp_path, "pairing", pair))
+    for m, row, _, _, cm in verify._table_instances():
+        if (cm, row) in BOUNDS_GOLDEN_ROWS:
+            lines.append(_run_json(tmp_path, "bounds", _motive_config(m)))
+    return lines
+
+
+def test_task_reports_match_golden_bytes(tmp_path):
+    """periods, pairing and bounds --json, which no other golden file
+    covers, byte for byte."""
+    golden = Path(__file__).with_name("golden_task_reports.jsonl").read_text()
+    assert task_report_lines(tmp_path) == golden.splitlines(keepends=True)
 
 
 def test_main_verify_text_render(tmp_path, capsys):

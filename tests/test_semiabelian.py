@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -290,23 +292,44 @@ def test_elliptic_log_falls_back_to_minus_z_on_a_wrong_sign(L, monkeypatch):
         assert wp_prime(wrong.z, L) == pytest.approx(y, rel=1e-9)
 
 
-def test_elliptic_log_falls_back_on_a_negative_zero_imaginary_part():
-    """An input that needs the fallback: on Z(-0.5) + Z(-0.25i), P is wp and
-    wp' at z = -0.00625i, with x = -25600.07 given a -0.0 imaginary part.
-    Then x - e_1 lies on the negative real axis with a -0.0 imaginary part,
-    its principal square root takes the other side of the cut from R_F's
-    ray, and _rf_wp_prime predicts the wrong sign of wp' at R_F's z (without
-    the fallback the logarithm raises ConvergenceFailure).  It sums one
-    series more than at +0.0 and returns z to 5e-18 mod Lambda."""
-    L = make_lattice(-0.5, -0.25j)
-    series = []
-    for x_imag in (0.0, -0.0):
-        F = _fresh(L)
-        P = EllipticPoint(complex(-25600.065057274758, x_imag), 8191979.161325738j)
-        z = generalized_elliptic_log(P, F).z
-        assert abs(reduce_centered(z + 0.00625j, L)[0]) < 1e-17
-        series.append(sum(entry[3] is not None for entry in F._cache["elliptic"][6].values()))
-    assert series[1] == series[0] + 1
+def _turned_rectangles():
+    """Bases (w1, w2) of rectangles with sides in [0.2, 2] drawn from
+    random.Random(0), each turned by 1, i, -1 and -i."""
+    rng = random.Random(0)
+    while True:
+        a, b = rng.uniform(0.2, 2), rng.uniform(0.2, 2)
+        for turn in (1, 1j, -1, -1j):
+            yield turn * a, turn * b * 1j
+
+
+def test_elliptic_log_ignores_the_sign_of_a_zero_part():
+    """x with a +0.0 and with a -0.0 imaginary part gives the same z,
+    zeta(z) and number of series summed.  Read as given, a -0.0 part put
+    some x - e_j on the other side of sqrt's cut from the one R_F's ray
+    reads: R_F started from another rounding of z, and on Z(-0.5) +
+    Z(-0.25i) at P = (wp, wp')(-0.00625i) _rf_wp_prime predicted the wrong
+    sign of wp', so that the logarithm summed one series more; that z is
+    -0.00625i to 1e-17 mod Lambda.  The other inputs are the real locus
+    of 24 turned rectangles: wp and wp' at t w1, t w2, w1/2 + t w2 and
+    w2/2 + t w1 for t = k/18, k = 1..17, k != 9."""
+    cases = [(make_lattice(-0.5, -0.25j), -25600.065057274758, 8191979.161325738j)]
+    for w1, w2 in itertools.islice(_turned_rectangles(), 24):
+        L = make_lattice(w1, w2)
+        for t in (k / 18 for k in range(1, 18) if k != 9):
+            for z in (t * w1, t * w2, w1 / 2 + t * w2, w2 / 2 + t * w1):
+                p, dp, _ = weierstrass(z, L)
+                cases.append((L, p.real, dp))
+    for L, x, y in cases:
+        got = []
+        for x_imag in (0.0, -0.0):
+            F = _fresh(L)
+            g = generalized_elliptic_log(EllipticPoint(complex(x, x_imag), y), F)
+            memo = F._cache["elliptic"][6]
+            got.append((g.z, g.w, sum(entry[3] is not None for entry in memo.values())))
+        assert got[0] == got[1], (L.omega1, L.omega2, x, y)
+    L, x, y = cases[0]
+    z = generalized_elliptic_log(EllipticPoint(complex(x, -0.0), y), L).z
+    assert abs(reduce_centered(z + 0.00625j, L)[0]) < 1e-17
 
 
 @pytest.mark.parametrize("L", lattices_for_sweep())
