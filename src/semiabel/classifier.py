@@ -62,11 +62,7 @@ class OneMotiveElliptic(Value):
             raise ValueError("a 1-motive needs at least one marked point (n >= 1)")
         for R in points:
             check_on_curve(R.base, curve)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "extension_params", tuple(extension_params))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "cm_override", cm_override)
+        super().__init__(curve, lattice, tuple(extension_params), points, cm_override)
 
     @property
     def n(self):
@@ -88,24 +84,17 @@ class ClassificationReport(Value):
         "table_row", "cm", "cm_discriminant", "deficient", "bounds",
         "confidence", "relations",
     )
+    relations = ()
 
-    def __init__(
-        self, dim_B, dim_B_vstar, dim_B_Q, dim_Z1, dim_UR, dim_Gal, table_row,
-        cm, cm_discriminant, deficient, bounds, confidence, relations=(),
-    ):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        dim_B, dim_B_vstar, dim_B_Q, dim_Z1, dim_UR, dim_Gal = self._astuple()[:6]
         if dim_UR != 2 * dim_B + dim_Z1:
             raise InternalInconsistency(f"dim UR {dim_UR} != 2*{dim_B} + {dim_Z1}")
-        if dim_Gal != dim_UR + (2 if cm else 4):
-            raise InternalInconsistency(
-                f"dim Gal {dim_Gal} != {dim_UR} + reductive part"
-            )
+        if dim_Gal != dim_UR + (2 if self.cm else 4):
+            raise InternalInconsistency(f"dim Gal {dim_Gal} != {dim_UR} + reductive part")
         if dim_B != dim_B_vstar + dim_B_Q:
             raise InternalInconsistency(f"dim B {dim_B} != {dim_B_vstar} + {dim_B_Q}")
-        for name, value in zip(self._fields, (
-            dim_B, dim_B_vstar, dim_B_Q, dim_Z1, dim_UR, dim_Gal, table_row,
-            cm, cm_discriminant, deficient, bounds, confidence, relations,
-        )):
-            object.__setattr__(self, name, value)
 
     def as_dict(self):
         """The ``classify --json`` document: every field, ``bounds`` copied

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from . import verify
+from ._value import Value
 from .classifier import OneMotiveElliptic, motivic_galois_dims
 from .elliptic import (
     CurveInvariants,
@@ -73,18 +73,11 @@ def _cplx(v):
 # ---------------------------------------------------------------------------
 
 
-class JobConfig:
+class JobConfig(Value):
     """A validated config: the task, its curve (and lattice, or None),
     the task's own keys and the numeric options."""
 
-    def __init__(self, task, curve, lattice, payload, tol, max_height, seed):
-        self.task = task
-        self.curve = curve
-        self.lattice = lattice
-        self.payload = payload
-        self.tol = tol
-        self.max_height = max_height
-        self.seed = seed
+    _fields = ("task", "curve", "lattice", "payload", "tol", "max_height", "seed")
 
 
 def _expect(cond, path, message):
@@ -357,6 +350,12 @@ def _job_bounds(cfg):
     }
 
 
+def _job_verify(cfg):
+    from . import verify  # only this task compiles the identity suite
+
+    return verify.report(cfg.seed, cfg.tol)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ _HANDLERS = {
     "pairing": _job_pairing,
     "classify": _job_classify,
     "bounds": _job_bounds,
-    "verify": lambda cfg: verify.report(cfg.seed, cfg.tol),
+    "verify": _job_verify,
 }
 
 

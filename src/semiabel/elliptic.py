@@ -33,20 +33,12 @@ TWO_PI_I = 2j * math.pi
 class CurveInvariants(Value):
     _fields = ("g2", "g3")
 
-    def __init__(self, g2, g3):
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "g3", g3)
-
     def discriminant(self):
         return self.g2**3 - 27 * self.g3**2
 
 
 class QuasiPeriods(Value):
     _fields = ("eta1", "eta2")
-
-    def __init__(self, eta1, eta2):
-        object.__setattr__(self, "eta1", eta1)
-        object.__setattr__(self, "eta2", eta2)
 
 
 def _reduced(L):

@@ -53,8 +53,7 @@ class Lattice(Value):
             raise BeyondWorkingPrecision(
                 f"periods at |w1| = {abs(omega1):.3g} are beyond working precision"
             )
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "omega2", omega2)
+        super().__init__(omega1, omega2)
         object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_cache", {})
 
@@ -92,17 +91,19 @@ def _reduce_basis(w1, w2):
     return c * w2 + d * w1, a * w2 + b * w1, (a, b, c, d)
 
 
+def _oriented(w1, w2):
+    """The periods as complex numbers, w2 negated when Im(w2/w1) < 0."""
+    w1, w2 = complex(w1), complex(w2)
+    return (w1, -w2) if w1 and (w2 / w1).imag < 0 else (w1, w2)
+
+
 def make_lattice(w1, w2):
-    """Counter-clockwise lattice from two independent periods: negates w2
-    when Im(w2/w1) < 0, never reorders the basis, and leaves the refusals
-    to Lattice.  The last TABLE_SIZE lattices are kept, keyed by the exact
-    bits of the normalized periods, so the same periods return the Lattice
-    built for them, with its constants; object identity is not a contract.
-    """
-    w1 = complex(w1)
-    w2 = complex(w2)
-    if w1 and (w2 / w1).imag < 0:
-        w2 = -w2
+    """Counter-clockwise lattice from two independent periods (_oriented:
+    never reordered), leaving the refusals to Lattice.  The last TABLE_SIZE
+    lattices are kept, keyed by the exact bits of the normalized periods, so
+    the same periods return the Lattice built for them, with its constants;
+    object identity is not a contract."""
+    w1, w2 = _oriented(w1, w2)
     key = (w1, w2)
     if not (w1.real and w1.imag and w2.real and w2.imag):
         # -0.0 == 0.0 as a key, so zero parts key with their signs

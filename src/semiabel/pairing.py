@@ -25,7 +25,7 @@ class UnitCircleValue(Value):
     def __init__(self, value):
         if not (abs(abs(value) - 1.0) <= 1e-9):
             raise ValueError(f"not on the unit circle: {value}")
-        object.__setattr__(self, "value", value)
+        super().__init__(value)
 
 
 def weil_pairing(z, zstar, L):

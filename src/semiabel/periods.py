@@ -16,7 +16,7 @@ from ._kernels import carlson_rf
 from ._value import Value
 from .elliptic import CurveInvariants, eisenstein_invariants, weierstrass, wp
 from .errors import BeyondWorkingPrecision, ConvergenceFailure, NotOnCurve, SingularCurve
-from .lattice import make_lattice, reduce_to_fundamental
+from .lattice import Lattice, _oriented, reduce_to_fundamental
 
 DISCRIMINANT_TOL = 1e-12
 CURVE_TOL = 1e-9
@@ -27,11 +27,8 @@ class EllipticPoint(Value):
     """Affine point (x, y) on y^2 = 4x^3 - g2 x - g3, or the identity O."""
 
     _fields = ("x", "y", "is_identity")
-
-    def __init__(self, x=0j, y=0j, is_identity=False):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "is_identity", is_identity)
+    x = y = 0j
+    is_identity = False
 
     @staticmethod
     def identity():
@@ -43,18 +40,11 @@ class BranchedValue(Value):
 
     _fields = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
 
 class GeneralizedAbelianLog(Value):
+    # w, the second-kind integral: zeta at the principal logarithm
     _fields = ("z", "w", "is_identity")
-
-    def __init__(self, z, w, is_identity=False):
-        object.__setattr__(self, "z", z)
-        # w, the second-kind integral: zeta at the principal logarithm
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "is_identity", is_identity)
+    is_identity = False
 
 
 def check_on_curve(P, inv):
@@ -116,9 +106,10 @@ def periods_from_invariants(c):
     pick is checked: one whose lattice does not reproduce the invariants
     gives way to the next, and ConvergenceFailure is raised when none is
     left.  A refusal on the way (RF's non-convergence, a candidate basis
-    make_lattice refuses, the pick's invariants beyond working precision)
-    propagates with its own type.
-    BeyondWorkingPrecision where the discriminant g2^3 - 27 g3^2 overflows.
+    Lattice refuses, the pick's invariants beyond working precision)
+    propagates with its own type.  SingularCurve where the discriminant
+    g2^3 - 27 g3^2 is within its rounding of 0; BeyondWorkingPrecision where
+    it overflows or is below DISCRIMINANT_TOL relative to max(|g2|^3, |g3|^2).
     """
     g2, g3 = complex(c.g2), complex(c.g3)
     try:
@@ -129,13 +120,24 @@ def periods_from_invariants(c):
         raise BeyondWorkingPrecision(
             f"the discriminant of g2 = {c.g2}, g3 = {c.g3} is beyond working precision"
         )
-    if abs(disc) <= DISCRIMINANT_TOL * max(abs(g2) ** 3, abs(g3) ** 2):
+    # g2**3 is two complex products, 27*g3**2 one and a scaling: with each
+    # product within sqrt(5)u (u = 2^-53), the scaling and the difference
+    # within u, disc is rounded by at most (2sqrt(5) + 1)u|g2|^3 +
+    # (sqrt(5) + 2)u 27|g3|^2 to first order, under 8u = 2^-50 of each term
+    if abs(disc) <= 2.0**-50 * abs(g2) ** 3 + 27 * 2.0**-50 * abs(g3) ** 2:
         raise SingularCurve(f"discriminant {disc}")
+    ratio = abs(disc) / max(abs(g2) ** 3, abs(g3) ** 2)
+    if ratio <= DISCRIMINANT_TOL:
+        raise BeyondWorkingPrecision(
+            f"the relative discriminant {ratio:.3g} of g2 = {c.g2}, g3 = {c.g3}"
+            f" is below {DISCRIMINANT_TOL:g}: its periods are beyond working precision"
+        )
     scale = max(abs(g2), abs(g3), 1.0)
     e = _cubic_roots(g2, g3)
     W = {(i, j, k): 2.0 * carlson_rf(0j, e[i] - e[j], e[i] - e[k])
          for i, j, k in permutations(range(3))}
-    candidates = [make_lattice(W[i, j, k], W[k, i, j]) for i, j, k in W]
+    # outside make_lattice's table: a conversion evicts no caller's lattice
+    candidates = [Lattice(*_oriented(W[i, j, k], W[k, i, j])) for i, j, k in W]
     while candidates:
         L = _shortest(_shortest(candidates, lambda L: L.omega1), lambda L: L.omega2)[0]
         inv = eisenstein_invariants(L)

@@ -41,12 +41,6 @@ _MAX_CANDIDATES = 16
 class RelationCertificate(Value):
     _fields = ("coefficients", "residual", "height", "height_cap")
 
-    def __init__(self, coefficients, residual, height, height_cap):
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "height_cap", height_cap)
-
 
 def _round_half_even(num, den):
     """round(num / den) for integers with den > 0, ties to even."""

@@ -29,9 +29,6 @@ class ExtensionParam(Value):
 
     _fields = ("q_log_dual",)
 
-    def __init__(self, q_log_dual):
-        object.__setattr__(self, "q_log_dual", q_log_dual)
-
     def primal(self, L):
         """Pullback of the logarithm to Lie E via self-duality."""
         return dual_to_primal(self.q_log_dual, L)
@@ -45,10 +42,6 @@ class SemiAbelianPoint(Value):
     """Birational coordinates on E x C^*: base point and nonzero fiber."""
 
     _fields = ("base", "fiber")
-
-    def __init__(self, base, fiber):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber", fiber)
 
 
 def _primal_log(q, L, constants):

@@ -37,7 +37,7 @@ from semiabel.semiabelian import (
     quasi_quasi_periods,
 )
 
-from conftest import REBASINGS, VARPI
+from conftest import CM_J, CM_TWISTS, REBASINGS, VARPI, cm_twist
 
 
 def _sq():
@@ -101,6 +101,79 @@ def test_is_torsion_numeric():
     zg = 0.2371 * L.omega1 + 0.1618 * L.omega2
     Pg = EllipticPoint(wp(zg, L), wp_prime(zg, L))
     assert is_torsion(Pg, L) is None
+
+
+def _exact_order(P, g2):
+    """The order of the rational point P = (x, y) under the Fraction group
+    law of y^2 = 4x^3 - g2 x - g3, or None past 12 (Mazur's bound on
+    rational torsion)."""
+    def add(A, B):
+        if A is None:
+            return B
+        (x1, y1), (x2, y2) = A, B
+        if x1 == x2 and y1 == -y2:
+            return None
+        if x1 == x2:
+            slope = (12 * x1 * x1 - g2) / (2 * y1)
+        else:
+            slope = (y2 - y1) / (x2 - x1)
+        x3 = slope * slope / 4 - x1 - x2
+        return x3, -(y1 + slope * (x3 - x1))
+
+    Q = P
+    for k in range(1, 13):
+        if Q is None:
+            return k
+        Q = add(Q, P)
+    return None
+
+
+def _rational_curves(n, seed):
+    """n seeded (g2, g3, x0, y0) over Q with (x0, y0) on y^2 = 4x^3 - g2 x
+    - g3: g2, x0 and y0 small fractions, y0 = 0 for a tenth of them."""
+    rng = random.Random(seed)
+
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+
+    curves = []
+    while len(curves) < n:
+        g2, x0 = small(), small()
+        y0 = Fraction(0) if rng.random() < 0.1 else small()
+        g3 = 4 * x0**3 - g2 * x0 - y0 * y0
+        if g2**3 != 27 * g3 * g3:
+            curves.append((g2, g3, x0, y0))
+    return curves
+
+
+def test_is_torsion_agrees_with_the_exact_group_law_over_q():
+    """On 200 seeded rational points of curves over Q, the numeric order
+    from the span question is the order under the exact group law (None
+    when that exceeds Mazur's bound 12)."""
+    orders = []
+    for g2, g3, x0, y0 in _rational_curves(200, 5):
+        inv = CurveInvariants(g2, g3)
+        P = EllipticPoint(x0, y0)
+        exact = _exact_order((x0, y0), g2)
+        assert is_torsion(P, periods_from_invariants(inv), curve=inv) == exact, (g2, g3, x0, y0)
+        orders.append(exact)
+    assert sum(N is not None for N in orders) == 40 and {3, 4} < set(orders)
+
+
+@pytest.mark.parametrize("D", [D for D in CM_J if D >= -43])
+def test_detect_cm_on_curves_over_q_from_their_invariants(D):
+    for u in CM_TWISTS:
+        assert detect_cm(periods_from_invariants(cm_twist(CM_J[D], u))) == D, u
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="tau from double invariants lies 3.6e-9 from (1 + sqrt(-67))/2, "
+    "above tol, so detect_cm reads None (ROADMAP item 10(a))",
+)
+def test_detect_cm_on_curves_over_q_with_discriminant_minus_67():
+    for u in CM_TWISTS:
+        assert detect_cm(periods_from_invariants(cm_twist(CM_J[-67], u))) == -67, u
 
 
 _TORSION_LATTICES = {

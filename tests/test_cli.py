@@ -33,7 +33,7 @@ from semiabel.errors import (
 from semiabel.lattice import make_lattice
 from semiabel.semiabelian import ExtensionParam, exp_G, quasi_quasi_periods
 
-from conftest import VARPI
+from conftest import CM_J, CM_TWISTS, VARPI, cm_twist
 
 SQ = {"curve": {"g2": 4.0, "g3": 0.0}}
 
@@ -457,6 +457,19 @@ def test_main_usage_errors_exit_1(argv, capsys):
 def test_main_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: semiabel")
+
+
+@pytest.mark.parametrize("u", CM_TWISTS, ids=str)
+def test_main_curve_below_the_discriminant_tolerance_exits_1(u, tmp_path, capsys):
+    """A twist of the D = -163 curve is smooth, but its periods are beyond
+    working precision: exit 1 with one error line naming the relative
+    discriminant, not the singular curve's."""
+    inv = cm_twist(CM_J[-163], u)
+    path = _write(tmp_path, {"curve": {"g2": inv.g2, "g3": inv.g3}})
+    assert main(["periods", "--config", path, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the relative discriminant 6.") and "beyond working precision" in err
 
 
 def test_main_schema_error_exit_1(tmp_path, capsys):

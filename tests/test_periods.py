@@ -32,7 +32,7 @@ from semiabel.periods import (
     periods_from_invariants,
 )
 
-from conftest import VARPI, lattices_for_sweep
+from conftest import CM_J, CM_TWISTS, VARPI, cm_twist, lattices_for_sweep
 
 mpmath.mp.dps = 30
 
@@ -83,6 +83,26 @@ def test_singular_curve_rejected():
         periods_from_invariants(CurveInvariants(0.0, 0.0))
 
 
+def test_a_discriminant_within_its_rounding_of_zero_is_singular():
+    """(3t^2, t^3) rounded to doubles: the discriminant computed from them
+    is within its rounding bound of 0 for every seeded t."""
+    rng = random.Random(41)
+    for _ in range(300):
+        t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10 ** rng.uniform(-5, 5)
+        with pytest.raises(SingularCurve):
+            periods_from_invariants(CurveInvariants(3 * t * t, t**3))
+
+
+def test_a_smooth_curve_below_the_discriminant_tolerance_is_beyond_working_precision():
+    """Rational twists of the D = -163 curve have relative discriminant
+    1728/|j| ~ 6.6e-15: below DISCRIMINANT_TOL, so the periods are not fixed
+    to working precision, but far above the rounding of g2^3 - 27 g3^2, so
+    the curve is not singular."""
+    for u in CM_TWISTS:
+        with pytest.raises(BeyondWorkingPrecision, match=r"relative discriminant 6\.\d+e-15"):
+            periods_from_invariants(cm_twist(CM_J[-163], u))
+
+
 def test_overflowing_discriminant_is_beyond_working_precision():
     """g2^3 overflows at g2 = 1e110."""
     with pytest.raises(BeyondWorkingPrecision):
@@ -114,9 +134,11 @@ def _reference_periods_from_invariants(c):
     """periods_from_invariants as it was before six RF values served the
     six root orderings, frozen as the reference: twelve RF calls,
     an Eisenstein check of every ordering's lattice, and an ordering whose
-    RF, lattice or check raises is skipped.  It reads carlson_rf,
-    make_lattice and eisenstein_invariants from the module at call time,
-    so a test's patch reaches both versions."""
+    RF, lattice or check raises is skipped.  It reads carlson_rf and
+    eisenstein_invariants from the module at call time, so a test's patch
+    reaches both versions, and make_lattice from semiabel.lattice, since
+    periods builds its candidates outside make_lattice's table."""
+    import semiabel.lattice as lattice
     import semiabel.periods as periods
 
     g2, g3 = complex(c.g2), complex(c.g3)
@@ -136,7 +158,7 @@ def _reference_periods_from_invariants(c):
         try:
             w1 = 2.0 * periods.carlson_rf(0j, e1 - e2, e1 - e3)
             w2 = 2.0 * periods.carlson_rf(0j, e3 - e1, e3 - e2)
-            L = periods.make_lattice(w1, w2)
+            L = lattice.make_lattice(w1, w2)
             inv = periods.eisenstein_invariants(L)
         except (SemiabelError, ArithmeticError):
             continue
@@ -206,6 +228,14 @@ def test_basis_matches_the_reference_version_bit_for_bit():
 
 
 GOLDEN_EVAL_CURVE = CurveInvariants(1.7 + 0.3j, -0.4 + 0.9j)
+
+
+def test_a_conversion_keeps_the_lattices_built_before_it():
+    """The six candidate bases are built outside make_lattice's table, so
+    converting invariants evicts no lattice a caller made."""
+    L = make_lattice(1, 1j)
+    periods_from_invariants(GOLDEN_EVAL_CURVE)
+    assert make_lattice(1, 1j) is L
 
 
 def test_work_per_call_is_six_rf_values_and_one_check(monkeypatch):
@@ -464,7 +494,8 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     whatever invariants object comes with the point.  No
     CLI task loads numpy, on a lattice-given or an invariant-given curve:
     only period_matrix_M does.  Nor does any load dataclasses or inspect:
-    the result types are plain value classes."""
+    the result types are plain value classes.  Only the verify task loads
+    semiabel.verify."""
     import semiabel.periods as periods
 
     def refused(g2, g3):
@@ -497,25 +528,29 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
     J = lambda v: {"re": v.real, "im": v.imag}  # noqa: E731
     lattice = {"lattice": {"w1": J(L.omega1), "w2": J(L.omega2)}}
     invariants = {"g2": J(inv.g2), "g3": J(inv.g3)}
+    motive = {"motive": {
+        "extension_params": [{"x": J(point["x"]), "y": J(point["y"])}],
+        "points": [{"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}],
+    }}
     docs = {
-        "classify": {"motive": {
-            "extension_params": [{"x": J(point["x"]), "y": J(point["y"])}],
-            "points": [{"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}],
-        }},
+        "bounds": motive,
+        "classify": motive,
         "eval": {"z": [J(z)]},
         "logg": {"q": {"log": J(0.41 + 0.27j)},
                  "point": {"base": {"x": J(point["x"]), "y": J(point["y"])}, "fiber": 2.0}},
         "periods": {},
         "verify": {},
     }
-    runs = [(task, "lattice", lattice) for task in ("classify", "eval", "logg", "verify")]
-    runs += [(task, "invariants", invariants) for task in ("classify", "eval", "periods", "verify")]
+    # verify last: once it has run, its module stays loaded
+    runs = [(task, "lattice", lattice) for task in ("bounds", "classify", "eval", "logg")]
+    runs += [(task, "invariants", invariants) for task in ("classify", "eval", "periods")]
+    runs += [("verify", "lattice", lattice), ("verify", "invariants", invariants)]
     for task, form, curve in runs:
         (tmp_path / f"{task}-{form}.json").write_text(json.dumps({"curve": curve, **docs[task]}))
     code = (
         "import sys\n"
         "from semiabel.cli import main\n"
-        "unloaded = ('numpy', 'dataclasses', 'inspect')\n"
+        "unloaded = ('numpy', 'dataclasses', 'inspect', 'semiabel.verify')\n"
         f"for task, form, _ in {runs!r}:\n"
         f"    path = {str(tmp_path)!r} + f'/{{task}}-{{form}}.json'\n"
         "    assert main([task, '--config', path, '--json']) == 0, (task, form)\n"
@@ -527,7 +562,9 @@ def test_branch_points_are_lattice_constants(monkeypatch, tmp_path):
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stderr == "".join(f"{task} {form} False False False\n" for task, form, _ in runs)
+    assert out.stderr == "".join(
+        f"{task} {form} False False False {task == 'verify'}\n" for task, form, _ in runs
+    )
 
 
 def test_elliptic_log_identity_and_two_torsion():

@@ -153,3 +153,58 @@ def test_as_dict_is_the_classify_document():
     }
     assert type(doc["relations"]) is tuple
     assert doc["bounds"] is not report.bounds
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: CurveInvariants(4.0, 0.0, 1.0),
+        lambda: EllipticPoint(1j, 2j, False, 0),
+        lambda: Lattice(1.0, 1j, 2.0),
+        lambda: ClassificationReport(*range(14)),
+        lambda: EllipticPoint(1j, z=2j),
+        lambda: BranchedValue(value=0.5, branch=0),
+        lambda: CurveInvariants(4.0, g2=4.0),
+        lambda: SemiAbelianPoint(EllipticPoint(), 2.0, base=EllipticPoint()),
+        lambda: CurveInvariants(4.0),
+        lambda: RelationCertificate((1,), 0.0, 1),
+        lambda: ExtensionParam(),
+        lambda: ClassificationReport(1, 0, 1, 1, 3, 7, "p-torsion"),
+        lambda: QuasiPeriods(1.0, eta3=2.0),
+        lambda: GeneralizedAbelianLog(z=1.0, v=2.0),
+    ),
+    ids=(
+        "too-many-positional", "too-many-with-defaults", "too-many-lattice",
+        "too-many-report", "unknown-name", "unknown-name-after-all-fields",
+        "given-twice", "given-twice-last", "missing", "missing-last",
+        "missing-only", "missing-report", "unknown-in-place-of-missing",
+        "unknown-in-place-of-missing-with-default",
+    ),
+)
+def test_a_wrong_call_raises_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_type_errors_name_the_class_and_the_fault():
+    with pytest.raises(TypeError, match=r"CurveInvariants.__init__\(\) takes 3 positional"):
+        CurveInvariants(4.0, 0.0, 1.0)
+    with pytest.raises(TypeError, match="got multiple values for argument 'g2'"):
+        CurveInvariants(4.0, g2=4.0)
+    with pytest.raises(TypeError, match="got an unexpected keyword argument 'g4'"):
+        CurveInvariants(4.0, g4=0.0)
+    with pytest.raises(TypeError, match=r"Lattice.__init__\(\) missing 1 required .*'omega2'"):
+        Lattice(1.0)
+    with pytest.raises(TypeError, match=r"ClassificationReport.__init__\(\) missing 1 required .*'confidence'"):
+        ClassificationReport(1, 0, 1, 1, 3, 7, "p-torsion", False, None, None, {})
+
+
+def test_a_left_out_field_takes_its_class_default():
+    assert EllipticPoint(y=2j) == EllipticPoint(0j, 2j, False)
+    assert GeneralizedAbelianLog(1.0, w=2.0) == GeneralizedAbelianLog(1.0, 2.0, False)
+    L = make_lattice(1.0, 1j)
+    inv = eisenstein_invariants(L)
+    R = SemiAbelianPoint(EllipticPoint.identity(), 2.0)
+    assert OneMotiveElliptic(inv, L, [], [R]).cm_override is None
+    report = ClassificationReport(1, 0, 1, 1, 3, 7, "p-torsion", False, None, None, {}, "numeric")
+    assert report == _report(bounds={}) and report.relations == ()
