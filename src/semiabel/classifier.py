@@ -291,29 +291,23 @@ class _MotiveAnalysis:
         return [quasi_quasi_periods(mu, self.L) for mu in self.param_logs]
 
     @cached_property
-    def third_kind_values(self):
-        """The n*s integrals of the third kind: the fiber component t of
-        log_G(R) for each point R and each parameter q."""
-        return [
-            _fiber_log(R, glog, mu, self.L)
-            for R, glog in zip(self.motive.points, self.point_glogs)
-            for mu in self.param_logs
-        ]
-
-    @cached_property
     def reduced_third_kind_values(self):
-        """The third-kind values, each t of a torsion point p = a1*omega1 +
-        a2*omega2 moved to t + a1*g1 + a2*g2.  The move is rational in the
-        quasi-quasi-periods, so the Q-span modulo them is unchanged, and
-        R's torsion relation with 2*pi*i drops from height N*M to M."""
-        values = iter(self.third_kind_values)
+        """The n*s integrals of the third kind, point-major: the fiber part t
+        of log_G(R) for each point R and parameter q, moved to t + a1*g1 +
+        a2*g2 for a torsion point p = a1*omega1 + a2*omega2.  The move is
+        rational in the quasi-quasi-periods, so the Q-span modulo them is
+        unchanged, and R's torsion relation with 2*pi*i drops from height N*M to M."""
+        rows = [
+            [_fiber_log(R, glog, mu, self.L) for mu in self.param_logs]
+            for R, glog in zip(self.motive.points, self.point_glogs)
+        ]
         out = []
-        for p in self.point_logs:
+        for p, row in zip(self.point_logs, rows):
             # c0*p + c1*omega1 + c2*omega2 = 0; a non-torsion p moves nothing
             c0, c1, c2 = self.torsion(p) or (1, 0, 0)
             out += [
-                next(values) - c1 / c0 * g1 - c2 / c0 * g2
-                for g1, g2 in self.third_kind_periods
+                t - c1 / c0 * g1 - c2 / c0 * g2
+                for t, (g1, g2) in zip(row, self.third_kind_periods)
             ]
         return out
 

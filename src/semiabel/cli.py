@@ -64,10 +64,6 @@ def emit_json(doc):
     return _json_text(doc)
 
 
-def _cplx(v):
-    return {"re": float(v.real), "im": float(v.imag)}
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -240,7 +236,7 @@ def _parse_motive(cfg):
 def _point_doc(P):
     if P.is_identity:
         return "O"
-    return {"x": _cplx(P.x), "y": _cplx(P.y)}
+    return {"x": P.x, "y": P.y}
 
 
 def _discriminant(cfg):
@@ -264,14 +260,14 @@ def _job_periods(cfg):
     L = cfg.lattice
     qp = quasi_periods(L)
     return {
-        "w1": _cplx(L.omega1),
-        "w2": _cplx(L.omega2),
-        "tau": _cplx(L.tau),
-        "eta1": _cplx(qp.eta1),
-        "eta2": _cplx(qp.eta2),
-        "g2": _cplx(cfg.curve.g2),
-        "g3": _cplx(cfg.curve.g3),
-        "discriminant": _cplx(_discriminant(cfg)),
+        "w1": L.omega1,
+        "w2": L.omega2,
+        "tau": L.tau,
+        "eta1": qp.eta1,
+        "eta2": qp.eta2,
+        "g2": cfg.curve.g2,
+        "g3": cfg.curve.g3,
+        "discriminant": _discriminant(cfg),
     }
 
 
@@ -284,15 +280,8 @@ def _job_eval(cfg):
         z = _parse_complex(zn, f"/z/{i}")
         # sigma reads the reduction and theta series weierstrass summed
         p, dp, zeta = weierstrass(z, cfg.lattice)
-        values.append(
-            {
-                "z": _cplx(z),
-                "wp": _cplx(p),
-                "wp_prime": _cplx(dp),
-                "zeta": _cplx(zeta),
-                "sigma": _cplx(sigma_w(z, cfg.lattice)),
-            }
-        )
+        sigma = sigma_w(z, cfg.lattice)
+        values.append({"z": z, "wp": p, "wp_prime": dp, "zeta": zeta, "sigma": sigma})
     return {"values": values}
 
 
@@ -307,7 +296,7 @@ def _job_expg(cfg):
     t = _parse_complex(cfg.payload.get("t", 0), "/t")
     q = _get_extension_param(cfg)
     R = exp_G(z, t, q, cfg.lattice)
-    return {"base": _point_doc(R.base), "fiber": _cplx(R.fiber)}
+    return {"base": _point_doc(R.base), "fiber": R.fiber}
 
 
 def _job_logg(cfg):
@@ -316,9 +305,9 @@ def _job_logg(cfg):
     R = _parse_sa_point(node, "/point")
     q = _get_extension_param(cfg)
     glog, tb = generalized_log_G(R, q, cfg.lattice, cfg.curve)
-    doc = {"z": _cplx(glog.z), "t": _cplx(tb.value)}
+    doc = {"z": glog.z, "t": tb.value}
     if not glog.is_identity:
-        doc["zeta_z"] = _cplx(glog.w)
+        doc["zeta_z"] = glog.w
     return doc
 
 
@@ -331,8 +320,8 @@ def _job_pairing(cfg):
     if N is not None:
         _expect(type(N) is int and N >= 1, "/N", "expected a positive integer")
         val = torsion_weil_pairing(z, zstar, N, cfg.lattice).value
-        return {"weil_torsion": _cplx(val), "N": N}
-    return {"weil": _cplx(weil_pairing(z, zstar, cfg.lattice).value)}
+        return {"weil_torsion": val, "N": N}
+    return {"weil": weil_pairing(z, zstar, cfg.lattice).value}
 
 
 def _job_classify(cfg):
@@ -373,7 +362,8 @@ _HANDLERS = {
 
 
 def run_job(cfg):
-    """(report document, exit code); exit 2 when a verify identity fails."""
+    """(report document, exit code); exit 2 when a verify identity fails.
+    The document holds each value as computed, and emit_json encodes it."""
     doc = _HANDLERS[cfg.task](cfg)
     doc["task"] = cfg.task
     doc["seed"] = cfg.seed
@@ -415,7 +405,7 @@ def main(argv=None):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

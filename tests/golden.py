@@ -112,7 +112,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help="overwrite the golden files")
     args = ap.parse_args(argv)
-    print(f"src/semiabel/*.py: {source_lines()} lines")
+    report = [f"src/semiabel/*.py: {source_lines()} lines"]
     with tempfile.TemporaryDirectory() as tmp:
         built = _build(Path(tmp))
     differs = False
@@ -125,13 +125,18 @@ def main(argv=None):
         for kind, label in (("other", "a number"), ("residual", "a residual")):
             if largest[kind] is not None:
                 summary += f"; largest relative change of {label} {largest[kind]:.3g}"
-        print(summary)
-        for line in out:
-            print(line)
+        report += [summary, *out]
         if changed and args.write:
             path.write_text("".join(lines))
-            print(f"  written: {path.name}")
+            report.append(f"  written: {path.name}")
         differs = differs or bool(changed)
+    # every file is written before the first print, so a reader that closes
+    # the pipe early (`| head -1`) cuts the report, not the work or the status
+    try:
+        for line in report:
+            print(line)
+    except BrokenPipeError:
+        pass
     return 1 if differs and not args.write else 0
 
 

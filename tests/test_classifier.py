@@ -33,6 +33,7 @@ from semiabel.relations import DEFAULT_MAX_HEIGHT, DEFAULT_TOL, height_cap
 from semiabel.semiabelian import (
     ExtensionParam,
     SemiAbelianPoint,
+    _fiber_log,
     exp_G,
     quasi_quasi_periods,
 )
@@ -729,8 +730,9 @@ def test_table_rows_invariant_under_complex_conjugation():
 @pytest.mark.xfail(
     strict=True,
     raises=OverflowError,
-    reason="serre_fq evaluates sigma at a far translate without reducing z "
-    "modulo Lambda first (CHANGES.md FOUND, ROADMAP item 7)",
+    reason="sigma's quasi-periodicity factor exp(eta(lambda)(z0 + lambda/2)) "
+    "overflows at a far translate on the way to f_q; ROADMAP items 19 and 22 "
+    "close it",
 )
 def test_non_cm_table_rows_on_a_long_thin_basis():
     """In the long, thin cell of the bases (13, 8; 8, 5) and (21, 13; 13, 8)
@@ -832,6 +834,31 @@ def test_r_torsion_survey_on_and_off_the_torsion_coset():
             _torsion_base_motive(L, j, k, N, frac, rng.uniform(0.2, 0.9))
         )
         assert (on.table_row, off.table_row) == ("r-torsion", "p-torsion"), (N, M, j, k)
+
+
+def test_reduced_third_kind_values_pair_each_row_with_its_point():
+    """n = s = 2 on the non-CM table lattice, a 3-division point and a
+    generic one: value 2*i + j is t_ij = fiber log of R_i over mu_j, moved
+    by (c1*g1_j + c2*g2_j)/c0 from p_i's torsion relation (c0, c1, c2),
+    and by nothing for the generic point, bit for bit."""
+    L = _noncm()
+    zs = ((L.omega1 + 2 * L.omega2) / 3, _p(L))
+    mus = (_mu(L), (math.sqrt(2) - 1.1) * L.omega1 + (math.sqrt(3) - 1.4) * L.omega2)
+    points = tuple(
+        SemiAbelianPoint(EllipticPoint(wp(z, L), wp_prime(z, L)), fiber)
+        for z, fiber in zip(zs, (1.7 - 0.4j, 0.6 + 0.9j))
+    )
+    qs = tuple(ExtensionParam.from_primal(mu, L) for mu in mus)
+    m = OneMotiveElliptic(eisenstein_invariants(L), L, qs, points)
+    a = classifier._MotiveAnalysis(m, DEFAULT_MAX_HEIGHT, DEFAULT_TOL)
+    torsion = [a.torsion(p) for p in a.point_logs]
+    assert torsion[0] is not None and torsion[0][0] == 3 and torsion[1] is None
+    for i, (R, glog) in enumerate(zip(points, a.point_glogs)):
+        c0, c1, c2 = torsion[i] or (1, 0, 0)
+        for j, mu in enumerate(a.param_logs):
+            g1, g2 = quasi_quasi_periods(mu, L)
+            t = _fiber_log(R, glog, mu, L) - c1 / c0 * g1 - c2 / c0 * g2
+            assert a.reduced_third_kind_values[2 * i + j] == t, (i, j)
 
 
 @pytest.mark.parametrize("tau", (1j, complex(0.31, 1.23)), ids=("square", "non-cm"))

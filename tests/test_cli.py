@@ -23,7 +23,7 @@ from semiabel.classifier import (
     OneMotiveElliptic,
     motivic_galois_dims,
 )
-from semiabel.cli import JobConfig, _cplx, emit_json, main, parse_config, run_job
+from semiabel.cli import JobConfig, emit_json, main, parse_config, run_job
 from semiabel.elliptic import eisenstein_invariants, weierstrass
 from semiabel.errors import (
     ConflictingCurveSpec,
@@ -44,6 +44,17 @@ def _cfg(doc, task, **kw):
 
 def _c(v):
     return complex(v["re"], v["im"])
+
+
+def _cplx(v):
+    """A number as a config's {re, im} node."""
+    return {"re": float(v.real), "im": float(v.imag)}
+
+
+def _emitted(cfg):
+    """run_job's document as emit_json writes it, and the exit code."""
+    doc, code = run_job(cfg)
+    return json.loads(emit_json(doc)), code
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +272,7 @@ def test_conflicting_curve_spec():
 
 
 def test_job_periods():
-    doc, code = run_job(_cfg(SQ, "periods"))
+    doc, code = _emitted(_cfg(SQ, "periods"))
     assert code == 0
     assert _c(doc["g2"]) == pytest.approx(4.0)
     assert abs(_c(doc["g3"])) < 1e-12
@@ -272,7 +283,7 @@ def test_job_periods():
 
 
 def test_job_eval():
-    doc, code = run_job(_cfg({**SQ, "z": [{"re": 0.9, "im": 0.4}]}, "eval"))
+    doc, code = _emitted(_cfg({**SQ, "z": [{"re": 0.9, "im": 0.4}]}, "eval"))
     assert code == 0
     v = doc["values"][0]
     p, pp = _c(v["wp"]), _c(v["wp_prime"])
@@ -282,14 +293,14 @@ def test_job_eval():
 def test_job_expg_logg_round_trip():
     q = {"log": {"re": 0.7, "im": 0.9}}
     base = {**SQ, "q": q, "z": {"re": 0.8, "im": 0.3}, "t": {"re": 0.2, "im": -0.1}}
-    doc, code = run_job(_cfg(base, "expg"))
+    doc, code = _emitted(_cfg(base, "expg"))
     assert code == 0
-    logdoc, code = run_job(
+    logdoc, code = _emitted(
         _cfg({**SQ, "q": q, "point": {"base": doc["base"], "fiber": doc["fiber"]}}, "logg")
     )
     assert code == 0
     # re-exponentiating the logarithm reproduces the point
-    redoc, _ = run_job(
+    redoc, _ = _emitted(
         _cfg({**SQ, "q": q, "z": logdoc["z"], "t": logdoc["t"]}, "expg")
     )
     assert _c(redoc["fiber"]) == pytest.approx(_c(doc["fiber"]), rel=1e-8)
@@ -298,13 +309,13 @@ def test_job_expg_logg_round_trip():
 
 def test_job_pairing():
     w = VARPI
-    doc, code = run_job(
+    doc, code = _emitted(
         _cfg({**SQ, "z": w, "zstar": {"re": 0.0, "im": w / w**2}}, "pairing")
     )
     assert code == 0
     # a lattice generator against a dual generator pairs to 1
     assert _c(doc["weil"]) == pytest.approx(1.0, abs=1e-9)
-    doc, code = run_job(
+    doc, code = _emitted(
         _cfg(
             {**SQ, "z": w / 2, "zstar": {"re": 0.0, "im": 0.5 / w}, "N": 2},
             "pairing",
@@ -336,7 +347,7 @@ def test_job_classify_and_bounds():
 def test_job_classify_independent_bounds():
     w = VARPI
     q = {"log": {"re": 0.2 * math.sqrt(5) * w, "im": 0.11 * math.sqrt(7) * w}}
-    expdoc, _ = run_job(
+    expdoc, _ = _emitted(
         _cfg(
             {
                 **SQ,
@@ -353,7 +364,7 @@ def test_job_classify_independent_bounds():
             "points": [{"base": expdoc["base"], "fiber": expdoc["fiber"]}],
         }
     }
-    doc, code = run_job(_cfg({**SQ, **motive}, "bounds"))
+    doc, code = _emitted(_cfg({**SQ, **motive}, "bounds"))
     assert code == 0
     assert doc["bounds"]["WSA_V1"] == 3
     assert doc["bounds"]["WSA_explicit"] == 3
@@ -438,6 +449,14 @@ def test_main_success_and_json(tmp_path, capsys):
 def test_main_missing_config(tmp_path, capsys):
     assert main(["periods", "--config", str(tmp_path / "nope.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_main_config_not_utf8(tmp_path, capsys):
+    """A config that is not UTF-8 is bad input: one `error:` line, exit 1,
+    and no traceback from the decode."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _one_error_line(main(["periods", "--config", str(path)]), capsys)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import io
+import sys
+
 import golden
 
 
@@ -27,3 +30,32 @@ def test_golden_prints_the_source_line_count_first(tmp_path, monkeypatch, capsys
     n = sum(len(p.read_bytes().split(b"\n")) - 1 for p in golden.SRC.glob("*.py"))
     assert n > 0
     assert capsys.readouterr().out.splitlines()[0] == f"src/semiabel/*.py: {n} lines"
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away after the first line, as `| head -1`."""
+
+    def write(self, s):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+
+def test_golden_on_a_closed_pipe_keeps_the_work_and_the_status(tmp_path, monkeypatch):
+    """A closed stdout stops the printing only: a changed line still exits
+    1, and --write still rewrites every file and exits 0, with no traceback."""
+    built = {"golden_x.jsonl": ['{"a":1}\n'], "golden_y.jsonl": ['{"b":2}\n']}
+    for name in built:
+        (tmp_path / name).write_text('{"z":0}\n')
+    monkeypatch.setattr(golden, "HERE", tmp_path)
+    monkeypatch.setattr(golden, "_build", lambda tmp: built)
+    monkeypatch.setattr(sys, "stdout", _ClosedAfterOneLine())
+    assert golden.main([]) == 1
+    assert all((tmp_path / name).read_text() == '{"z":0}\n' for name in built)
+    stdout = _ClosedAfterOneLine()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert golden.main(["--write"]) == 0
+    for name, lines in built.items():
+        assert (tmp_path / name).read_text() == "".join(lines)
+    assert stdout.getvalue().startswith("src/semiabel/*.py: ")
+    assert stdout.getvalue().count("\n") == 1
