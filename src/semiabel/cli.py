@@ -85,7 +85,7 @@ def _parse_real(node, path, message):
     _expect(
         isinstance(node, (int, float)) and not isinstance(node, bool), path, message
     )
-    _expect(math.isfinite(node), path, "expected a finite number")
+    _expect(abs(node) <= sys.float_info.max, path, "expected a finite number")
     return node
 
 
@@ -330,13 +330,7 @@ def _job_classify(cfg):
 
 def _job_bounds(cfg):
     doc = _job_classify(cfg)
-    return {
-        "bounds": doc["bounds"],
-        "dim_B": doc["dim_B"],
-        "dim_B_Q": doc["dim_B_Q"],
-        "dim_Z1": doc["dim_Z1"],
-        "cm": doc["cm"],
-    }
+    return {k: doc[k] for k in ("bounds", "dim_B", "dim_B_Q", "dim_Z1", "cm")}
 
 
 def _job_verify(cfg):

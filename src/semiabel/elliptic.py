@@ -21,8 +21,8 @@ from .errors import BeyondWorkingPrecision, PoleAtLatticePoint
 from .lattice import (
     POLE_GUARD,
     Lattice,
+    _oriented,
     lattice_coords,
-    make_lattice,
     real_coordinates,
     reduce_centered,
 )
@@ -232,7 +232,7 @@ def rotate_real_frame(L):
         phase = abs(L.omega1) / L.omega1
         w1 = abs(L.omega1)
         w2 = -(L.omega2 * phase)  # Im(omega2/omega1) > 0, so Im(w2) < 0
-        Lr = make_lattice(L.omega1 * phase, L.omega2 * phase)
+        Lr = Lattice(*_oriented(L.omega1 * phase, L.omega2 * phase))
         L._cache["rotated"] = (Lr, phase, w1, w2, w1 * (-w2.imag))
     return L._cache["rotated"]
 

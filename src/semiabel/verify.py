@@ -1,6 +1,6 @@
 """The identity suite behind ``semiabel verify``: each check draws from its
-own seeded generator and reports its worst residual against a fixed
-tolerance."""
+own seeded generator and yields its residuals, and the report compares
+the worst of them with a fixed tolerance."""
 
 import cmath
 import math
@@ -19,6 +19,7 @@ from .elliptic import (
     weierstrass,
     zeta_w,
 )
+from .errors import InternalInconsistency
 from .lattice import make_lattice, real_coordinates, reduce_centered
 from .pairing import ratio_f_tilde, torsion_weil_pairing, weil_pairing
 from .periods import EllipticPoint
@@ -57,42 +58,44 @@ def _sample_z(rng, L):
             return z
 
 
+def _nearest(x):
+    """round(x), or x itself where round raises, so a NaN reaches _worst."""
+    return round(x) if math.isfinite(x) else x
+
+
+def _worst(residuals):
+    """The largest residual, 0.0 for none, NaN when any is NaN (max skips it)."""
+    residuals = list(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
+
+
 def _check_legendre(rng):
-    worst = 0.0
     for L in _suite_lattices(rng):
         qp = quasi_periods(L)
-        worst = max(
-            worst, abs(qp.eta1 * L.omega2 - qp.eta2 * L.omega1 - TWO_PI_I)
-        )
-    return worst
+        yield abs(qp.eta1 * L.omega2 - qp.eta2 * L.omega1 - TWO_PI_I)
 
 
 def _check_ode(rng):
-    worst = 0.0
     for L in _suite_lattices(rng):
         inv = eisenstein_invariants(L)
         for _ in range(20):
             z = _sample_z(rng, L)
             p, dp, _ = weierstrass(z, L)
             lhs, rhs = dp * dp, 4 * p**3 - inv.g2 * p - inv.g3
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
-    return worst
+            yield abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
 def _check_eta_linear(rng):
-    worst = 0.0
     for L in _suite_lattices(rng):
         Lr, _, _, _, D = rotate_real_frame(L)
         piA = theta_normalization(L)
         for _ in range(20):
             zr = _sample_z(rng, Lr)
             closed = (math.pi * zr.conjugate() + piA * zr) / D
-            worst = max(worst, abs(eta_linear(zr, Lr) - closed))
-    return worst
+            yield abs(eta_linear(zr, Lr) - closed)
 
 
 def _check_theta_automorphy(rng):
-    worst = 0.0
     for L in _suite_lattices(rng)[:3]:
         Lr, _, w1, w2, _ = rotate_real_frame(L)
         for _ in range(10):
@@ -103,8 +106,7 @@ def _check_theta_automorphy(rng):
                 continue
             lhs = theta_normalized(zr + lam, L)
             rhs = theta_automorphy_factor(lam, zr, L) * theta_normalized(zr, L)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+            yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
 def _contour_third_kind(qp_primal, L, j):
@@ -136,7 +138,7 @@ def _contour_third_kind(qp_primal, L, j):
 
 
 def _check_third_kind(rng):
-    worst_ratio, worst_contour = 0.0, 0.0
+    """(ratio residual, contour residual) for each period of each q."""
     for L in _suite_lattices(rng)[:3]:
         for _ in range(3):
             qp = _sample_z(rng, L)
@@ -147,30 +149,25 @@ def _check_third_kind(rng):
                 z = _sample_z(rng, L)
                 ratio = serre_fq(z + w, q, L) / serre_fq(z, q, L)
                 e = cmath.exp(g[j - 1])
-                worst_ratio = max(worst_ratio, abs(ratio - e) / abs(e))
                 quad = _contour_third_kind(qp, L, j)
                 k = (quad - g[j - 1]) / TWO_PI_I
-                worst_contour = max(worst_contour, abs(k - round(k.real)) * 2 * math.pi)
-    return worst_ratio, worst_contour
+                yield abs(ratio - e) / abs(e), abs(k - _nearest(k.real)) * 2 * math.pi
 
 
 def _check_ratio_pairing(rng):
-    worst = 0.0
     for L in _suite_lattices(rng)[:3]:
         D = L.covolume_factor()
         for _ in range(20):
             z = _sample_z(rng, L)
             zstar = _sample_z(rng, L) / D
             ratio = ratio_f_tilde(z, zstar, L)
-            worst = max(worst, abs(ratio - weil_pairing(z, zstar, L).value))
+            yield abs(ratio - weil_pairing(z, zstar, L).value)
         # lattice pairs pair to 1
         for lam, lamstar in ((L.omega1, L.omega2 / D), (L.omega2, L.omega1 / D)):
-            worst = max(worst, abs(weil_pairing(lam, lamstar, L).value - 1.0))
-    return worst
+            yield abs(weil_pairing(lam, lamstar, L).value - 1.0)
 
 
 def _check_exp_log(rng):
-    worst = 0.0
     for L in _suite_lattices(rng)[:3]:
         qp = _sample_z(rng, L)
         q = ExtensionParam.from_primal(qp, L)
@@ -184,18 +181,14 @@ def _check_exp_log(rng):
             # residual modulo the rank-3 kernel lattice, whose first two
             # generators project onto the basis omega1, omega2 of Lambda
             a1, a2 = real_coordinates(dz, L)
-            m, n = round(a1), round(a2)
+            m, n = _nearest(a1), _nearest(a2)
             rz = dz - m * gens[0][0] - n * gens[1][0]
             rt = dt - m * gens[0][1] - n * gens[1][1]
             k = rt / TWO_PI_I
-            worst = max(
-                worst, abs(rz) + abs(rt - round(k.real) * TWO_PI_I)
-            )
-    return worst
+            yield abs(rz) + abs(rt - _nearest(k.real) * TWO_PI_I)
 
 
 def _check_torsion_weil(rng):
-    worst = 0.0
     lats = _suite_lattices(rng)
     for L in (lats[0], lats[2]):
         D = L.covolume_factor()
@@ -203,17 +196,15 @@ def _check_torsion_weil(rng):
             p = L.omega1 / N
             qs = L.omega2 / N / D
             val = torsion_weil_pairing(p, qs, N, L).value
-            worst = max(worst, abs(val**N - 1.0))
+            yield abs(val**N - 1.0)
             # representative independence
             alt = torsion_weil_pairing(
                 p + L.omega2, qs + L.omega1 / D, N, L
             ).value
-            worst = max(worst, abs(val - alt))
-    return worst
+            yield abs(val - alt)
 
 
 def _check_kernel(rng):
-    worst = 0.0
     for L in _suite_lattices(rng)[:2]:
         qp = _sample_z(rng, L)
         q = ExtensionParam.from_primal(qp, L)
@@ -222,13 +213,9 @@ def _check_kernel(rng):
         R = exp_G(z, t, q, L)
         for gz, gt in kernel_generators(q, L):
             R2 = exp_G(z + gz, t + gt, q, L)
-            worst = max(
-                worst,
-                abs(R2.base.x - R.base.x) / (1.0 + abs(R.base.x)),
-                abs(R2.base.y - R.base.y) / (1.0 + abs(R.base.y)),
-                abs(R2.fiber - R.fiber) / (1.0 + abs(R.fiber)),
-            )
-    return worst
+            yield abs(R2.base.x - R.base.x) / (1.0 + abs(R.base.x))
+            yield abs(R2.base.y - R.base.y) / (1.0 + abs(R.base.y))
+            yield abs(R2.fiber - R.fiber) / (1.0 + abs(R.fiber))
 
 
 def _table_instances():
@@ -276,26 +263,22 @@ def _check_table(table):
 def _check_formula_consistency(table):
     # ClassificationReport construction hard-asserts the dimension
     # formulas; re-deriving them here guards the assembled values.
-    worst = 0.0
     for rep, _, _, _, cm in table:
-        worst = max(
-            worst,
-            abs(rep.dim_UR - 2 * rep.dim_B - rep.dim_Z1),
-            abs(rep.dim_Gal - rep.dim_UR - (2 if cm else 4)),
-        )
-    return worst
+        yield abs(rep.dim_UR - 2 * rep.dim_B - rep.dim_Z1)
+        yield abs(rep.dim_Gal - rep.dim_UR - (2 if cm else 4))
 
 
 def report(seed, tolerance):
-    """The verify document: every identity check at its own tolerance,
-    sampled from its own stream random.Random(16 * seed + k), so no two
-    checks and no two seeds share a stream.  ``tolerance`` is the job's
-    relation tolerance, reported as given."""
+    """The verify document: every identity check's worst residual at its own
+    tolerance, sampled from its own stream random.Random(16 * seed + k), so
+    no two checks and no two seeds share a stream.  ``tolerance`` is the
+    job's relation tolerance, reported as given.  A residual that is not
+    finite raises InternalInconsistency: no tolerance can judge it."""
 
     def stream(k):
         return random.Random(16 * seed + k)
 
-    ratio_resid, contour_resid = _check_third_kind(stream(4))
+    pairs = list(_check_third_kind(stream(4)))
     table = [(motivic_galois_dims(m), *expected) for m, *expected in _table_instances()]
     checks = [
         ("legendre-relation", "eta1*w2 - eta2*w1 = 2*pi*i",
@@ -307,9 +290,9 @@ def report(seed, tolerance):
         ("theta-automorphy", "theta(z+l) = psi(l)*exp(pi*conj(l)*(z+l/2)/D)*theta(z)",
          _check_theta_automorphy(stream(3)), 1e-8),
         ("third-kind-periods-ratio", "f_q(z+w_j)/f_q(z) = exp(eta_j*q - w_j*zeta(q))",
-         ratio_resid, 1e-8),
+         [ratio for ratio, _ in pairs], 1e-8),
         ("third-kind-periods-contour", "contour integral of dlog f_q over a period",
-         contour_resid, 1e-6),
+         [contour for _, contour in pairs], 1e-6),
         ("sigma-ratio-pairing", "f~_{z*}(z)/f~_z(z*) = Weil pairing exponential",
          _check_ratio_pairing(stream(5)), 1e-9),
         ("exp-log-round-trip", "log_G(exp_G(z,t)) = (z,t) modulo the kernel lattice",
@@ -319,20 +302,18 @@ def report(seed, tolerance):
         ("kernel-lattice", "exp_G is invariant under its rank-3 kernel",
          _check_kernel(stream(8)), 1e-8),
         ("dimension-table", "eight-row classification table, CM and non-CM",
-         _check_table(table), 0.5),
+         [_check_table(table)], 0.5),
         ("dimension-formula-consistency", "dim UR = 2*dim B + dim Z(1); dim Gal = dim UR + dim Gal(E)",
          _check_formula_consistency(table), 0.5),
     ]
-    entries = [
-        {
-            "name": name,
-            "anchor": anchor,
-            "max_residual": float(resid),
-            "tolerance": tol,
-            "pass": resid < tol,
-        }
-        for name, anchor, resid, tol in sorted(checks)
-    ]
+    entries = []
+    for name, anchor, resid, tol in sorted(
+        (name, anchor, _worst(residuals), tol) for name, anchor, residuals, tol in checks
+    ):
+        if not math.isfinite(resid):
+            raise InternalInconsistency(f"{name}: max residual {resid} is not finite")
+        entries.append({"name": name, "anchor": anchor, "max_residual": float(resid),
+                        "tolerance": tol, "pass": resid < tol})
     return {
         "task": "verify",
         "seed": seed,

@@ -173,6 +173,16 @@ def test_lattice_constants_are_computed_once_per_lattice(monkeypatch):
     assert counts == ["weights", "e4e6"] * 2
 
 
+def test_a_rotated_frame_keeps_the_lattices_built_before_it():
+    """The rotated lattice is built outside make_lattice's table, so a
+    theta_normalized call evicts no lattice a caller made."""
+    from semiabel.lattice import TABLE_SIZE
+
+    lattices = [make_lattice(1 + 1j, complex(-0.61, 1.37 + k)) for k in range(TABLE_SIZE)]
+    theta_normalized(0.3 + 0.2j, lattices[-1])
+    assert make_lattice(1 + 1j, complex(-0.61, 1.37)) is lattices[0]
+
+
 def test_eisenstein_series_match_theta_constants():
     """E4 = (theta2^8 + theta3^8 + theta4^8)/2 via mpmath null values."""
     for tau in (1j, 0.1 + 1.3j, -0.3 + 0.8j):

@@ -31,7 +31,12 @@ TWO_PI_I = 2j * math.pi
 
 
 def test_unit_circle_value_guard():
+    """One value each side of the edge: the guard |abs(v) - 1| <= 1e-9,
+    100 times looser or tighter, would accept 1 + 1e-8 or refuse 1 + 1e-10."""
     UnitCircleValue(1j)
+    assert UnitCircleValue(complex(0.0, 1 + 1e-10)).value == complex(0.0, 1 + 1e-10)
+    with pytest.raises(ValueError):
+        UnitCircleValue(complex(0.0, 1 + 1e-8))
     with pytest.raises(ValueError):
         UnitCircleValue(1.5 + 0j)
     with pytest.raises(ValueError):
